@@ -357,8 +357,7 @@ class MemorySystem:
                             latency=cycle - trans.issued_cycle)
         self.ports[trans.requester]._fill(trans.addr, state, cycle, on_done)
         entry.busy = False
-        if trans in self.inflight:
-            self.inflight.remove(trans)
+        self.inflight.remove(trans)
 
     def _install_l3(self, addr: int, cycle: int) -> None:
         if self.l3.probe(addr) is not None:
@@ -412,9 +411,16 @@ class CorePort:
             "l1d_unauthorized_forwards",
             "loads served from unauthorized L1D data (optional feature)")
         #: Requests parked because the MSHR file was full, retried on
-        #: every fill completion.
+        #: every fill completion; parked writes counted per line, and
+        #: parked reads in all.
         self._pending: deque = deque()
         self._pending_writes: Dict[int, int] = {}
+        self._pending_reads = 0
+        #: Parked-write lines a fill has reached (see _live_lines).
+        self._filled_parked: set = set()
+        #: Bumped by every fill and snoop: the only events that change
+        #: this hierarchy's cache state, and so write permissions.
+        self.epoch = 0
         self.probe = NULL_PROBE
 
     # -- queries ----------------------------------------------------------
@@ -484,6 +490,7 @@ class CorePort:
             # MSHR file full: park the request; it is retried whenever a
             # fill frees an entry (no polling).
             self._pending.append((addr, is_write, on_done))
+            self._pending_reads += 1
             return
         fresh = not entry.waiters and not entry.meta.get("launched")
         entry.waiters.append(on_done)
@@ -493,13 +500,44 @@ class CorePort:
             self._launch(addr, is_write, cycle)
 
     def _retry_pending(self, cycle: int) -> None:
-        """Drain parked requests into freed MSHRs (oldest first)."""
-        budget = len(self._pending)   # each parked entry retried once
-        while self._pending and budget > 0:
+        """Drain parked requests into freed MSHRs (oldest first).
+
+        Each parked entry is retried once.  A parked write to line X
+        can only progress if X is writable, X already has an MSHR, or
+        the file has a free entry; only a fill makes a line writable or
+        frees an MSHR, and none happens during the pass.  So once the
+        file is full, a write to any other line is refused without
+        being re-run: it rotates to the back exactly as a re-parked
+        retry would, and its refusal is bookkept by the MSHR file.
+        Past the last parked read and the last write that can still
+        progress, the rest of the pass is one rotation.
+        """
+        pending = self._pending
+        mshrs = self.mshrs
+        budget = len(pending)   # each parked entry retried once
+        live = None             # lines that can progress on a full file
+        live_writes = 0         # parked writes to them, not yet retried
+        while pending and budget > 0:
+            if live is None and mshrs.full:
+                live = self._live_lines()
+                live_writes = sum(self._pending_writes[line]
+                                  for line in live)
+            if live is not None and not live_writes \
+                    and not self._pending_reads:
+                mshrs.refuse_all((addr for addr, _, _ in pending), budget,
+                                 cycle)
+                pending.rotate(-budget)
+                return
             budget -= 1
-            addr, is_write, on_done = self._pending[0]
+            addr, is_write, on_done = pending[0]
             if is_write:
-                self._pending.popleft()
+                if live is not None:
+                    if addr not in live:
+                        pending.rotate(-1)
+                        mshrs.refuse(addr, cycle)
+                        continue
+                    live_writes -= 1
+                pending.popleft()
                 count = self._pending_writes.get(addr, 1) - 1
                 if count:
                     self._pending_writes[addr] = count
@@ -513,20 +551,34 @@ class CorePort:
             if (line is not None
                     and (not line.not_visible or line.ready)):
                 # The line arrived while the request was parked.
-                self._pending.popleft()
+                pending.popleft()
+                self._pending_reads -= 1
                 self.l1d.record_read()
                 on_done(cycle + self.system.config.memory.l1d.latency)
                 continue
-            entry = self.mshrs.allocate(addr, is_write, cycle)
+            entry = mshrs.allocate(addr, is_write, cycle)
             if entry is None:
                 return
-            self._pending.popleft()
+            pending.popleft()
+            self._pending_reads -= 1
             fresh = not entry.meta.get("launched")
             entry.waiters.append(on_done)
             if fresh:
                 entry.meta["launched"] = True
                 entry.meta["write"] = is_write
                 self._launch(addr, is_write, cycle)
+
+    def _live_lines(self) -> set:
+        """Parked-write lines that can progress on a full MSHR file:
+        those with an MSHR, and those a fill has made writable (a
+        parked line only becomes writable through a fill, which records
+        it in ``_filled_parked``).  Prunes the record to lines that are
+        still parked and writable; a later fill re-adds the others."""
+        parked = self._pending_writes
+        self._filled_parked = {line for line in self._filled_parked
+                               if line in parked and self.is_writable(line)}
+        return self._filled_parked.union(
+            line for line in self.mshrs.lines() if line in parked)
 
     # -- stores -------------------------------------------------------------
     def request_write(self, addr: int, cycle: int,
@@ -648,12 +700,15 @@ class CorePort:
               _unused: Optional[Callable[[int], None]]) -> None:
         """A fill (data and/or permission) arrives at this private
         hierarchy; install in L2 and L1D and wake the MSHR waiters."""
+        self.epoch += 1
         self._install_l2(addr, state, cycle)
         line = self.l1d.probe(addr)
         if line is not None:
             self._upgrade_l1_line(line, state, cycle)
         else:
             line = self._install_l1(addr, state, cycle)
+        if addr & LINE_MASK in self._pending_writes:
+            self._filled_parked.add(addr & LINE_MASK)
         for waiter in self.mshrs.complete(addr, cycle):
             waiter(cycle)
         self._retry_pending(cycle)
@@ -746,6 +801,7 @@ class CorePort:
     # -- snoops ---------------------------------------------------------------
     def _snoop(self, addr: int, kind: SnoopKind, requester: int,
                cycle: int) -> SnoopReply:
+        self.epoch += 1
         line = self.l1d.probe(addr)
         if line is not None and line.not_visible:
             if self.snoop_hook is None:

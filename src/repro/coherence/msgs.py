@@ -56,9 +56,12 @@ class SnoopReply:
     had_dirty: bool = False
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Transaction:
-    """Bookkeeping for one in-flight shared-level transaction."""
+    """Bookkeeping for one in-flight shared-level transaction.
+
+    Compares by identity: two transactions are never interchangeable,
+    even when every field matches."""
 
     req: ReqType
     addr: int

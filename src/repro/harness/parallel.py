@@ -373,8 +373,28 @@ def _fan_out(runner: Runner, todo: List[Point], workers: int,
             attempt = backlog.pop(0)
             attempt.deadline = (time.monotonic() + timeout
                                 if timeout is not None else None)
-            pending[pool.submit(worker_fn,
-                                (params, attempt.point))] = attempt
+            try:
+                future = pool.submit(worker_fn, (params, attempt.point))
+            except BrokenProcessPool:
+                # A worker died since the last wait: the pool refuses
+                # new work before any future reports the breakage.
+                # Handled like a breakage seen by wait(); the point being
+                # submitted re-runs alone too, so every recovery retires
+                # at least one point.
+                recover(list(pending.values()) + [attempt])
+                continue
+            pending[future] = attempt
+
+    def recover(lost: List[_Attempt]) -> None:
+        """The pool broke: the culprit is unidentifiable from it, so
+        the lost points re-run one at a time in isolation, and the pool
+        is rebuilt."""
+        nonlocal pool
+        pending.clear()
+        pool.shutdown(wait=False, cancel_futures=True)
+        for item in lost:
+            run_isolated(item)
+        pool = ProcessPoolExecutor(max_workers=size)
 
     def run_isolated(attempt: _Attempt) -> None:
         """Re-run one pool-break casualty alone in a throwaway pool,
@@ -442,15 +462,8 @@ def _fan_out(runner: Runner, todo: List[Point], workers: int,
                     continue
                 complete(attempt, data, sim_seconds)
             if broken_by is not None:
-                # The breakage surfaces on every outstanding future, so
-                # the culprit is unidentifiable from the pool: the lost
-                # in-flight points re-run one at a time in isolation.
-                lost = [broken_by] + list(pending.values())
-                pending.clear()
-                pool.shutdown(wait=False, cancel_futures=True)
-                for item in lost:
-                    run_isolated(item)
-                pool = ProcessPoolExecutor(max_workers=size)
+                # The breakage surfaces on every outstanding future.
+                recover([broken_by] + list(pending.values()))
                 continue
             if timeout is None:
                 continue

@@ -30,6 +30,16 @@ class SSBMechanism(PrefetchAtCommit):
         self.capacity = config.mechanisms.ssb_tsob_entries
         self._tsob: Deque[Tuple[int, int]] = deque()   # (line, mask)
         self._tsob_lines: Dict[int, int] = {}          # line -> union mask
+        #: line -> {mask: stores} over the TSOB, so a drain updates the
+        #: line's union mask without rescanning the queue.
+        self._line_masks: Dict[int, Dict[int, int]] = {}
+        #: The first DRAIN_AHEAD_LINES distinct TSOB lines; None once a
+        #: drain or append may have changed them.
+        self._ahead: Optional[List[int]] = None
+        #: The last prefetch walk over ``_ahead``, replayable while its
+        #: stamp (port epoch, MSHR version) holds: the lines it
+        #: requested and the lines among them the MSHR file refused.
+        self._ahead_plan: Optional[Tuple] = None
         self._occupancy = stats.histogram(
             "tsob_occupancy", bucket_width=64, num_buckets=17)
         self._c_l1_writes = stats.counter("tsob_drains",
@@ -50,15 +60,52 @@ class SSBMechanism(PrefetchAtCommit):
         return progress
 
     def _prefetch_ahead(self, cycle: int) -> None:
-        seen = set()
-        for line, _mask in self._tsob:
-            if line in seen:
+        """Request write permission for the head window's lines.
+
+        While neither the window nor the port's caches or MSHRs have
+        changed, a walk would find the same lines without permission
+        and get the same answers, so the last walk's answers are
+        replayed without re-issuing the requests: merges into existing
+        MSHRs and refusals are only counted (a chain onto an in-flight
+        read adds a waiter, so those lines are requested again)."""
+        port = self.port
+        mshrs = port.mshrs
+        stamp = (port.epoch, mshrs.version)
+        plan = self._ahead_plan
+        if plan is not None and plan[0] == stamp:
+            _, chained, merged, refused = plan
+            for line in chained:
+                port.request_write(line, cycle, prefetch=True)
+            if merged:
+                mshrs.count_merges(merged)
+            if refused:
+                mshrs.refuse_all(refused, len(refused), cycle)
+            return
+        if self._ahead is None:
+            ahead = {}
+            for line, _mask in self._tsob:
+                if line not in ahead:
+                    if len(ahead) == self.DRAIN_AHEAD_LINES:
+                        break
+                    ahead[line] = None
+            self._ahead = list(ahead)
+        chained, merged, refused = [], 0, []
+        for line in self._ahead:
+            if port.is_writable_private(line):
                 continue
-            seen.add(line)
-            if len(seen) > self.DRAIN_AHEAD_LINES:
-                break
-            if not self.port.is_writable_private(line):
-                self.port.request_write(line, cycle, prefetch=True)
+            if not port.request_write(line, cycle, prefetch=True):
+                refused.append(line)
+            elif mshrs.get(line).meta.get("write"):
+                merged += 1
+            else:
+                chained.append(line)   # waits on an in-flight read
+        # Replayable only if the walk allocated nothing and its refusals
+        # were for want of room (not injected faults a replay would redraw).
+        self._ahead_plan = (
+            (stamp, chained, merged, refused)
+            if (port.epoch, mshrs.version) == stamp
+            and (not refused or not mshrs.has_room(prefetch=True))
+            else None)
 
     def _fill_tsob(self, cycle: int) -> int:
         moved = 0
@@ -72,6 +119,11 @@ class SSBMechanism(PrefetchAtCommit):
             self._tsob.append((head.line, head.mask))
             self._tsob_lines[head.line] = (
                 self._tsob_lines.get(head.line, 0) | head.mask)
+            masks = self._line_masks.setdefault(head.line, {})
+            masks[head.mask] = masks.get(head.mask, 0) + 1
+            if self._ahead is not None \
+                    and len(self._ahead) < self.DRAIN_AHEAD_LINES:
+                self._ahead = self._ahead_plan = None
             moved += 1
         if moved:
             self._occupancy.sample(len(self._tsob))
@@ -88,6 +140,7 @@ class SSBMechanism(PrefetchAtCommit):
                 self.probe.emit(cycle, "drain:blocked", line=line)
             return 0
         self._tsob.popleft()
+        self._ahead = self._ahead_plan = None
         self._remove_line_mask(line, mask)
         if self.probe:
             self.probe.emit(cycle, "tsob:drain", line=line)
@@ -101,14 +154,19 @@ class SSBMechanism(PrefetchAtCommit):
         return 1
 
     def _remove_line_mask(self, line: int, mask: int) -> None:
+        masks = self._line_masks[line]
+        count = masks.pop(mask) - 1
+        if count:
+            masks[mask] = count
+            return   # the union is unchanged
+        if not masks:
+            del self._line_masks[line]
+            del self._tsob_lines[line]
+            return
         remaining = 0
-        for other_line, other_mask in self._tsob:
-            if other_line == line:
-                remaining |= other_mask
-        if remaining:
-            self._tsob_lines[line] = remaining
-        else:
-            self._tsob_lines.pop(line, None)
+        for other_mask in masks:
+            remaining |= other_mask
+        self._tsob_lines[line] = remaining
 
     def drained(self) -> bool:
         return not self._tsob

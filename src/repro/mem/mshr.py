@@ -9,6 +9,7 @@ effects that make store bursts expensive in the baseline.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Dict, List, Optional
 
 from ..common.addr import LINE_MASK
@@ -58,6 +59,9 @@ class MSHRFile:
         self.probe = NULL_PROBE
         #: Fault-injection hook (repro.faults).
         self.faults = NULL_FAULTS
+        #: Bumped whenever an entry is allocated or retired, so callers
+        #: can tell that no allocation outcome can have changed.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -65,6 +69,16 @@ class MSHRFile:
     @property
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
+
+    def lines(self):
+        """The line addresses with an entry (a live view)."""
+        return self._entries.keys()
+
+    def has_room(self, prefetch: bool = False) -> bool:
+        """Whether a new entry may be allocated (prefetches may not take
+        the last ``demand_reserve`` entries)."""
+        return len(self._entries) < self.capacity - (
+            self.demand_reserve if prefetch else 0)
 
     def get(self, addr: int) -> Optional[MSHREntry]:
         return self._entries.get(addr & LINE_MASK)
@@ -84,6 +98,35 @@ class MSHRFile:
             self._merges.inc()
             entry.is_write = entry.is_write or is_write
             return entry
+        if not self.has_room(prefetch):
+            self.refuse(addr, cycle)
+            return None
+        if self.faults and self._entries \
+                and self.faults.refuse("mshr-full"):
+            # Injected transient exhaustion; see :meth:`refuse`.
+            return None
+        entry = MSHREntry(addr, is_write, cycle)
+        self._entries[addr] = entry
+        self.version += 1
+        self._allocs.inc()
+        if self.probe:
+            self.probe.emit(cycle, "mshr:alloc", line=addr, write=is_write,
+                            occupancy=len(self._entries))
+        return entry
+
+    def count_merges(self, count: int) -> None:
+        """Count ``count`` write requests merged into entries that are
+        known to exist (a replayed request, not re-issued)."""
+        self._merges.inc(count)
+
+    def refuse(self, addr: int, cycle: int) -> None:
+        """Bookkeep one allocation of ``addr`` refused by a full file.
+
+        :meth:`allocate` refuses through here, and so do callers that
+        know an allocation would be refused and skip making it: either
+        way the refusal draws the ``mshr-full`` fault, and unless the
+        fault claims it, counts a full event and emits ``mshr:full``.
+        """
         if self.faults and self._entries \
                 and self.faults.refuse("mshr-full"):
             # Injected transient exhaustion.  Only legal while at least
@@ -91,20 +134,20 @@ class MSHRFile:
             # parked requests are retried exactly when a fill completes —
             # so a guaranteed future fill is what keeps this live.
             # Bookkept on the FaultPlan, not the full-events counter.
-            return None
-        limit = self.capacity - (self.demand_reserve if prefetch else 0)
-        if len(self._entries) >= limit:
-            self._full_events.inc()
-            if self.probe:
-                self.probe.emit(cycle, "mshr:full", line=addr)
-            return None
-        entry = MSHREntry(addr, is_write, cycle)
-        self._entries[addr] = entry
-        self._allocs.inc()
+            return
+        self._full_events.inc()
         if self.probe:
-            self.probe.emit(cycle, "mshr:alloc", line=addr, write=is_write,
-                            occupancy=len(self._entries))
-        return entry
+            self.probe.emit(cycle, "mshr:full", line=addr)
+
+    def refuse_all(self, addrs, count: int, cycle: int) -> None:
+        """:meth:`refuse` the first ``count`` lines of ``addrs`` in
+        order; one counter bump when neither faults nor a probe need
+        the refusals one by one."""
+        if not self.faults and not self.probe:
+            self._full_events.inc(count)
+            return
+        for addr in islice(addrs, count):
+            self.refuse(addr, cycle)
 
     def complete(self, addr: int, cycle: int) -> List[Callable[[], None]]:
         """Retire the MSHR for ``addr`` and return its waiter callbacks.
@@ -116,6 +159,7 @@ class MSHRFile:
         entry = self._entries.pop(addr, None)
         if entry is None:
             return []
+        self.version += 1
         self._latency.sample(cycle - entry.issued_cycle)
         if self.probe:
             self.probe.emit(cycle, "mshr:complete", line=addr,

@@ -109,6 +109,10 @@ class System:
                 stepped = core.step(cycle)
                 if stepped:
                     progress = True
+                    # Only a core's commit, drain or dispatch feeds the
+                    # watchdog: events alone (a request retrying at the
+                    # directory forever) are a livelock, not progress.
+                    last_progress = cycle
                 # step() records finish_cycle exactly when the core first
                 # reports is_done(); checking it avoids a third is_done()
                 # call per step.
@@ -121,31 +125,31 @@ class System:
             if not remaining:
                 break
             if progress:
-                last_progress = cycle
-                self.cycle = cycle + 1
-                continue
-            # Fast-forward.  Every non-done core is stale here (a step
-            # that made progress would have set ``progress``), and no
-            # event has fired since each went stale, so the cached
-            # ``wake_cycle`` values are exact — no need to recompute
-            # next_wake per core as _next_interesting_cycle() does.
-            target = None
-            next_event = events.next_cycle()
-            if next_event is not None:
-                target = next_event if next_event > cycle else cycle + 1
-            for cid, core in enumerate(cores):
-                if done[cid]:
-                    continue
-                wake = core.wake_cycle
-                if wake is not None:
-                    cand = wake if wake > cycle else cycle + 1
-                    if target is None or cand < target:
-                        target = cand
-            if target is None:
-                raise self._deadlock(
-                    "no-progress",
-                    f"no progress possible at cycle {cycle} "
-                    f"({self.workload}/{self.config.mechanism})")
+                target = cycle + 1
+            else:
+                # Fast-forward.  Every non-done core is stale here (a
+                # step that made progress would have set ``progress``),
+                # and no event has fired since each went stale, so the
+                # cached ``wake_cycle`` values are exact — no need to
+                # recompute next_wake per core as
+                # _next_interesting_cycle() does.
+                target = None
+                next_event = events.next_cycle()
+                if next_event is not None:
+                    target = next_event if next_event > cycle else cycle + 1
+                for cid, core in enumerate(cores):
+                    if done[cid]:
+                        continue
+                    wake = core.wake_cycle
+                    if wake is not None:
+                        cand = wake if wake > cycle else cycle + 1
+                        if target is None or cand < target:
+                            target = cand
+                if target is None:
+                    raise self._deadlock(
+                        "no-progress",
+                        f"no progress possible at cycle {cycle} "
+                        f"({self.workload}/{self.config.mechanism})")
             self.cycle = target
             if target - last_progress > watchdog:
                 raise self._deadlock(

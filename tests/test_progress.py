@@ -92,6 +92,26 @@ class TestWatchdogBranch:
         assert excinfo.value.dump.reason == "watchdog"
 
 
+class TestWatchdogLivelock:
+    def test_endless_directory_retry_trips_watchdog(self):
+        # A known livelock point: core 2's GetS retries at the directory
+        # forever while every other core has finished.  Fired retry
+        # events are not core progress, so the watchdog must trip.
+        from repro.harness.runner import Point, Runner
+        runner = Runner(use_disk_cache=False, seed=25, par_length=600)
+        with pytest.raises(DeadlockError) as excinfo:
+            runner.simulate(Point("dedup", "baseline", 114))
+        dump = excinfo.value.dump
+        assert dump.reason == "watchdog"
+        stuck = [t for t in dump.inflight
+                 if t["requester"] == 2 and t["req"] == "GetS"]
+        assert len(stuck) == 1
+        assert stuck[0]["line"] == 0x4800c0240
+        assert stuck[0]["retries"] > 100_000
+        assert [c["core"] for c in dump.cores
+                if c["committed"] < c["trace_len"]] == [2]
+
+
 class TestCycleBudgetBranch:
     def test_raises_with_dump(self):
         system = tus_system()

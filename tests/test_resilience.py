@@ -8,10 +8,12 @@ and a re-run resumes from the disk-cache checkpoint.
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.harness import Point, Runner, run_points
+from repro.harness import Point, Runner, parallel, run_points
 from repro.harness.parallel import FailureManifest, PointFailure
 from repro.harness.runner import _simulate_payload
 
@@ -85,8 +87,24 @@ class TestRaisingWorker:
         assert telemetry.failures[0].kind == "error"
 
 
+class SubmitBreaksOnPoison(ProcessPoolExecutor):
+    """The sweep's shared pool, broken at the moment a poison point is
+    submitted: what ``run_points`` sees when a worker died after its
+    last wait.  Single-worker isolation pools run the point for real
+    (and crash on it)."""
+
+    def submit(self, fn, payload):
+        if self._max_workers > 1 and _is_poison(payload[1]):
+            raise BrokenProcessPool("injected at submit")
+        return super().submit(fn, payload)
+
+
 class TestCrashingWorker:
-    def test_sweep_survives_broken_pool(self, tmp_path):
+    def test_sweep_survives_broken_pool(self, tmp_path, monkeypatch):
+        # The pool breaks at submit, deterministically: a crash seen by
+        # wait() would race the next submit.
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            SubmitBreaksOnPoison)
         runner = small_runner(tmp_path)
         points = small_points()
         telemetry = run_points(runner, points, workers=2, retries=1,
