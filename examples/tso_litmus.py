@@ -1,17 +1,19 @@
 #!/usr/bin/env python
 """Litmus-test explorer: prove TUS preserves x86-TSO.
 
-For each classic litmus shape (and the paper's ABA coalescing pattern),
-this enumerates every outcome the operational x86-TSO model allows,
-enumerates every outcome the TUS functional machine (SB -> coalescing
-atomic groups -> atomic visibility) can produce, and checks the subset
-relation that Section III-D of the paper argues for.
+For each program of the litmus corpus (the classic shapes plus the
+paper's ABA coalescing pattern), this enumerates every outcome the
+operational x86-TSO model allows, enumerates every outcome the TUS
+functional machine (SB -> coalescing atomic groups -> atomic
+visibility) can produce, and checks the subset relation that Section
+III-D of the paper argues for.
 
 Run:  python examples/tso_litmus.py
 """
 
-from repro.tso import (all_litmus_tests, enumerate_outcomes,
-                       enumerate_tus_outcomes)
+from repro.models import enumerate_tus_outcomes
+from repro.models.corpus import corpus_by_name
+from repro.models.tso import enumerate_outcomes
 
 
 def fmt(outcome):
@@ -23,7 +25,9 @@ def fmt(outcome):
 
 def main() -> None:
     all_ok = True
-    for name, program in all_litmus_tests().items():
+    litmus = {name: entry.program
+              for name, entry in corpus_by_name().items()}
+    for name, program in litmus.items():
         tso = enumerate_outcomes(program)
         tus = enumerate_tus_outcomes(program)
         extra = tus - tso
@@ -42,7 +46,7 @@ def main() -> None:
         raise SystemExit("TSO violation found!")
 
     # Show the ABA example in detail (the paper's Figure 3 motivation).
-    program = all_litmus_tests()["ABA-coalesce"]
+    program = litmus["ABA-coalesce"]
     print()
     print("ABA-coalesce (stores X=1; Y=1; X=2 against a reader):")
     for outcome in sorted(enumerate_tus_outcomes(program)):

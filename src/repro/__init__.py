@@ -12,7 +12,8 @@ The package implements, in pure Python:
   (``repro.core``),
 * the four comparison mechanisms: baseline prefetch-at-commit, SSB,
   CSB, and SPB (``repro.mechanisms``),
-* an axiomatic x86-TSO checker with litmus tests (``repro.tso``),
+* x86-TSO and relaxed memory models with operational and axiomatic
+  litmus checkers (``repro.models``),
 * calibrated synthetic workloads standing in for SPEC CPU2017,
   TensorFlow and Parsec (``repro.workloads``),
 * an analytic CAM/SRAM energy and area model for EDP results

@@ -396,8 +396,8 @@ class CorePort:
         #: the lex rule says it finishes first).
         self.hold_hook: Optional[
             Callable[[int, SnoopKind, int, int], bool]] = None
-        #: Optional observer (repro.tso.observer): called with the lines
-        #: that just became globally visible, atomically.
+        #: Optional observer (repro.modelcheck.observer): called with the
+        #: lines that just became globally visible, atomically.
         self.visibility_hook: Optional[
             Callable[[List[int], int], None]] = None
         self.c_l2_updates = stats.counter(

@@ -44,10 +44,10 @@ from ..common.rng import make_rng
 from ..cpu.isa import alu, fence, load, store
 from ..cpu.trace import Trace
 from ..modelcheck.invariants import CheckContext, InvariantViolation
+from ..modelcheck.observer import VisibilityObserver
 from ..modelcheck.scenarios import check_config
 from ..modelcheck.scheduler import CheckingScheduler, DefaultScheduler
 from ..sim.system import System
-from ..tso.observer import VisibilityObserver
 from .injector import FaultInjector
 from .plan import INTENSITIES, FaultConfig, FaultPlan
 

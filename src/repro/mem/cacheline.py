@@ -14,7 +14,7 @@ L1D (Section IV):
 The simulator does not track data values byte-for-byte (timing model);
 it tracks the *byte mask* of locally written bytes, which is what the
 combine step and store-to-load forwarding decisions need.  Functional
-values for the TSO checker are tracked separately by ``repro.tso``.
+values for the TSO checker are tracked separately by ``repro.models``.
 """
 
 from __future__ import annotations

@@ -48,9 +48,9 @@ from ..common.errors import DeadlockError
 from ..cpu.trace import Trace
 from ..models import DEFAULT_MODEL, get_model
 from ..sim.system import System
-from ..tso.observer import VisibilityObserver
 from .frontier import MemoryFrontier, make_record
 from .invariants import CheckContext, InvariantViolation
+from .observer import VisibilityObserver
 from .por import POR_MODES, describe_for, sleep_filter
 from .scenarios import check_config, get_scenario
 from .scheduler import (CheckingScheduler, FrontierReached,

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..common.errors import ReproError, TSOViolationError
 from ..cpu.trace import Trace
 from ..mem.cacheline import State
-from ..tso.observer import VisibilityObserver
+from .observer import VisibilityObserver
 
 
 class InvariantViolation(ReproError):

@@ -1,6 +1,6 @@
 """Visibility-order observer: checks Store->Store order on real runs.
 
-The litmus machinery (:mod:`repro.tso.machine`) validates TUS semantics
+The litmus machinery (:mod:`repro.models.tso`) validates TUS semantics
 on small programs; this module closes the loop on the *timing
 simulator*: it hooks every core's publication events (a baseline/SSB
 store draining to the L1D, a CSB group write, a TUS atomic group

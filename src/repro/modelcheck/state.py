@@ -38,7 +38,7 @@ import hashlib
 from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
-from ..tso.observer import VisibilityObserver
+from .observer import VisibilityObserver
 
 
 def canonical_key(system, observer: Optional[VisibilityObserver] = None

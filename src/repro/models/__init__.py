@@ -1,13 +1,13 @@
 """Pluggable base consistency models (ROADMAP item 4).
 
-``repro.models`` factors the model-independent machinery out of
-``repro.tso`` — programs and outcomes (:mod:`.program`), the
-enumeration/random-walk schedule drivers (:mod:`.drivers`) — and puts a
+``repro.models`` holds the model-independent machinery — programs and
+outcomes (:mod:`.program`), the enumeration/random-walk schedule
+drivers and the shared WCB insert rules (:mod:`.drivers`) — and puts a
 :class:`~repro.models.base.MemoryModel` registry in front of the
 operational backends, mirroring ``repro.mechanisms.registry``:
 
-* ``tso`` — the paper's base model (Sewell et al.'s x86-TSO reference
-  plus the TUS functional machine), bit-identical with ``repro.tso``;
+* ``tso`` — the paper's base model (:mod:`.tso`): Sewell et al.'s
+  x86-TSO reference plus the TUS functional machine;
 * ``relaxed`` — an ARM-flavoured backend (:mod:`.relaxed`):
   instruction reordering, non-multi-copy-atomic propagation,
   cumulative ``dmb``-style fences, and the TUS atomic-group store
@@ -15,12 +15,12 @@ operational backends, mirroring ``repro.mechanisms.registry``:
 
 :mod:`.axiomatic` judges candidate executions against per-model
 acyclicity axioms, and :mod:`.corpus` pins per-model allowed/forbidden
-verdicts for the classic litmus shapes; the tests cross-validate
-operational ⊆ axiomatic ⊆ corpus for every model.
+verdicts for the classic litmus shapes; ``repro litmus`` and the tests
+cross-validate operational == axiomatic == corpus verdicts for every
+model.
 
-Backends register lazily on first :func:`get_model` /
-:func:`available_models` call, so importing this package from
-``repro.tso`` never recurses.
+Importing this package imports (and so registers) every built-in
+backend.
 """
 
 from .base import (DEFAULT_MODEL, MemoryModel, available_models,
@@ -31,6 +31,7 @@ from .drivers import (drain_into_groups, enumerate_machine,
                       random_walk_outcomes, random_walks)
 from .program import (Fence, Load, Outcome, Program, Store,
                       make_outcome, outcome_matches)
+from . import relaxed, tso  # noqa: F401  (import = registration)
 
 __all__ = [
     "DEFAULT_MODEL", "MemoryModel", "available_models", "get_model",

@@ -41,6 +41,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .base import get_model
 from .program import Fence, Load, Outcome, Program, Store, make_outcome
 
 Edge = Tuple[int, int]
@@ -300,7 +301,6 @@ def axiomatic_outcomes(program: Program, model) -> Set[Outcome]:
     """All outcomes of candidates the model's axioms accept.  ``model``
     is a model name or a :class:`~repro.models.base.MemoryModel`."""
     if isinstance(model, str):
-        from .base import get_model
         model = get_model(model)
     outcomes: Set[Outcome] = set()
     for ex in candidate_executions(program):

@@ -25,9 +25,9 @@ Machines follow one step protocol so the drivers in
     copy, memoise, terminate, and project to a canonical
     :data:`~repro.models.program.Outcome`.
 
-Backends self-register at import; registration is *lazy* (first lookup
-imports the backend modules) so that ``repro.models.program`` can be
-imported from ``repro.tso`` without a circular import.
+Backends self-register with :func:`register_model` when imported; the
+package ``__init__`` imports every built-in backend, so the registry is
+complete before any lookup.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ class MemoryModel(abc.ABC):
 
 #: name -> registered model instance (models are stateless).
 _REGISTRY: Dict[str, MemoryModel] = {}
-_BACKENDS_LOADED = False
 
 
 def register_model(cls):
@@ -107,19 +106,8 @@ def register_model(cls):
     return cls
 
 
-def _ensure_backends() -> None:
-    """Import the built-in backends exactly once (lazy to keep
-    ``repro.models.program`` importable from ``repro.tso``)."""
-    global _BACKENDS_LOADED
-    if _BACKENDS_LOADED:
-        return
-    _BACKENDS_LOADED = True
-    from . import relaxed, tso  # noqa: F401  (import = registration)
-
-
 def get_model(name: str) -> MemoryModel:
     """Look up a registered memory model by name."""
-    _ensure_backends()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -130,7 +118,6 @@ def get_model(name: str) -> MemoryModel:
 
 def available_models() -> List[str]:
     """Names of all registered memory models."""
-    _ensure_backends()
     return sorted(_REGISTRY)
 
 

@@ -1,11 +1,9 @@
 """Model-independent schedule drivers for functional litmus machines.
 
-Extracted from ``repro.tso.machine``: the exhaustive DFS with state
-memoisation and the seeded random-walk sampler operate on *any* machine
-implementing the step protocol of :mod:`repro.models.base`, so the same
-drivers enumerate the TSO reference, the TUS machine, and the relaxed
-backend.  ``repro.tso.machine`` delegates here, so its public functions
-stay bit-identical with the pre-refactor code.
+The exhaustive DFS with state memoisation and the seeded random-walk
+sampler operate on *any* machine implementing the step protocol of
+:mod:`repro.models.base`, so the same drivers enumerate the TSO
+reference machine, the TUS machine, and the relaxed backend.
 
 The WCB insert rules (coalescing, store cycles, group merging — paper
 Section III-B) are likewise shared: :func:`drain_into_groups` is the
@@ -16,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Set, Tuple
 
+from ..common.config import MECHANISMS
 from ..common.errors import ModelError
 from ..common.rng import make_rng
 from .base import DEFAULT_MODEL, get_model
@@ -25,8 +24,7 @@ from .program import Outcome, Program
 def enumerate_machine(root, max_states: int = 200_000,
                       what: str = "TUS") -> Set[Outcome]:
     """All outcomes reachable from ``root`` (exhaustive DFS with state
-    memoisation).  Bit-identical with the pre-refactor
-    ``repro.tso.machine._enumerate`` loop."""
+    memoisation)."""
     outcomes: Set[Outcome] = set()
     seen = set()
     stack = [root]
@@ -56,8 +54,8 @@ def enumerate_machine(root, max_states: int = 200_000,
 def random_walks(factory: Callable[[], object], walks: int = 200,
                  seed: int = 0, what: str = "TUS") -> Set[Outcome]:
     """Sample outcomes via seeded random schedules (for programs too
-    large to exhaust).  Reproduces the pre-refactor RNG stream exactly:
-    walk ``i`` draws from ``make_rng(seed, f"walk{i}")``."""
+    large to exhaust).  Walk ``i`` draws from
+    ``make_rng(seed, f"walk{i}")``, so a seed pins the stream."""
     outcomes: Set[Outcome] = set()
     for walk in range(walks):
         rng = make_rng(seed, f"walk{walk}")
@@ -77,6 +75,11 @@ def random_walks(factory: Callable[[], object], walks: int = 200,
 # ----------------------------------------------------------------------
 # Shared WCB insert rules (paper Section III-B)
 # ----------------------------------------------------------------------
+
+#: Store paths whose functional visibility model coalesces stores into
+#: atomic groups; the rest publish one store at a time in FIFO order.
+COALESCING_MECHANISMS = ("csb", "tus")
+
 
 def drain_into_groups(core, addr: int, value: int,
                       coalescing: bool) -> None:
@@ -140,8 +143,6 @@ def enumerate_mechanism_outcomes(program: Program, mechanism: str,
                                  model: str = DEFAULT_MODEL
                                  ) -> Set[Outcome]:
     """All outcomes of one mechanism's store path on ``model``."""
-    from ..common.config import MECHANISMS
-    from ..tso.machine import COALESCING_MECHANISMS
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r} "
                          f"(expected one of {MECHANISMS})")

@@ -8,10 +8,6 @@ reference (:mod:`repro.models.tso`), the relaxed operational backend
 (:mod:`repro.models.axiomatic`).  ``Fence`` is the strongest barrier of
 whichever model interprets it — ``mfence`` under TSO, a full
 (cumulative) ``dmb sy`` under the relaxed model.
-
-This module is the extracted home of what used to live in
-``repro.tso.program``; that module re-exports everything here so
-existing imports keep working.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..common.errors import ModelError
 from .base import MemoryModel, register_model
+from .drivers import drain_into_groups
 from .program import Fence, Load, Outcome, Program, Store, make_outcome
 
 #: One published batch: the publishing core plus its (addr, value)
@@ -340,7 +341,6 @@ class RelaxedTUSMachine:
         return self.storage.view(cid, addr)
 
     def _drain(self, cid: int) -> None:
-        from .drivers import drain_into_groups
         core = self.cores[cid]
         addr, value = core.sb.pop(0)
         drain_into_groups(core, addr, value, self.coalescing)

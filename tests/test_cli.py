@@ -1,10 +1,12 @@
 """The command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.models import corpus as corpus_mod
 
 
 class TestParser:
@@ -106,11 +108,30 @@ class TestModelCommands:
         assert "MISMATCH" not in capsys.readouterr().out
 
     def test_litmus_explicit_tso_matches_default(self, capsys):
-        # `--model tso` must take the byte-identical legacy path.
+        # The default model is tso: same corpus, same output.
         assert main(["litmus"]) == 0
         default = capsys.readouterr().out
         assert main(["litmus", "--model", "tso"]) == 0
         assert capsys.readouterr().out == default
+
+    def test_litmus_default_runs_whole_corpus(self, capsys):
+        assert main(["litmus"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows] == \
+            [entry.name for entry in corpus_mod.corpus()]
+        assert all(" tso=" in row and " ax=" in row for row in rows)
+
+    def test_litmus_verdict_disagreement_fails(self, capsys, monkeypatch):
+        flipped = tuple(
+            dataclasses.replace(entry, expectations={
+                **entry.expectations, "tso": "forbidden"})
+            if entry.name == "SB" else entry
+            for entry in corpus_mod.corpus())
+        monkeypatch.setattr(corpus_mod, "corpus", lambda: flipped)
+        assert main(["litmus", "--mechanism", "baseline"]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert [row for row in rows if row.endswith("VIOLATION")] == \
+            [row for row in rows if row.startswith("SB ")]
 
     def test_check_relaxed(self, capsys):
         assert main(["check", "--scenario", "sb", "--mechanism", "tus",

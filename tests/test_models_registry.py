@@ -1,12 +1,10 @@
 """The memory-model registry, and the TSO golden-set regression.
 
-The refactor that made the base consistency model pluggable must leave
-the default path bit-identical: the ``tso`` backend reached through
-``repro.models`` has to reproduce the exact outcome sets of the
-pre-refactor ``repro.tso`` enumeration (pinned here as SHA-256
-fingerprints so a silent semantic drift cannot hide inside a pass),
-and the committed ``BENCH_4.json`` macro fingerprints must be
-untouched.
+The default model's behaviour must never drift silently: the ``tso``
+backend's reference, TUS-machine, mechanism, and random-walk outcome
+sets are pinned here as SHA-256 fingerprints (so a semantic change
+cannot hide inside a pass), and the committed ``BENCH_4.json`` macro
+fingerprints must be untouched.
 """
 
 import hashlib
@@ -15,23 +13,27 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.errors import ModelError
 from repro.harness.checks import CheckJob
 from repro.models import (DEFAULT_MODEL, available_models,
                           enumerate_mechanism_outcomes,
                           enumerate_model_outcomes, enumerate_tus_outcomes,
                           get_model, random_walk_outcomes)
 from repro.models.corpus import corpus, corpus_by_name
-from repro.tso import all_litmus_tests
-from repro.tso import enumerate_mechanism_outcomes as legacy_mechanism
-from repro.tso import enumerate_outcomes as legacy_reference
-from repro.tso import enumerate_tus_outcomes as legacy_tus
-from repro.tso import random_walk_outcomes as legacy_walks
+from repro.models.drivers import enumerate_machine
+from repro.models.tso import enumerate_outcomes as sewell_outcomes
 
 CORPUS = {entry.name: entry for entry in corpus()}
 
 #: SHA-256 of ``repr(sorted(outcomes))`` of the pre-refactor x86-TSO
 #: reference enumeration, per corpus program.  Pinned: any change to
 #: the default model's semantics must show up here.
+#:
+#: The same digests pin the TUS machine and the ``baseline``/``tus``
+#: mechanism enumerations: computed with the separate enumerators that
+#: existed before the x86-TSO machines moved into ``repro.models.tso``,
+#: every one of them matched this table program for program (on the
+#: corpus, TUS on x86-TSO produces exactly the reference outcomes).
 TSO_GOLDEN = {
     "SB": "cd2a9064be931447f0b0793d990abdb875fdcb5c8aa8be79b25bfc16c06a02d5",
     "SB+fences": "13d06ba8eda01b1eecdd97be5cef3b70b36827b46dca1551e4793739b4f176b9",
@@ -49,6 +51,12 @@ TSO_GOLDEN = {
     "2+2W": "f68ec5a003130856ee9d3d4c62216567b30fdb3fa4ea78ba70bef746191b160c",
     "CoRR": "d4b127042aaf0d93c6622ce488505e7587b6c8b875c945d25c2bd0710a279263",
 }
+
+#: Digest of ``random_walk_outcomes(SB, walks=25, seed=7)``, computed
+#: with the pre-fold random-walk wrapper: the seeded stream reaches all
+#: four SB outcomes, so it also equals the SB reference digest.
+SB_WALK_GOLDEN = \
+    "cd2a9064be931447f0b0793d990abdb875fdcb5c8aa8be79b25bfc16c06a02d5"
 
 #: The committed macro-benchmark fingerprints of BENCH_4.json.  The
 #: refactor must not change what the macro workloads simulate.
@@ -97,49 +105,54 @@ class TestRegistry:
 
 
 class TestTSOGoldenSet:
-    """Registry-TSO must be the pre-refactor enumeration, exactly."""
+    """Registry-TSO must reproduce the pre-refactor enumerations, as
+    pinned by the fingerprints above."""
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_reference_matches_legacy(self, name):
         program = CORPUS[name].program
-        assert enumerate_model_outcomes(program, model="tso") == \
-            legacy_reference(program)
+        assert fingerprint(enumerate_model_outcomes(
+            program, model="tso")) == TSO_GOLDEN[name]
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_reference_fingerprint_pinned(self, name):
         program = CORPUS[name].program
-        assert fingerprint(legacy_reference(program)) == TSO_GOLDEN[name]
+        assert fingerprint(sewell_outcomes(program)) == TSO_GOLDEN[name]
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_tus_machine_matches_legacy(self, name):
         program = CORPUS[name].program
-        assert enumerate_tus_outcomes(program, model="tso") == \
-            legacy_tus(program)
+        assert fingerprint(enumerate_tus_outcomes(
+            program, model="tso")) == TSO_GOLDEN[name]
 
-    @pytest.mark.parametrize("name", sorted(all_litmus_tests()))
+    @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_mechanisms_match_legacy_on_litmus(self, name):
-        program = all_litmus_tests()[name]
+        program = CORPUS[name].program
         for mechanism in ("baseline", "tus"):
-            assert enumerate_mechanism_outcomes(
-                program, mechanism, model="tso") == \
-                legacy_mechanism(program, mechanism)
+            assert fingerprint(enumerate_mechanism_outcomes(
+                program, mechanism, model="tso")) == TSO_GOLDEN[name]
 
     def test_random_walks_reproduce_legacy_stream(self):
-        program = all_litmus_tests()["SB"]
-        assert random_walk_outcomes(program, walks=25, seed=7,
-                                    model="tso") == \
-            legacy_walks(program, walks=25, seed=7)
+        program = CORPUS["SB"].program
+        assert fingerprint(random_walk_outcomes(
+            program, walks=25, seed=7, model="tso")) == SB_WALK_GOLDEN
 
     def test_baseline_machine_is_sewell_reference(self):
         # The tso backend's reference machine (non-coalescing TUS) must
-        # agree with the functional Sewell enumeration on every corpus
+        # agree with Sewell's independent enumeration on every corpus
         # program.
-        from repro.models.drivers import enumerate_machine
         model = get_model("tso")
         for entry in corpus():
             assert enumerate_machine(
                 model.reference_machine(entry.program)) == \
-                legacy_reference(entry.program)
+                sewell_outcomes(entry.program)
+
+    @pytest.mark.parametrize("model", ["tso", "relaxed"])
+    def test_reference_honours_max_states(self, model):
+        program = CORPUS["IRIW"].program
+        with pytest.raises(ModelError,
+                           match=f"too large for exhaustive {model} search"):
+            enumerate_model_outcomes(program, model=model, max_states=5)
 
 
 class TestBench4Fingerprints:
@@ -165,7 +178,10 @@ class TestCorpus:
                 assert entry.verdict(name) in ("allowed", "forbidden")
 
     def test_legacy_litmus_shapes_are_covered(self):
-        assert set(all_litmus_tests()) <= set(corpus_by_name())
+        # Sewell's x86-TSO set plus the paper's two coalescing shapes.
+        legacy = {"SB", "SB+fences", "MP", "SF", "ABA-coalesce",
+                  "interleave", "IRIW"}
+        assert legacy <= set(corpus_by_name())
 
 
 class TestCheckJobModel:

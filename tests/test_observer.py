@@ -6,8 +6,8 @@ from repro.common.config import table_i
 from repro.common.errors import TSOViolationError
 from repro.cpu.isa import alu, store
 from repro.cpu.trace import Trace
+from repro.modelcheck.observer import VisibilityObserver
 from repro.sim.system import System
-from repro.tso.observer import VisibilityObserver
 
 MECHANISMS = ("baseline", "ssb", "csb", "spb", "tus")
 

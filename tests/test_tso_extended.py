@@ -7,9 +7,8 @@ producer/consumer), all under the subset check.
 
 import pytest
 
-from repro.tso.machine import enumerate_tus_outcomes
-from repro.tso.program import Fence, Load, Program, Store
-from repro.tso.reference import enumerate_outcomes
+from repro.models import Fence, Load, Program, Store, enumerate_tus_outcomes
+from repro.models.tso import enumerate_outcomes
 
 X, Y = 0x1000, 0x2000
 

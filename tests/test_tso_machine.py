@@ -1,34 +1,37 @@
 """TUS preserves x86-TSO: machine outcomes are a subset of the reference.
 
 This is the executable version of the paper's Section III-D argument.
-The exhaustive check runs every litmus program; the hypothesis test
-generates random small programs and random schedules.
+The exhaustive check runs every litmus-corpus program; the hypothesis
+test generates random small programs and random schedules.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tso.litmus import all_litmus_tests, coalescing_cycle, X, Y
-from repro.tso.machine import (TUSMachine, enumerate_mechanism_outcomes,
-                               enumerate_tus_outcomes, random_walk_outcomes)
-from repro.tso.program import Fence, Load, Program, Store
-from repro.tso.reference import enumerate_outcomes
+from repro.models import (Fence, Load, Program, Store,
+                          enumerate_mechanism_outcomes,
+                          enumerate_tus_outcomes, random_walk_outcomes)
+from repro.models.corpus import X, Y, corpus_by_name
+from repro.models.tso import TUSMachine, enumerate_outcomes
 
 from .support import max_examples
 
 
+LITMUS = {name: entry.program for name, entry in corpus_by_name().items()}
+
+
 class TestLitmusSubset:
-    @pytest.mark.parametrize("name", sorted(all_litmus_tests()))
+    @pytest.mark.parametrize("name", sorted(LITMUS))
     def test_tus_subset_of_tso(self, name):
-        program = all_litmus_tests()[name]
+        program = LITMUS[name]
         tso = enumerate_outcomes(program)
         tus = enumerate_tus_outcomes(program)
         assert tus <= tso, f"{name}: TUS produced non-TSO outcomes"
 
-    @pytest.mark.parametrize("name", sorted(all_litmus_tests()))
+    @pytest.mark.parametrize("name", sorted(LITMUS))
     def test_tus_produces_something(self, name):
-        program = all_litmus_tests()[name]
+        program = LITMUS[name]
         assert enumerate_tus_outcomes(program)
 
 
@@ -37,7 +40,7 @@ class TestCoalescingAtomicity:
         # Program: X=1; Y=1; X=2 with a cycle merging {X, Y}.  If an
         # observer reads X=2, it must also read Y=1 (the group published
         # atomically and the groups in between published first).
-        outcomes = enumerate_tus_outcomes(coalescing_cycle())
+        outcomes = enumerate_tus_outcomes(LITMUS["ABA-coalesce"])
         for regs, _mem in outcomes:
             values = dict(regs)
             if values["r1"] == 2:
@@ -77,15 +80,15 @@ class TestNonCoalescing:
     outcome.  This pins the abstraction: everything TUS/CSB add beyond
     TSO is in the coalescing, nothing else."""
 
-    @pytest.mark.parametrize("name", sorted(all_litmus_tests()))
+    @pytest.mark.parametrize("name", sorted(LITMUS))
     def test_exactly_the_tso_reference(self, name):
-        program = all_litmus_tests()[name]
+        program = LITMUS[name]
         machine = enumerate_mechanism_outcomes(program, "baseline")
         assert machine == enumerate_outcomes(program)
 
     def test_mechanism_names_are_validated(self):
         with pytest.raises(ValueError):
-            enumerate_mechanism_outcomes(all_litmus_tests()["SB"], "nope")
+            enumerate_mechanism_outcomes(LITMUS["SB"], "nope")
 
 
 class TestLocalReads:

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from repro.tso.litmus import (message_passing, store_buffering,
-                              store_buffering_fenced, store_forwarding, X, Y)
-from repro.tso.machine import TUSMachine
-from repro.tso.program import Fence, Load, Program, Store
-from repro.tso.reference import enumerate_outcomes
+from repro.models import Fence, Load, Program, Store
+from repro.models.corpus import X, Y, corpus_by_name
+from repro.models.tso import TUSMachine, enumerate_outcomes
+
+LITMUS = {name: entry.program for name, entry in corpus_by_name().items()}
 
 
 def reg_tuples(outcomes):
@@ -18,15 +18,15 @@ def reg_tuples(outcomes):
 class TestStoreBuffering:
     def test_relaxed_outcome_allowed(self):
         # The signature TSO behaviour: both loads read 0.
-        outcomes = enumerate_outcomes(store_buffering())
+        outcomes = enumerate_outcomes(LITMUS["SB"])
         assert (("r1", 0), ("r2", 0)) in reg_tuples(outcomes)
 
     def test_all_four_outcomes(self):
-        outcomes = reg_tuples(enumerate_outcomes(store_buffering()))
+        outcomes = reg_tuples(enumerate_outcomes(LITMUS["SB"]))
         assert len(outcomes) == 4
 
     def test_fences_forbid_zero_zero(self):
-        outcomes = reg_tuples(enumerate_outcomes(store_buffering_fenced()))
+        outcomes = reg_tuples(enumerate_outcomes(LITMUS["SB+fences"]))
         assert (("r1", 0), ("r2", 0)) not in outcomes
         assert len(outcomes) == 3
 
@@ -35,11 +35,11 @@ class TestMessagePassing:
     def test_stale_flag_forbidden(self):
         # r1=1 (saw the flag) with r2=0 (missed the data) violates TSO's
         # store->store order.
-        outcomes = reg_tuples(enumerate_outcomes(message_passing()))
+        outcomes = reg_tuples(enumerate_outcomes(LITMUS["MP"]))
         assert (("r1", 1), ("r2", 0)) not in outcomes
 
     def test_allowed_outcomes(self):
-        outcomes = reg_tuples(enumerate_outcomes(message_passing()))
+        outcomes = reg_tuples(enumerate_outcomes(LITMUS["MP"]))
         assert (("r1", 1), ("r2", 1)) in outcomes
         assert (("r1", 0), ("r2", 0)) in outcomes
         assert (("r1", 0), ("r2", 1)) in outcomes
@@ -48,7 +48,7 @@ class TestMessagePassing:
 class TestStoreForwarding:
     def test_own_store_always_seen(self):
         # r1 and r3 read the cores' own just-written values, always.
-        for outcome in enumerate_outcomes(store_forwarding()):
+        for outcome in enumerate_outcomes(LITMUS["SF"]):
             regs = dict(outcome[0])
             assert regs["r1"] == 1
             assert regs["r3"] == 1
