@@ -33,32 +33,13 @@ import time
 from typing import Optional
 
 from ..models import DEFAULT_MODEL
-from .explorer import (DEFAULT_MAX_CYCLES, CheckReport, _run, _shape,
+from .explorer import (DEFAULT_MAX_CYCLES, CheckReport, CheckRunner, _shape,
                        drain_frontier, explore, job_meta, make_record)
 from .frontier import DiskFrontier
-from .por import describe_for
 from .scenarios import get_scenario
-from .scheduler import ReplayScheduler
 
 #: How many expansions between a worker's visited-set compactions.
 COMPACT_EVERY = 200
-
-
-def _make_runner(meta: dict, report: CheckReport):
-    scenario = get_scenario(meta["scenario"])
-    describe = describe_for(meta["por"])
-
-    def runner(schedule, pause: bool):
-        report.executions += 1
-        inner = ReplayScheduler(schedule, pause=pause,
-                                describe=describe if pause else None)
-        return _run(scenario, meta["mechanism"], inner,
-                    cores=meta["cores"], lines=meta["lines"],
-                    unsound=meta["unsound"],
-                    max_cycles=meta["max_cycles"],
-                    machine=meta["machine"], model=meta["model"])
-
-    return runner
 
 
 def worker_main(spool: str, worker_id: int) -> None:
@@ -69,10 +50,13 @@ def worker_main(spool: str, worker_id: int) -> None:
     meta = store.meta()
     if meta is None:
         return
-    report = CheckReport(meta["scenario"], meta["mechanism"],
-                         meta["cores"], meta["lines"], mode="exhaustive",
-                         model=meta["model"], por=meta["por"])
-    base_runner = _make_runner(meta, report)
+    base_runner = CheckRunner(meta["scenario"], meta["mechanism"],
+                              cores=meta["cores"], lines=meta["lines"],
+                              unsound=meta["unsound"],
+                              max_cycles=meta["max_cycles"],
+                              machine=meta["machine"], model=meta["model"],
+                              por=meta["por"])
+    report = base_runner.report
     since_compact = [0]
 
     def runner(schedule, pause: bool):

@@ -11,7 +11,10 @@ Exploration loop:
 
 1. pop a prefix from the frontier queue;
 2. replay it with a pausing :class:`ReplayScheduler` under the checking
-   wrapper (invariants run after every action of the replay too);
+   wrapper.  Invariants run only on the actions past the prefix: the
+   run that pushed the record already checked every action before its
+   pause, and replay is deterministic
+   (:func:`~repro.modelcheck.scheduler.replayed_decisions`);
 3. on :class:`FrontierReached`, hash the paused state; if unseen,
    enqueue one child prefix per branch (subject to depth/state budget);
 4. on an invariant violation or deadlock, minimise the schedule
@@ -42,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..common.errors import DeadlockError
 from ..cpu.trace import Trace
@@ -52,9 +55,9 @@ from .frontier import MemoryFrontier, make_record
 from .invariants import CheckContext, InvariantViolation
 from .observer import VisibilityObserver
 from .por import POR_MODES, describe_for, sleep_filter
-from .scenarios import check_config, get_scenario
+from .scenarios import check_config, get_scenario, machine_overrides
 from .scheduler import (CheckingScheduler, FrontierReached,
-                        ReplayScheduler)
+                        ReplayScheduler, render_trace)
 from .state import canonical_key
 
 DEFAULT_MAX_CYCLES = 20_000
@@ -74,8 +77,11 @@ class Violation:
     unsound: bool
     model: str = DEFAULT_MODEL
     trace: Tuple[str, ...] = ()
+    #: The check's ``machine`` overrides (see :func:`explore`).
+    machine: Optional[dict] = None
 
     def describe(self) -> str:
+        overrides = machine_overrides(self.machine)
         lines = [
             f"invariant violated: {self.invariant}",
             f"  {self.message}",
@@ -83,6 +89,7 @@ class Violation:
             f"{self.cores} cores x {self.lines} lines"
             + (f", model {self.model}" if self.model != DEFAULT_MODEL
                else "")
+            + (f", machine {overrides}" if overrides else "")
             + (", unsound authorization" if self.unsound else ""),
             f"minimised schedule ({len(self.schedule)} decisions): "
             f"{list(self.schedule)}",
@@ -95,15 +102,18 @@ class Violation:
 
     def as_pytest(self) -> str:
         """A ready-to-paste pytest case replaying this counterexample."""
-        model_arg = ("" if self.model == DEFAULT_MODEL
-                     else f", model={self.model!r}")
+        extra_args = ("" if self.model == DEFAULT_MODEL
+                      else f", model={self.model!r}")
+        overrides = machine_overrides(self.machine)
+        if overrides:
+            extra_args += f",\n                     machine={overrides!r}"
         return (
             "def test_replay_counterexample():\n"
             "    from repro.modelcheck import replay\n"
             f"    outcome = replay({self.scenario!r}, {self.mechanism!r},\n"
             f"                     {list(self.schedule)!r},\n"
             f"                     cores={self.cores}, lines={self.lines},\n"
-            f"                     unsound={self.unsound}{model_arg})\n"
+            f"                     unsound={self.unsound}{extra_args})\n"
             "    assert outcome.kind == 'violation'\n"
             f"    assert outcome.invariant == {self.invariant!r}\n"
         )
@@ -121,9 +131,14 @@ class RunOutcome:
     invariant: str = ""             # violation: which invariant
     message: str = ""
     taken: Tuple[int, ...] = ()     # choices actually consumed
-    trace: Tuple[str, ...] = ()
+    steps: Sequence[Tuple] = ()     # raw trace (CheckingScheduler.steps)
     committed: Tuple[int, ...] = ()  # done: per-core committed uops
     actions: Optional[Tuple] = None  # frontier, POR on: (infos, keep)
+
+    @property
+    def trace(self) -> Tuple[str, ...]:
+        """The human-readable action trace, rendered on demand."""
+        return render_trace(self.steps)
 
 
 @dataclass
@@ -178,61 +193,106 @@ class CheckReport:
                 f"{self.wall_seconds:.1f}s")
 
 
-def _build(scenario, mechanism: str, cores: int, lines: int, unsound: bool,
-           machine: Optional[dict] = None, model: str = DEFAULT_MODEL):
-    config = check_config(cores, mechanism, unsound=unsound,
-                          **(machine or {}))
-    programs = scenario.build(cores, lines)
-    traces = [Trace(f"mc-{scenario.name}-c{cid}", program)
-              for cid, program in enumerate(programs)]
-    system = System(config, traces, workload=f"mc-{scenario.name}")
-    observer = VisibilityObserver()
-    observer.attach(system)
-    ctx = CheckContext(system, traces, observer)
-    # Invariants that assume orderings the base model does not
-    # guarantee (e.g. store-order under the relaxed model) are
-    # filtered out; under the default model this is the identity.
-    names = get_model(model).filter_invariants(
-        system.cores[0].mechanism.modelcheck_invariants())
-    return system, observer, ctx, names
+def _shape(scenario, cores: int, lines: int) -> Tuple[int, int]:
+    """Litmus-bridge scenarios carry a fixed shape; honour it."""
+    return (getattr(scenario, "fixed_cores", None) or cores,
+            getattr(scenario, "fixed_lines", None) or lines)
 
 
-def _run(scenario, mechanism: str, inner, *, cores: int, lines: int,
-         unsound: bool, max_cycles: int,
-         machine: Optional[dict] = None,
-         model: str = DEFAULT_MODEL) -> RunOutcome:
-    system, observer, ctx, names = _build(scenario, mechanism, cores, lines,
-                                          unsound, machine, model)
-    sched = CheckingScheduler(inner, ctx, names)
-    taken = getattr(inner, "taken", [])
-    try:
-        system.run_controlled(sched, max_cycles=max_cycles)
-    except FrontierReached as frontier:
-        return RunOutcome("frontier", branches=frontier.branches,
-                          key=canonical_key(system, observer),
-                          taken=tuple(taken), trace=tuple(sched.trace),
-                          actions=frontier.actions)
-    except InvariantViolation as violation:
-        return RunOutcome("violation", invariant=violation.invariant,
-                          message=violation.message, taken=tuple(taken),
-                          trace=violation.trace,
+class CheckRunner:
+    """Executes the schedules of one check.
+
+    Everything that depends only on the check — the reduced machine's
+    configuration, the scenario's traces and the model-filtered
+    invariant names — is built once here; each execution builds a
+    fresh :class:`System` from it.  Every execution is counted in
+    :attr:`report` (``executions``), which is what the frontier loop's
+    state budget reads.  Calling the runner replays ``schedule``,
+    pausing at the first decision beyond it when ``pause`` is set;
+    :meth:`run` executes under any inner scheduler.
+    """
+
+    def __init__(self, scenario_name: str, mechanism: str, *,
+                 cores: int = 2, lines: int = 2, unsound: bool = False,
+                 max_cycles: int = DEFAULT_MAX_CYCLES,
+                 machine: Optional[dict] = None,
+                 model: str = DEFAULT_MODEL, por: str = "off",
+                 mode: str = "exhaustive") -> None:
+        scenario = get_scenario(scenario_name)
+        cores, lines = _shape(scenario, cores, lines)
+        self.scenario = scenario
+        self.mechanism = mechanism
+        self.cores = cores
+        self.lines = lines
+        self.unsound = unsound
+        self.max_cycles = max_cycles
+        self.machine = machine
+        self.model = model
+        self.describe = describe_for(por)
+        self.report = CheckReport(scenario.name, mechanism, cores, lines,
+                                  mode=mode, model=model, por=por)
+        self.config = check_config(cores, mechanism, unsound=unsound,
+                                   **(machine or {}))
+        self.traces = [Trace(f"mc-{scenario.name}-c{cid}", program)
+                       for cid, program in
+                       enumerate(scenario.build(cores, lines))]
+        self.invariant_names: Optional[Sequence[str]] = None
+
+    def build(self):
+        """A fresh system for one execution: ``(system, observer, ctx)``."""
+        system = System(self.config, self.traces,
+                        workload=f"mc-{self.scenario.name}")
+        observer = VisibilityObserver()
+        observer.attach(system)
+        return system, observer, CheckContext(system, self.traces, observer)
+
+    def __call__(self, schedule: Tuple[int, ...],
+                 pause: bool) -> RunOutcome:
+        return self.run(ReplayScheduler(
+            schedule, pause=pause,
+            describe=self.describe if pause else None))
+
+    def run(self, inner) -> RunOutcome:
+        """Execute once under ``inner`` with invariant checking."""
+        self.report.executions += 1
+        system, observer, ctx = self.build()
+        if self.invariant_names is None:
+            # Invariants that assume orderings the base model does not
+            # guarantee (e.g. store-order under the relaxed model) are
+            # filtered out; under the default model this is the
+            # identity.
+            mechanism = system.cores[0].mechanism
+            self.invariant_names = get_model(self.model).filter_invariants(
+                mechanism.modelcheck_invariants())
+        sched = CheckingScheduler(inner, ctx, self.invariant_names)
+        taken = getattr(inner, "taken", [])
+        try:
+            system.run_controlled(sched, max_cycles=self.max_cycles)
+        except FrontierReached as frontier:
+            return RunOutcome("frontier", branches=frontier.branches,
+                              key=canonical_key(system, observer),
+                              taken=tuple(taken), actions=frontier.actions)
+        except InvariantViolation as violation:
+            return RunOutcome("violation", invariant=violation.invariant,
+                              message=violation.message, taken=tuple(taken),
+                              steps=sched.steps,
+                              key=canonical_key(system, observer))
+        except DeadlockError as deadlock:
+            return RunOutcome("violation", invariant="deadlock",
+                              message=str(deadlock), taken=tuple(taken),
+                              steps=sched.steps,
+                              key=canonical_key(system, observer))
+        # A finished run has no scheduling position: neutralise the run
+        # loop's intra-cycle bookkeeping so terminal states hash by
+        # architectural content alone (two interleavings that end in
+        # the same caches/memory but parked their stale cores
+        # differently are the same terminal state).
+        neutral = (False,) * len(system.cores)
+        system.sched_position = (neutral, neutral)
+        return RunOutcome("done", taken=tuple(taken), steps=sched.steps,
+                          committed=tuple(core.committed
+                                          for core in system.cores),
                           key=canonical_key(system, observer))
-    except DeadlockError as deadlock:
-        return RunOutcome("violation", invariant="deadlock",
-                          message=str(deadlock), taken=tuple(taken),
-                          trace=tuple(sched.trace),
-                          key=canonical_key(system, observer))
-    # A finished run has no scheduling position: neutralise the run
-    # loop's intra-cycle bookkeeping so terminal states hash by
-    # architectural content alone (two interleavings that end in the
-    # same caches/memory but parked their stale cores differently are
-    # the same terminal state).
-    neutral = (False,) * len(system.cores)
-    system.sched_position = (neutral, neutral)
-    return RunOutcome("done", taken=tuple(taken), trace=tuple(sched.trace),
-                      committed=tuple(core.committed
-                                      for core in system.cores),
-                      key=canonical_key(system, observer))
 
 
 def run_schedule(scenario_name: str, mechanism: str,
@@ -247,19 +307,10 @@ def run_schedule(scenario_name: str, mechanism: str,
     then pausing or continuing with default choices).  With ``por``
     set, a pause also captures the POR action descriptions
     (``outcome.actions``)."""
-    scenario = get_scenario(scenario_name)
-    cores, lines = _shape(scenario, cores, lines)
-    inner = ReplayScheduler(schedule, pause=pause,
-                            describe=describe_for(por) if pause else None)
-    return _run(scenario, mechanism, inner, cores=cores, lines=lines,
-                unsound=unsound, max_cycles=max_cycles, machine=machine,
-                model=model)
-
-
-def _shape(scenario, cores: int, lines: int) -> Tuple[int, int]:
-    """Litmus-bridge scenarios carry a fixed shape; honour it."""
-    return (getattr(scenario, "fixed_cores", None) or cores,
-            getattr(scenario, "fixed_lines", None) or lines)
+    runner = CheckRunner(scenario_name, mechanism, cores=cores, lines=lines,
+                         unsound=unsound, max_cycles=max_cycles,
+                         machine=machine, model=model, por=por)
+    return runner(schedule, pause)
 
 
 def _resolve_child(store, record: dict, fresh: bool) -> None:
@@ -405,40 +456,29 @@ def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
     if por not in POR_MODES:
         raise ValueError(
             f"unknown POR mode {por!r}; available: {', '.join(POR_MODES)}")
-    scenario = get_scenario(scenario_name)
-    cores, lines = _shape(scenario, cores, lines)
     start = time.monotonic()
-    report = CheckReport(scenario.name, mechanism, cores, lines,
-                         mode="exhaustive", model=model, por=por)
-    describe = describe_for(por)
-
-    def runner(schedule: Tuple[int, ...], pause: bool) -> RunOutcome:
-        report.executions += 1
-        inner = ReplayScheduler(schedule, pause=pause,
-                                describe=describe if pause else None)
-        return _run(scenario, mechanism, inner, cores=cores, lines=lines,
-                    unsound=unsound, max_cycles=max_cycles, machine=machine,
-                    model=model)
-
+    runner = CheckRunner(scenario_name, mechanism, cores=cores, lines=lines,
+                         unsound=unsound, max_cycles=max_cycles,
+                         machine=machine, model=model, por=por)
+    report = runner.report
     if store is None:
         if spool is not None:
             from .frontier import DiskFrontier
             store = DiskFrontier(spool)
         else:
             store = MemoryFrontier()
-    store.seed(job_meta(scenario_name, mechanism, cores=cores, lines=lines,
-                        max_depth=max_depth, max_states=max_states,
-                        max_cycles=max_cycles, unsound=unsound,
-                        machine=machine, model=model, por=por),
+    store.seed(job_meta(scenario_name, mechanism, cores=runner.cores,
+                        lines=runner.lines, max_depth=max_depth,
+                        max_states=max_states, max_cycles=max_cycles,
+                        unsound=unsound, machine=machine, model=model,
+                        por=por),
                make_record(()))
 
     def minimise_violation(outcome: RunOutcome) -> None:
         store.set_violation({"invariant": outcome.invariant,
                              "message": outcome.message,
                              "taken": list(outcome.taken)})
-        report.violation = _minimise(outcome, runner, scenario.name,
-                                     mechanism, cores, lines, unsound,
-                                     model)
+        report.violation = _minimise(outcome, runner)
 
     drain_frontier(store, runner, report, por=por, max_depth=max_depth,
                    max_states=max_states, on_violation=minimise_violation)
@@ -449,17 +489,12 @@ def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
             # reproduce and minimise it here.
             outcome = runner(tuple(stored["taken"]), False)
             if outcome.kind == "violation":
-                report.violation = _minimise(
-                    outcome, runner, scenario.name, mechanism, cores,
-                    lines, unsound, model)
+                report.violation = _minimise(outcome, runner)
     finalise_report(report, store, start)
     return report
 
 
-def _minimise(outcome: RunOutcome,
-              runner: Callable[[Tuple[int, ...], bool], RunOutcome],
-              scenario: str, mechanism: str, cores: int, lines: int,
-              unsound: bool, model: str = DEFAULT_MODEL) -> Violation:
+def _minimise(outcome: RunOutcome, runner: CheckRunner) -> Violation:
     """Shrink a violating schedule while preserving the violated
     invariant: shortest prefix under default continuation, then greedy
     zeroing of individual choices, then trailing-zero stripping."""
@@ -493,6 +528,8 @@ def _minimise(outcome: RunOutcome,
         final = runner(tuple(outcome.taken), False)
         best = tuple(outcome.taken)
     return Violation(invariant=invariant, message=final.message,
-                     schedule=best, scenario=scenario, mechanism=mechanism,
-                     cores=cores, lines=lines, unsound=unsound,
-                     model=model, trace=final.trace)
+                     schedule=best, scenario=runner.scenario.name,
+                     mechanism=runner.mechanism, cores=runner.cores,
+                     lines=runner.lines, unsound=runner.unsound,
+                     model=runner.model, trace=final.trace,
+                     machine=runner.machine)

@@ -15,10 +15,8 @@ import time
 from typing import Optional
 
 from ..models import DEFAULT_MODEL
-from .explorer import (DEFAULT_MAX_CYCLES, CheckReport, RunOutcome, _minimise,
-                       _run, _shape)
-from .scenarios import get_scenario
-from .scheduler import RandomScheduler, ReplayScheduler
+from .explorer import DEFAULT_MAX_CYCLES, CheckReport, CheckRunner, _minimise
+from .scheduler import RandomScheduler
 
 
 def fuzz(scenario_name: str, mechanism: str, *, cores: int = 2,
@@ -27,31 +25,17 @@ def fuzz(scenario_name: str, mechanism: str, *, cores: int = 2,
          machine: Optional[dict] = None,
          model: str = DEFAULT_MODEL) -> CheckReport:
     """Run ``runs`` random schedules; minimise the first violation."""
-    scenario = get_scenario(scenario_name)
-    cores, lines = _shape(scenario, cores, lines)
     start = time.monotonic()
-    report = CheckReport(scenario.name, mechanism, cores, lines, mode="fuzz",
-                         model=model)
-
-    def runner(schedule, pause: bool) -> RunOutcome:
-        report.executions += 1
-        inner = ReplayScheduler(schedule, pause=pause)
-        return _run(scenario, mechanism, inner, cores=cores, lines=lines,
-                    unsound=unsound, max_cycles=max_cycles, machine=machine,
-                    model=model)
-
+    runner = CheckRunner(scenario_name, mechanism, cores=cores, lines=lines,
+                         unsound=unsound, max_cycles=max_cycles,
+                         machine=machine, model=model, mode="fuzz")
+    report = runner.report
     outcomes = set()
     for index in range(runs):
         rng = random.Random(f"{seed}:{index}")
-        inner = RandomScheduler(rng)
-        report.executions += 1
-        outcome = _run(scenario, mechanism, inner, cores=cores, lines=lines,
-                       unsound=unsound, max_cycles=max_cycles,
-                       machine=machine, model=model)
+        outcome = runner.run(RandomScheduler(rng))
         if outcome.kind == "violation":
-            report.violation = _minimise(outcome, runner, scenario.name,
-                                         mechanism, cores, lines, unsound,
-                                         model)
+            report.violation = _minimise(outcome, runner)
             break
         outcomes.add(outcome.committed)
         report.terminal_states += 1

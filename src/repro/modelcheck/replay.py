@@ -10,7 +10,7 @@ simulator's own deterministic order.  The generated pytest cases (see
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..models import DEFAULT_MODEL
 from .explorer import DEFAULT_MAX_CYCLES, RunOutcome, run_schedule
@@ -19,6 +19,7 @@ from .explorer import DEFAULT_MAX_CYCLES, RunOutcome, run_schedule
 def replay(scenario: str, mechanism: str, schedule: Sequence[int], *,
            cores: int = 2, lines: int = 2, unsound: bool = False,
            max_cycles: int = DEFAULT_MAX_CYCLES,
+           machine: Optional[dict] = None,
            model: str = DEFAULT_MODEL) -> RunOutcome:
     """Re-execute ``schedule`` and return the outcome.
 
@@ -28,4 +29,4 @@ def replay(scenario: str, mechanism: str, schedule: Sequence[int], *,
     """
     return run_schedule(scenario, mechanism, tuple(schedule), cores=cores,
                         lines=lines, unsound=unsound, max_cycles=max_cycles,
-                        pause=False, model=model)
+                        pause=False, machine=machine, model=model)

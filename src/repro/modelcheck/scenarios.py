@@ -17,6 +17,7 @@ code.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -207,3 +208,11 @@ def check_config(cores: int, mechanism: str, unsound: bool = False,
         deadlock_cycles=2_000)
     config.validate()
     return config
+
+
+def machine_overrides(machine: Optional[dict]) -> dict:
+    """The entries of a check's ``machine`` argument that differ from
+    :func:`check_config`'s defaults (empty for the default machine)."""
+    defaults = inspect.signature(check_config).parameters
+    return {key: value for key, value in (machine or {}).items()
+            if value != defaults[key].default}

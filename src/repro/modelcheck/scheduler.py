@@ -7,7 +7,9 @@ only when two or more actions are enabled — a *decision point* — so a
 schedule is fully described by the sequence of indices chosen at
 decision points.  ``after_action(system, action)`` runs after every
 action (chosen or forced), which is where the checking wrapper
-evaluates invariants.
+evaluates invariants — except on the replayed prefix of a pausing
+:class:`ReplayScheduler`, whose actions the execution that recorded
+the prefix already checked (see :func:`replayed_decisions`).
 """
 
 from __future__ import annotations
@@ -108,12 +110,33 @@ class RandomScheduler:
         pass
 
 
+def replayed_decisions(inner) -> int:
+    """How many leading decisions of a run under ``inner`` replay a
+    prefix whose every action was already checked.
+
+    A pausing :class:`ReplayScheduler` re-executes a frontier record's
+    prefix.  The record was pushed only after its parent's run checked
+    every action up to that parent's pause, and replay is
+    deterministic, so the actions before the last recorded choice are
+    exactly the ones the ancestors checked.  Every other run — random
+    walks, minimisation and ``replay`` runs (``pause=False``), the
+    fault campaign's default order — checks from the first action.
+    """
+    if isinstance(inner, ReplayScheduler) and inner.pause:
+        return len(inner.choices)
+    return 0
+
+
 class CheckingScheduler:
     """Wraps an inner scheduler with invariant checking and tracing.
 
-    After every action the configured invariants run against the live
-    system; the first failure raises :class:`InvariantViolation` with
-    the human-readable action trace accumulated so far attached.
+    After every action past the replayed prefix
+    (:func:`replayed_decisions`) the configured invariants run against
+    the live system; the first failure raises
+    :class:`InvariantViolation` with the action trace accumulated so
+    far attached.  The trace keeps the raw ``(cycle, index, actions)``
+    decisions and ``(cycle, action)`` steps and renders its
+    human-readable lines only when :attr:`trace` is read.
     """
 
     def __init__(self, inner, ctx: CheckContext,
@@ -122,22 +145,43 @@ class CheckingScheduler:
         self.ctx = ctx
         self.invariants = [(name, INVARIANTS[name])
                            for name in invariant_names]
-        self.trace: List[str] = []
+        self.steps: List[Tuple] = []
+        self.replayed = replayed_decisions(inner)
+
+    @property
+    def trace(self) -> Tuple[str, ...]:
+        return render_trace(self.steps)
 
     def choose(self, system, actions: Sequence[Tuple]) -> int:
         index = self.inner.choose(system, actions)
-        self.trace.append(
-            f"cycle {system.cycle}: choose {index} of "
-            f"[{', '.join(_describe(a) for a in actions)}]")
+        self.steps.append((system.cycle, index, actions))
         return index
 
     def after_action(self, system, action: Tuple) -> None:
-        self.trace.append(f"cycle {system.cycle}: {_describe(action)}")
+        self.steps.append((system.cycle, action))
         self.inner.after_action(system, action)
+        if self.replayed:
+            if self.inner.decisions < self.replayed:
+                return
+            self.replayed = 0
         for name, fn in self.invariants:
             message = fn(self.ctx)
             if message is not None:
-                raise InvariantViolation(name, message, tuple(self.trace))
+                raise InvariantViolation(name, message, self.trace)
+
+
+def render_trace(steps: Sequence[Tuple]) -> Tuple[str, ...]:
+    """The human-readable lines of a :class:`CheckingScheduler` trace."""
+    lines = []
+    for step in steps:
+        if len(step) == 3:
+            cycle, index, actions = step
+            lines.append(f"cycle {cycle}: choose {index} of "
+                         f"[{', '.join(_describe(a) for a in actions)}]")
+        else:
+            cycle, action = step
+            lines.append(f"cycle {cycle}: {_describe(action)}")
+    return tuple(lines)
 
 
 def _describe(action: Tuple) -> str:

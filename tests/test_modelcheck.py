@@ -8,12 +8,18 @@ wait-graph counterexample whose minimised schedule replays
 deterministically.
 """
 
+import hashlib
+
 import pytest
 
+import repro.modelcheck.scheduler as scheduler_module
 from repro.common.config import MECHANISMS
 from repro.harness.checks import CheckJob, run_check, run_checks
-from repro.modelcheck import (SCENARIOS, explore, fuzz, get_scenario,
-                              replay, run_schedule)
+from repro.mechanisms.tus import TUSMechanism
+from repro.modelcheck import (INVARIANTS, SCENARIOS, MemoryFrontier,
+                              distributed_explore, explore, fuzz,
+                              get_scenario, replay, run_schedule)
+from repro.modelcheck.explorer import CheckRunner, _minimise
 from repro.modelcheck.state import _symmetry_permutations
 
 
@@ -103,6 +109,148 @@ class TestCounterexample:
         assert report.passed and report.complete
 
 
+def _describe_sha(violation) -> str:
+    return hashlib.sha256(violation.describe().encode()).hexdigest()
+
+
+class TestCounterexampleText:
+    """The rendered counterexample — message, minimised schedule, the
+    whole action trace and the replay snippet — is pinned byte for
+    byte.  The trace is rendered lazily from the recorded actions and
+    the replayed prefix is no longer re-checked, so these pins prove
+    neither changes what a user reads."""
+
+    EXHAUSTIVE = ("be6438a779630c1aa0cc42cb3d70084f"
+                  "40d9e301e421184e8b17cbf304716b06")
+    FUZZ = ("f594104504136cdee9823729cfb0ac93"
+            "80799bda0cef1626f5df12a97d76362d")
+
+    @pytest.mark.parametrize("por", ["off", "sleep", "persistent"])
+    def test_exhaustive(self, por):
+        report = explore("overlap", "tus", unsound=True, por=por)
+        assert _describe_sha(report.violation) == self.EXHAUSTIVE
+
+    #: Racing workers record different first violations, so a
+    #: distributed check minimises to one of several schedules; each
+    #: one seen is pinned.
+    DISTRIBUTED = {
+        (0, 0, 0, 0, 0, 0, 1): EXHAUSTIVE,
+        (0, 0, 0, 0, 0, 0, 2, 1): ("3eb7c454200cf1090d4bf566b1fdaaba"
+                                   "6e2b6982332d4f51b153661512804b5e"),
+        (0, 0, 0, 0, 0, 4, 0, 1): ("87a9f7575337b469e71ff7813f9adf90"
+                                   "f62b8d9749451c068835bd4b41bc8205"),
+    }
+
+    def test_distributed(self, tmp_path):
+        violation = distributed_explore("overlap", "tus", spool=tmp_path,
+                                        workers=2, unsound=True).violation
+        expected = self.DISTRIBUTED.get(violation.schedule)
+        if expected is None:
+            # An unpinned race outcome: it must still render exactly as
+            # the in-process checker renders the same counterexample.
+            runner = CheckRunner("overlap", "tus", unsound=True)
+            expected = _describe_sha(_minimise(
+                runner(violation.schedule, False), runner))
+        assert _describe_sha(violation) == expected
+
+    def test_fuzz(self):
+        report = fuzz("overlap", "tus", unsound=True, seed=0)
+        assert _describe_sha(report.violation) == self.FUZZ
+
+
+class TestMachineCounterexample:
+    """A counterexample found on a non-default machine replays on that
+    machine: the generated snippet carries the ``machine`` overrides."""
+
+    MACHINE = {"topology": "mesh", "dir_shards": 2, "link_latency": 3}
+
+    @pytest.fixture(scope="class")
+    def violation(self):
+        report = explore("overlap", "tus", unsound=True,
+                         machine=self.MACHINE)
+        return report.violation
+
+    def test_generated_snippet_reproduces(self, violation):
+        namespace = {}
+        exec(violation.as_pytest(), namespace)
+        namespace["test_replay_counterexample"]()
+
+    def test_describe_names_the_machine(self, violation):
+        assert f"machine {self.MACHINE}" in violation.describe()
+        assert replay("overlap", "tus", violation.schedule, unsound=True,
+                      machine=self.MACHINE).kind == "violation"
+
+    def test_default_machine_is_not_mentioned(self):
+        violation = explore("overlap", "tus", unsound=True,
+                            machine=CheckJob("overlap", "tus").machine
+                            ).violation
+        assert "machine" not in violation.describe()
+        assert "machine=" not in violation.as_pytest()
+
+
+def _check_every_action(monkeypatch):
+    """Test-only: make the checking scheduler evaluate invariants on the
+    replayed prefix too, as it did before the prefix skip."""
+    monkeypatch.setattr(scheduler_module, "replayed_decisions",
+                        lambda inner: 0)
+
+
+def _late_publisher(ctx):
+    """Fires once core 1 has published a line while core 0 has not: a
+    state the default schedule never reaches, first met several
+    decisions deep behind a non-zero branch."""
+    events = ctx.observer.events
+    if events.get(1) and not events.get(0):
+        return (f"cycle {ctx.system.cycle}: core 1 published "
+                f"{events[1]} first")
+    return None
+
+
+class TestPrefixSkipSoundness:
+    """Skipping invariants on the replayed prefix of a frontier record
+    finds exactly what checking every action finds."""
+
+    @pytest.fixture
+    def late_invariant(self, monkeypatch):
+        monkeypatch.setitem(INVARIANTS, "late-publisher", _late_publisher)
+        base = TUSMechanism.modelcheck_invariants
+        monkeypatch.setattr(TUSMechanism, "modelcheck_invariants",
+                            lambda self: base(self) + ("late-publisher",))
+
+    @staticmethod
+    def _explore(scenario):
+        store = MemoryFrontier()
+        report = explore(scenario, "tus", store=store)
+        return report, store.get_violation()
+
+    @pytest.mark.parametrize("scenario", ["overlap", "sb"])
+    def test_violation_past_the_prefix(self, scenario, late_invariant,
+                                       monkeypatch):
+        skipped, skipped_raw = self._explore(scenario)
+        _check_every_action(monkeypatch)
+        checked, checked_raw = self._explore(scenario)
+        assert checked.violation.invariant == "late-publisher"
+        # Found past a replayed prefix, behind a non-zero branch.
+        taken = checked_raw["taken"]
+        assert len(taken) >= 2 and any(taken[1:])
+        assert skipped_raw == checked_raw
+        assert skipped.executions == checked.executions
+        assert skipped.violation == checked.violation
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_check_matrix_counts_unchanged(self, scenario, monkeypatch):
+        def counts():
+            return [(r.executions, r.unique_states, r.terminal_states,
+                     r.distinct_terminals, r.terminal_fingerprint,
+                     r.complete, r.passed)
+                    for r in (explore(scenario, "tus", por=por)
+                              for por in ("off", "persistent"))]
+
+        skipped = counts()
+        _check_every_action(monkeypatch)
+        assert counts() == skipped
+
+
 class TestFuzz:
     def test_sound_swarm_passes(self):
         report = fuzz("overlap", "tus", cores=2, lines=2, runs=20, seed=3)
@@ -128,9 +276,7 @@ class TestFuzz:
 class TestSymmetry:
     def test_identical_traces_are_interchangeable(self):
         # mp with 3 cores: the two consumers run the same program.
-        scenario = get_scenario("mp")
-        from repro.modelcheck.explorer import _build
-        system, _, _, _ = _build(scenario, "baseline", 3, 2, False)
+        system, _, _ = CheckRunner("mp", "baseline", cores=3).build()
         assert len(_symmetry_permutations(system)) == 2
 
     def test_symmetric_branches_collapse_to_one_state(self):

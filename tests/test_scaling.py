@@ -21,8 +21,8 @@ from repro.cpu.isa import load, store
 from repro.cpu.trace import Trace
 from repro.harness.checks import CheckJob, run_check
 from repro.mem.dram import DRAM
-from repro.modelcheck.explorer import _build
-from repro.modelcheck.scenarios import get_scenario, scenario_lines
+from repro.modelcheck.explorer import CheckRunner
+from repro.modelcheck.scenarios import scenario_lines
 from repro.modelcheck.state import _symmetry_permutations
 from repro.sim.progress import ProgressDump
 from repro.sim.system import System
@@ -248,8 +248,7 @@ class TestShardAwareSymmetry:
     def test_p2p_keeps_consumer_swap(self):
         # mp with 3 cores: the two consumers run the same program and
         # p2p gives them identical positions, so the swap is legal.
-        system, _, _, _ = _build(get_scenario("mp"), "baseline", 3, 2,
-                                 False)
+        system, _, _ = CheckRunner("mp", "baseline", cores=3).build()
         assert len(_symmetry_permutations(system)) == 2
 
     def test_ring_with_shards_breaks_consumer_swap(self):
@@ -257,9 +256,9 @@ class TestShardAwareSymmetry:
         # consumers sit at different distances from home 0, so swapping
         # them is *not* a symmetry — the naive trace-only reduction
         # would merge states with different in-flight latencies.
-        system, _, _, _ = _build(
-            get_scenario("mp"), "baseline", 3, 2, False,
-            machine={"topology": "ring", "dir_shards": 2})
+        system, _, _ = CheckRunner(
+            "mp", "baseline", cores=3,
+            machine={"topology": "ring", "dir_shards": 2}).build()
         topo = system.memsys.topology
         assert topo.core_home[1] != topo.core_home[2]
         perms = _symmetry_permutations(system)
@@ -269,9 +268,8 @@ class TestShardAwareSymmetry:
         # Positive control: sharding the directory under a p2p (uniform)
         # interconnect distinguishes nothing, so the reduction must keep
         # the consumer swap.
-        system, _, _, _ = _build(
-            get_scenario("mp"), "baseline", 3, 2, False,
-            machine={"dir_shards": 2})
+        system, _, _ = CheckRunner("mp", "baseline", cores=3,
+                                   machine={"dir_shards": 2}).build()
         assert len(_symmetry_permutations(system)) == 2
 
 
