@@ -33,6 +33,12 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
+#: The counter bumps an operation makes, as ``(counter, delta)`` pairs.
+#: A side-effect-free check returns one, so the caller that acts on the
+#: check and a caller that only predicts the act bump the same counters.
+Charge = Tuple[Tuple[Counter, int], ...]
+
+
 class Histogram:
     """A bucketed distribution (linear buckets plus overflow)."""
 

@@ -13,12 +13,12 @@ which calls back through ``fill_hook`` / ``snoop_hook``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..common.addr import lex_conflict, line_addr, set_index
 from ..common.config import SystemConfig
 from ..common.errors import SimulationError
-from ..common.stats import StatGroup
+from ..common.stats import Charge, StatGroup
 from ..coherence.memsys import CorePort
 from ..coherence.msgs import SnoopKind, SnoopReply, SnoopResult
 from ..mem.cacheline import CacheLine, State
@@ -29,6 +29,22 @@ from .woq import WOQEntry, WriteOrderingQueue
 #: An atomic group handed to :meth:`TUSController.write_group`:
 #: (line address, byte mask) pairs.
 Group = Sequence[Tuple[int, int]]
+
+
+class Admission(NamedTuple):
+    """A group check's answer: truthy when the write may proceed.
+
+    ``charge`` is what the check counts: the WOQ searches it made, and
+    for a refusal ``group_blocked`` (plus the WOQ's ``full_stalls``
+    when the WOQ lacked room).  A writer applies it when it acts on the
+    check; a caller predicting a no-op drain reports it unapplied.
+    """
+
+    accepted: bool
+    charge: Charge
+
+    def __bool__(self) -> bool:
+        return self.accepted
 
 
 class TUSController:
@@ -50,6 +66,11 @@ class TUSController:
             "authorized_writes", "stores written to lines with permission")
         self._c_group_blocked = stats.counter(
             "group_blocked", "group writes delayed (ways/WOQ/can-cycle)")
+        #: What a refused group check counts; a full WOQ counts its own
+        #: ``full_stalls`` as well.
+        self._refused: Charge = ((self._c_group_blocked, 1),)
+        self._refused_woq_full: Charge = self._refused + (
+            (self.woq.c_full_stalls, 1),)
         self._c_relinquished = stats.counter(
             "relinquished_lines", "lines whose permission was given up")
         self._c_delayed = stats.counter(
@@ -64,7 +85,7 @@ class TUSController:
     # ------------------------------------------------------------------
     # Write path (Figure 7, left side)
     # ------------------------------------------------------------------
-    def can_accept(self, group: Group) -> bool:
+    def can_accept(self, group: Group) -> "Admission":
         """Can this atomic group be written to the L1D right now?
 
         All-or-nothing (Section III-B): every line needs either an
@@ -72,56 +93,29 @@ class TUSController:
         for every new line, merged groups may not exceed the configured
         maximum, and no involved entry may have its CanCycle bit cleared
         (a conflict resolution is in progress).
-        """
-        if len(group) > self.tus.max_atomic_group:
-            self._c_group_blocked.inc()
-            return False
-        new_lines = 0
-        ways_needed: dict = {}
-        merge_targets: List[WOQEntry] = []
-        for addr, _mask in group:
-            line = self.port.l1d.probe(addr)
-            if line is None:
-                new_lines += 1
-                idx = set_index(addr, self.port.l1d.config.num_sets)
-                ways_needed[idx] = ways_needed.get(idx, 0) + 1
-            elif line.not_visible:
-                entry = self.woq.find(addr)
-                if entry is None:
-                    raise SimulationError(
-                        f"not-visible line {addr:#x} missing from WOQ")
-                if not entry.can_cycle:
-                    self._c_group_blocked.inc()
-                    return False
-                merge_targets.append(entry)
-            else:
-                new_lines += 1   # visible line: re-enters the WOQ
-        if not self.woq.room_for(new_lines):
-            self._c_group_blocked.inc()
-            return False
-        line_shift = 6
-        for set_idx, needed in ways_needed.items():
-            if self.port.l1d.free_ways(set_idx << line_shift) < needed:
-                self._c_group_blocked.inc()
-                return False
-        if merge_targets:
-            oldest = self.woq.older_entries(merge_targets[0])[-1]
-            for target in merge_targets:
-                if len(self.woq.older_entries(target)) < len(
-                        self.woq.older_entries(oldest)):
-                    oldest = target
-            merged = self.woq.group_size_after_merge(oldest) + new_lines
-            if merged > self.tus.max_atomic_group:
-                self._c_group_blocked.inc()
-                return False
-        return True
 
-    def can_accept_all(self, groups: Sequence[Group]) -> bool:
+        Side-effect free: the returned :class:`Admission` is truthy when
+        the write may proceed and carries the counters the check bumps,
+        which the caller applies when it acts on the answer.
+        """
+        searches, refusal = self._check(group)
+        charge: Charge = ((self.woq.c_searches, searches),) \
+            if searches else ()
+        if refusal is None:
+            return Admission(True, charge)
+        return Admission(False, charge + refusal)
+
+    def can_accept_all(self, groups: Sequence[Group]) -> "Admission":
         """Cumulative :meth:`can_accept` over several groups written in
         the same flush: the WOQ room and the free ways consumed by the
-        earlier groups must be reserved before checking the later ones."""
-        if not all(self.can_accept(group) for group in groups):
-            return False
+        earlier groups must be reserved before checking the later ones.
+        The first refused group ends the check."""
+        charge: Charge = ()
+        for group in groups:
+            admission = self.can_accept(group)
+            charge += admission.charge
+            if not admission:
+                return Admission(False, charge)
         total_new = 0
         ways_needed: dict = {}
         for group in groups:
@@ -134,13 +128,54 @@ class TUSController:
                 elif not line.not_visible:
                     total_new += 1
         if not self.woq.room_for(total_new):
-            self._c_group_blocked.inc()
-            return False
+            return Admission(False, charge + self._refused_woq_full)
         for idx, needed in ways_needed.items():
             if self.port.l1d.free_ways(idx << 6) < needed:
-                self._c_group_blocked.inc()
-                return False
-        return True
+                return Admission(False, charge + self._refused)
+        return Admission(True, charge)
+
+    def _check(self, group: Group) -> Tuple[int, Optional[Charge]]:
+        """:meth:`can_accept`'s rules: the WOQ searches they make, and
+        None or the charge of the refusal."""
+        if len(group) > self.tus.max_atomic_group:
+            return 0, self._refused
+        searches = 0
+        new_lines = 0
+        ways_needed: dict = {}
+        merge_targets: List[WOQEntry] = []
+        for addr, _mask in group:
+            line = self.port.l1d.probe(addr)
+            if line is None:
+                new_lines += 1
+                idx = set_index(addr, self.port.l1d.config.num_sets)
+                ways_needed[idx] = ways_needed.get(idx, 0) + 1
+            elif line.not_visible:
+                searches += 1
+                entry = self.woq.get_quiet(addr)
+                if entry is None:
+                    raise SimulationError(
+                        f"not-visible line {addr:#x} missing from WOQ")
+                if not entry.can_cycle:
+                    return searches, self._refused
+                merge_targets.append(entry)
+            else:
+                new_lines += 1   # visible line: re-enters the WOQ
+        if not self.woq.room_for(new_lines):
+            return searches, self._refused_woq_full
+        line_shift = 6
+        for set_idx, needed in ways_needed.items():
+            if self.port.l1d.free_ways(set_idx << line_shift) < needed:
+                return searches, self._refused
+        if merge_targets:
+            oldest = self.woq.older_entries(merge_targets[0])[-1]
+            for target in merge_targets:
+                if len(self.woq.older_entries(target)) < len(
+                        self.woq.older_entries(oldest)):
+                    oldest = target
+            merged = self.woq.group_size_after_merge(oldest) + new_lines
+            if merged > self.tus.max_atomic_group:
+                return searches, self._refused
+        return searches, None
 
     def write_group(self, group: Group, cycle: int) -> None:
         """Write an atomic group into the L1D (caller checked

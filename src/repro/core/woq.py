@@ -69,14 +69,14 @@ class WriteOrderingQueue:
         stats = stats if stats is not None else StatGroup("woq")
         self.stats = stats
         self._allocs = stats.counter("allocations")
-        self._searches = stats.counter(
+        self.c_searches = stats.counter(
             "searches", "WOQ searches (store L1D hits + external requests)")
         self._merges = stats.counter("group_merges", "cycle merges")
         self._visible_groups = stats.counter(
             "visible_groups", "atomic groups made visible")
         self._visible_lines = stats.counter(
             "visible_lines", "cache lines made visible")
-        self._full_stalls = stats.counter(
+        self.c_full_stalls = stats.counter(
             "full_stalls", "writes delayed because the WOQ was full")
         self._occupancy = stats.histogram(
             "occupancy", bucket_width=4, num_buckets=32)
@@ -94,15 +94,13 @@ class WriteOrderingQueue:
         return not self._entries
 
     def room_for(self, lines: int) -> bool:
-        """Can ``lines`` new entries be allocated right now?"""
-        has_room = len(self._entries) + lines <= self.capacity
-        if not has_room:
-            self._full_stalls.inc()
-        return has_room
+        """Can ``lines`` new entries be allocated right now?  Counts
+        nothing: a writer the WOQ turns away bumps ``c_full_stalls``."""
+        return len(self._entries) + lines <= self.capacity
 
     def find(self, addr: int) -> Optional[WOQEntry]:
         """Search the WOQ for the entry tracking ``addr``'s line."""
-        self._searches.inc()
+        self.c_searches.value += 1
         return self._by_line.get(line_addr(addr))
 
     def contains(self, addr: int) -> bool:

@@ -48,6 +48,10 @@ _LOAD = OpKind.LOAD
 _STORE = OpKind.STORE
 _FENCE = OpKind.FENCE
 
+#: :meth:`Core.idle_charge`'s answer for a step :meth:`Core.stuck_at`
+#: skips: its stall charge is deferred until the core is next stepped.
+DEFER = "defer"
+
 
 class ROBEntry:
     """One in-flight micro-op."""
@@ -140,6 +144,8 @@ class Core:
         blocked core would otherwise pay a full no-op step.  Each check
         mirrors a stage of :meth:`step`; False is returned whenever any
         stage *might* act (a false negative only costs the no-op step).
+        The run loop defers the stall charge of a core skipped by this
+        rule until the core is next stepped (:meth:`idle_charge`).
         """
         rob = self.rob
         if not rob:
@@ -155,6 +161,54 @@ class Core:
         if entries and entries[0].committed:
             return False            # drain has a committed head store
         return self.mechanism.drain_idle()
+
+    def idle_charge(self, cycle: int):
+        """What :meth:`step` at ``cycle`` would do, if provably nothing.
+
+        None when the step might act.  :data:`DEFER` when
+        :meth:`stuck_at` holds.  Otherwise the ``(counter, delta)``
+        pairs the no-op step's ``drain()`` bumps; the step also charges
+        one stall cycle to :attr:`last_stall`.  A pure function of the
+        core's state, which only the core's own steps, its wake cycle
+        and its port (:class:`~repro.coherence.memsys.CorePort`) change.
+        Extends :meth:`stuck_at` to a ROB head that cannot retire (not
+        complete, or a fence still waiting for the stores), an empty
+        ROB with nothing to dispatch, dispatch blocked on a full SB or
+        LQ (only this core's own drain or commit frees them), and a
+        drain the mechanism proves idle (``drain_charge``).
+        """
+        if self.stuck_at(cycle):
+            return DEFER
+        rob = self.rob
+        if rob:
+            head = rob[0]
+            complete = head.complete_cycle
+            if complete is not None and complete <= cycle and (
+                    head.uop.kind is not _FENCE or not self._fence_waits()):
+                return None         # commit can retire the ROB head
+        elif self.is_done():
+            return None             # step() must record finish_cycle
+        next_uop = self._next_uop
+        if next_uop < self._trace_len and len(rob) < self._rob_entries:
+            kind = self._trace_uops[next_uop].kind
+            if not ((kind is _STORE and self.sb.full)
+                    or (kind is _LOAD and self.lq.full)):
+                return None         # dispatch can insert
+        return self.mechanism.drain_charge()
+
+    def skip_idle(self, charge, since: int, cycle: int) -> int:
+        """Account the skipped no-op step at ``cycle`` of a core stale
+        since ``since``, given its :meth:`idle_charge`; returns the
+        cycle the core is stale since from now on.  A DEFER skip leaves
+        the stall cycles to accrue; any other charges what the step
+        would have: the stall cycles up to ``cycle`` and the drain's
+        counts."""
+        if charge is DEFER:
+            return since
+        self.stalls.charge(self.last_stall, cycle - since, cycle)
+        for counter, delta in charge:
+            counter.value += delta
+        return cycle
 
     def next_wake(self, cycle: int) -> Optional[int]:
         """Earliest future cycle at which this core can make progress on
@@ -179,12 +233,7 @@ class Core:
             kind = head.uop.kind
             complete = head.complete_cycle
             if kind is _FENCE:
-                # The fence waits for every OLDER store to become
-                # globally visible.  Older stores are exactly the
-                # committed prefix of the SB (younger stores dispatched
-                # past the fence cannot have committed yet).
-                if self.sb.head_committed() is not None \
-                        or not self.mechanism.drained():
+                if self._fence_waits():
                     break
                 if complete is None or complete > cycle:
                     break
@@ -206,6 +255,14 @@ class Core:
             self._committed += committed
             self.c_committed.value += committed
         return committed
+
+    def _fence_waits(self) -> bool:
+        """A fence at the ROB head waits for every OLDER store to become
+        globally visible.  Older stores are exactly the committed prefix
+        of the SB (younger stores dispatched past the fence cannot have
+        committed yet)."""
+        return (self.sb.head_committed() is not None
+                or not self.mechanism.drained())
 
     # -- dispatch --------------------------------------------------------
     def _dispatch(self, cycle: int) -> int:

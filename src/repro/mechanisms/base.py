@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 from ..common.config import SystemConfig
 from ..common.events import EventQueue
-from ..common.stats import StatGroup
+from ..common.stats import Charge, StatGroup
 from ..coherence.memsys import CorePort
 from ..cpu.storebuffer import SBEntry, StoreBuffer
 from ..observe.bus import NULL_PROBE
@@ -94,6 +94,21 @@ class StoreMechanism:
         drain work (opportunistic flushes, prefetch trains, retries)
         must return False while that work is possible."""
         return False
+
+    def drain_charge(self) -> Optional[Charge]:
+        """What one :meth:`drain` call would do, if provably nothing.
+
+        None when the call might act (move a store, issue a request,
+        change any state).  Otherwise the counters the no-op call bumps
+        as ``(counter, delta)`` pairs, empty when it bumps none.  The
+        run loop charges this for every event cycle on which it skips
+        a blocked core (see :meth:`repro.cpu.core.Core.idle_charge`),
+        so it must match the call exactly.  The default is the
+        :meth:`drain_idle` rule: no committed SB head and no
+        head-independent work."""
+        if self.sb.head_committed() is not None or not self.drain_idle():
+            return None
+        return ()
 
     # -- model-checker hooks -----------------------------------------------
     def modelcheck_invariants(self) -> Tuple[str, ...]:

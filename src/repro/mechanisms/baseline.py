@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from ..common.stats import Charge
 from .base import COMMON_INVARIANTS, PrefetchAtCommit
 from .registry import register
 
@@ -27,6 +28,7 @@ class BaselineMechanism(PrefetchAtCommit):
             "drain_blocked_cycles",
             "cycles the SB head waited for write permission")
         self._waiting = None   # head entry whose request is outstanding
+        self._blocked_charge: Charge = ((self._blocked, 1),)
 
     def drain(self, cycle: int) -> int:
         head = self.sb.head_committed()
@@ -52,6 +54,18 @@ class BaselineMechanism(PrefetchAtCommit):
     def drain_idle(self) -> bool:
         # Without a committed SB head, drain() returns immediately.
         return True
+
+    def drain_charge(self) -> Optional[Charge]:
+        head = self.sb.head_committed()
+        if head is None:
+            return ()
+        # A blocked head whose write request is outstanding only counts
+        # the wait.  An in-flight *read* is not enough: each call would
+        # chain another write request onto it.
+        if self._waiting is head and not self.port.is_writable(head.line) \
+                and self.port.write_request_outstanding(head.line):
+            return self._blocked_charge
+        return None
 
     # -- model-checker hooks -----------------------------------------------
     def modelcheck_invariants(self) -> Tuple[str, ...]:

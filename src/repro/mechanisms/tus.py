@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..common.stats import Charge
 from ..core.tus_controller import TUSController
 from ..mem.wcb import InsertResult, WCBFile
 from .base import COMMON_INVARIANTS, PrefetchAtCommit, group_id_map
@@ -85,15 +86,33 @@ class TUSMechanism(PrefetchAtCommit):
         # drain without a committed SB head is a guaranteed no-op.
         return not self.wcb.buffers
 
+    def drain_charge(self) -> Optional[Charge]:
+        # drain() is a no-op when the head store (if any) is refused by
+        # the WCBs and the flush that would make room is refused too;
+        # the counts are the refused insert's, the flush check's, and
+        # ``flush_blocked_cycles`` for a blocked head.
+        entries = self.sb._entries
+        charge: Charge = ()
+        if entries and entries[0].committed:
+            refusal = self.wcb.refusal(entries[0].line)
+            if refusal is None:
+                return None
+            charge = self.wcb.refusal_charge(refusal) + (
+                (self._flush_blocked, 1),)
+        elif not self.wcb.buffers:
+            return charge
+        admission = self.controller.can_accept_all(self._flush_groups())
+        return None if admission else charge + admission.charge
+
     def _flush(self, cycle: int) -> bool:
         """Write every buffered atomic group to the L1D, all-or-nothing."""
-        groups = [
-            [(entry.addr, entry.mask) for entry in group]
-            for group in self._peek_groups()
-        ]
+        groups = self._flush_groups()
         if not groups:
             return False
-        if not self.controller.can_accept_all(groups):
+        admission = self.controller.can_accept_all(groups)
+        for counter, delta in admission.charge:
+            counter.value += delta
+        if not admission:
             return False
         self.wcb.drain_groups()
         if self.probe:
@@ -103,10 +122,13 @@ class TUSMechanism(PrefetchAtCommit):
             self.controller.write_group(group, cycle)
         return True
 
-    def _peek_groups(self) -> List[List]:
+    def _flush_groups(self) -> List[List[Tuple[int, int]]]:
+        """The buffered atomic groups as (line, mask) lists, in the
+        order a flush writes them."""
         by_group = {}
         for entry in self.wcb.buffers:
-            by_group.setdefault(entry.group, []).append(entry)
+            by_group.setdefault(entry.group, []).append(
+                (entry.addr, entry.mask))
         return [by_group[g] for g in sorted(by_group)]
 
     # -- core-facing hooks -------------------------------------------------

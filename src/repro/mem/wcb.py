@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..common.addr import lex_order, line_addr
-from ..common.stats import StatGroup
+from ..common.stats import Charge, StatGroup
 
 
 class InsertResult(enum.Enum):
@@ -101,6 +101,29 @@ class WCBFile:
         else:
             return InsertResult.NEED_FLUSH
         return result
+
+    def refusal(self, addr: int) -> Optional[InsertResult]:
+        """How :meth:`insert` would turn ``addr``'s store away
+        (NEED_FLUSH or LEX_CONFLICT), or None if it would take it.
+        Counts nothing; :meth:`refusal_charge` is what the refused
+        insert counts."""
+        addr = line_addr(addr)
+        for entry in self.buffers:
+            if entry.addr == addr:
+                # The store-cycle test of :meth:`_coalesce`.
+                if self._last_written is not None \
+                        and self._last_written != addr \
+                        and self._group_lex_conflict(entry):
+                    return InsertResult.LEX_CONFLICT
+                return None
+        return InsertResult.NEED_FLUSH if self.full else None
+
+    def refusal_charge(self, refusal: InsertResult) -> Charge:
+        """The counters a refused :meth:`insert` bumps: its search, and
+        the lex conflict if that was the refusal."""
+        if refusal is InsertResult.LEX_CONFLICT:
+            return ((self._searches, 1), (self._lex_conflicts, 1))
+        return ((self._searches, 1),)
 
     def _coalesce(self, entry: WCBEntry, mask: int) -> InsertResult:
         if self._last_written is not None and self._last_written != entry.addr:

@@ -27,7 +27,13 @@ from .results import CoreResult, SimResult
 
 
 class System:
-    """A complete simulated machine executing one trace per core."""
+    """A complete simulated machine executing one trace per core.
+
+    Both run loops raise :class:`DeadlockError` ("watchdog") once
+    ``config.deadlock_cycles`` cycles pass without progress, and only a
+    core's commit, drain or dispatch is progress.  Events alone are not:
+    a request retrying at the directory forever is a livelock.
+    """
 
     def __init__(self, config: SystemConfig, traces: List[Trace],
                  workload: str = "") -> None:
@@ -71,14 +77,26 @@ class System:
         events = self.events
         run_until = events.run_until
         event_cycles = events._cycles
-        # Per-core skip state: a core whose step made no progress cannot
-        # change state until an event fires or its own next_wake arrives,
-        # so it is not stepped again until then (events are the only
-        # external influence on a core).  Skipped stall cycles are
-        # charged in bulk when the core is next stepped.
-        stale_since = [None] * len(cores)
-        done = [False] * len(cores)
-        remaining = len(cores)
+        # Per-core skip state.  A core whose step made no progress is
+        # stale: its state is frozen until its own wake cycle arrives or
+        # its own port changes.  Other cores and the memory system reach
+        # a core only through events that fill or snoop its caches or
+        # change its MSHRs, and those bump its port stamp
+        # (``CorePort.epoch``, ``MSHRFile.version``).  So a stale core
+        # is not stepped on a cycle without events, and on an event
+        # cycle its next step's outcome (``Core.idle_charge``) is
+        # computed once per stamp and reused: a provable no-op is
+        # skipped, its stall cycles and drain counts charged as the step
+        # would have (``Core.skip_idle``).  With a probe attached every
+        # event re-steps each stale core unless ``Core.stuck_at`` holds,
+        # so the probe sees every step.
+        n = len(cores)
+        stale_since = [None] * n
+        stamps = [None] * n
+        idle = [None] * n
+        port_aware = not self.probe
+        done = [False] * n
+        remaining = n
         while remaining:
             cycle = self.cycle
             if warmup_pending and sum(
@@ -95,9 +113,22 @@ class System:
                     continue
                 since = stale_since[cid]
                 if since is not None:
-                    if not fired:
-                        wake = core.wake_cycle
-                        if wake is None or wake > cycle:
+                    wake = core.wake_cycle
+                    if wake is not None and wake <= cycle:
+                        if fired and core.stuck_at(cycle):
+                            continue
+                    elif not fired:
+                        continue
+                    elif port_aware:
+                        port = core.port
+                        stamp = (port.epoch, port.mshrs.version)
+                        if stamp != stamps[cid]:
+                            stamps[cid] = stamp
+                            idle[cid] = core.idle_charge(cycle)
+                        charge = idle[cid]
+                        if charge is not None:
+                            stale_since[cid] = core.skip_idle(
+                                charge, since, cycle)
                             continue
                     elif core.stuck_at(cycle):
                         # The fired events cannot have unblocked this
@@ -109,10 +140,7 @@ class System:
                 stepped = core.step(cycle)
                 if stepped:
                     progress = True
-                    # Only a core's commit, drain or dispatch feeds the
-                    # watchdog: events alone (a request retrying at the
-                    # directory forever) are a livelock, not progress.
-                    last_progress = cycle
+                    last_progress = cycle   # see the class docstring
                 # step() records finish_cycle exactly when the core first
                 # reports is_done(); checking it avoids a third is_done()
                 # call per step.
@@ -121,6 +149,7 @@ class System:
                     remaining -= 1
                 elif not stepped:
                     stale_since[cid] = cycle
+                    stamps[cid] = None
                     core.wake_cycle = core.next_wake(cycle)
             if not remaining:
                 break
@@ -198,6 +227,7 @@ class System:
                     f"({self.workload}/{self.config.mechanism})")
             stepped = list(done)
             progress = False
+            core_progress = False
             while True:
                 actions = [("event", handle)
                            for handle in self.events.due_entries(self.cycle)]
@@ -235,7 +265,9 @@ class System:
                     core = self.cores[target]
                     stepped[target] = True
                     if core.step(self.cycle):
-                        progress = True
+                        # Only core steps feed the watchdog (see the
+                        # class docstring); events keep the clock going.
+                        progress = core_progress = True
                         stale_at[target] = None
                     else:
                         stale_at[target] = events_fired
@@ -245,17 +277,18 @@ class System:
                 scheduler.after_action(self, action)
             if all(done):
                 break
-            if progress:
+            if core_progress:
                 last_progress = self.cycle
+            if progress:
                 self.cycle += 1
-                continue
-            target_cycle = self._next_interesting_cycle()
-            if target_cycle is None:
-                raise self._deadlock(
-                    "no-progress",
-                    f"no progress possible at cycle {self.cycle} "
-                    f"({self.workload}/{self.config.mechanism})")
-            self.cycle = target_cycle
+            else:
+                target_cycle = self._next_interesting_cycle()
+                if target_cycle is None:
+                    raise self._deadlock(
+                        "no-progress",
+                        f"no progress possible at cycle {self.cycle} "
+                        f"({self.workload}/{self.config.mechanism})")
+                self.cycle = target_cycle
             if self.cycle - last_progress > watchdog:
                 raise self._deadlock(
                     "watchdog",

@@ -11,9 +11,13 @@ relies on this property.
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 
+import pytest
+
 from repro.common.config import scaled_config, table_i
 from repro.sim.system import System
 from repro.workloads import make_parallel_traces, make_trace
+
+from .test_models_registry import BENCH_4_MACRO
 
 
 def _simulate_payload(payload):
@@ -61,6 +65,20 @@ class TestInProcessDeterminism:
         # must not collide with the TUS result.
         base = ("502.gcc5", "baseline", 1, 4_000, 42)
         assert _simulate_payload(SINGLE) != _simulate_payload(base)
+
+
+class TestBench4MacroFingerprints:
+    """The BENCH_4 macro points (``repro.bench.macro``, full sizes),
+    re-simulated: the kernel still produces the results pinned when
+    they were first benchmarked."""
+
+    @pytest.mark.parametrize("name,payload", [
+        ("macro.spec_single", ("502.gcc5", "tus", 1, 20_000, 42)),
+        ("macro.parsec_4core", ("canneal", "tus", 4, 6_000, 42)),
+        ("macro.canneal_16", ("canneal", "tus", 16, 1_500, 42, "scaled")),
+    ])
+    def test_matches_pin(self, name, payload):
+        assert _simulate_payload(payload) == BENCH_4_MACRO[name]
 
 
 class TestCrossProcessDeterminism:

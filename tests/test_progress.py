@@ -112,6 +112,39 @@ class TestWatchdogLivelock:
                 if c["committed"] < c["trace_len"]] == [2]
 
 
+class TestOneWatchdogRule:
+    """Both run loops count only core steps as progress: a blocked core
+    beside an event that fires every cycle trips the watchdog."""
+
+    @staticmethod
+    def _ticking():
+        cfg = dataclasses.replace(check_config(1, "baseline"),
+                                  deadlock_cycles=50)
+        cfg.validate()
+        system = System(cfg, [Trace("w", [store(0x60_0000, 8)])])
+        _strand(system)
+        next_tick = [1]
+
+        def tick():
+            next_tick[0] += 1
+            system.events.schedule(next_tick[0], tick, label="tick")
+
+        system.events.schedule(next_tick[0], tick, label="tick")
+        return system
+
+    @pytest.mark.parametrize("loop", ["run", "run_controlled"])
+    def test_events_every_cycle_trip_the_watchdog(self, loop):
+        system = self._ticking()
+        with pytest.raises(DeadlockError) as excinfo:
+            if loop == "run":
+                system.run()
+            else:
+                system.run_controlled(DefaultScheduler())
+        dump = excinfo.value.dump
+        assert dump.reason == "watchdog"
+        assert dump.cycle <= 60
+
+
 class TestCycleBudgetBranch:
     def test_raises_with_dump(self):
         system = tus_system()
