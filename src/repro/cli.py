@@ -366,46 +366,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.suite is None and args.check is None:
-        # Legacy behaviour: bare `repro bench` lists workload profiles.
-        for name, profile in sorted(all_profiles().items()):
-            bound = "SB-bound" if profile.sb_bound else "        "
-            print(f"{name:22} {profile.suite:9} {bound}  "
-                  f"{profile.description}")
-        return 0
-
-    from .bench import (compare_reports, render_table, run_suite,
-                        write_report)
-    from .bench.registry import DEFAULT_TRIALS, DEFAULT_WARMUP
-    from .bench.suite import load_report
-
-    trials = args.trials if args.trials is not None else DEFAULT_TRIALS
-    report = run_suite(args.suite or "all", quick=args.quick,
-                       warmup=DEFAULT_WARMUP, trials=trials,
-                       progress=lambda b: print(f"running {b.name} ...",
-                                                file=sys.stderr))
-    print(render_table(report))
-    if args.json:
-        write_report(report, args.json)
-        print(f"wrote {args.json}")
-    if args.check is None:
-        return 0
-
-    baseline = load_report(args.check)
-    regressions = compare_reports(report, baseline,
-                                  threshold=args.threshold)
-    if not regressions:
-        print(f"no regression vs {args.check} "
-              f"(threshold {args.threshold:.0%})")
-        return 0
-    print(f"REGRESSION vs {args.check} "
-          f"(threshold {args.threshold:.0%}):", file=sys.stderr)
-    for reg in regressions:
-        print(f"  {reg['name']}: median "
-              f"{reg['baseline_median'] * 1e3:.2f}ms -> "
-              f"{reg['current_median'] * 1e3:.2f}ms "
-              f"({reg['ratio']:.2f}x)", file=sys.stderr)
-    return 1
+    for name, profile in sorted(all_profiles().items()):
+        bound = "SB-bound" if profile.sb_bound else "        "
+        print(f"{name:22} {profile.suite:9} {bound}  "
+              f"{profile.description}")
+    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -762,27 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_machine_args(faults_p)
     faults_p.set_defaults(fn=_cmd_faults)
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="list workload profiles, or run the performance suite")
-    bench_p.add_argument("--suite", default=None,
-                         choices=("micro", "macro", "all"),
-                         help="run this benchmark suite instead of "
-                              "listing workload profiles")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="smaller workloads (CI smoke; timings are "
-                              "not comparable with full runs)")
-    bench_p.add_argument("--trials", type=int, default=None,
-                         help="timed trials per benchmark (default 5)")
-    bench_p.add_argument("--json", default=None, metavar="PATH",
-                         help="write the machine-readable report here")
-    bench_p.add_argument("--check", default=None, metavar="BASELINE",
-                         help="compare against a baseline report "
-                              "(e.g. BENCH_4.json); nonzero exit on "
-                              "regression")
-    bench_p.add_argument("--threshold", type=float, default=0.25,
-                         help="relative median slowdown tolerated by "
-                              "--check (default 0.25)")
+    bench_p = sub.add_parser("bench", help="list workload profiles")
     bench_p.set_defaults(fn=_cmd_bench)
 
     serve_p = sub.add_parser(
@@ -864,11 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "and check")
     chaos_p.set_defaults(fn=_cmd_chaos)
 
+    from .service.jobs import JOB_KINDS
+
     submit_p = sub.add_parser(
         "submit", help="submit one job to a running service")
-    submit_p.add_argument("kind",
-                          choices=("sweep", "check", "faults", "bench",
-                                   "synthetic"))
+    submit_p.add_argument("kind", choices=JOB_KINDS)
     submit_p.add_argument("--url", default="http://127.0.0.1:8080",
                           help="service base URL")
     submit_p.add_argument("--spec", default=None,

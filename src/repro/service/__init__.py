@@ -1,7 +1,7 @@
 """Simulation-as-a-service: job queue, REST API, worker fleet,
 shared artifact store, and Prometheus metrics.
 
-The subsystem turns the one-shot sweep/check/faults/bench CLIs into a
+The subsystem turns the one-shot sweep/check/faults CLIs into a
 long-lived service (ROADMAP item 1): a stdlib HTTP API accepts job
 submissions into a disk-backed priority queue with a bounded backlog,
 a fleet of worker processes drains it through the existing

@@ -2,13 +2,12 @@
 
 The executor is deliberately thin — it maps a validated job spec onto
 the repo's existing entry points (the sweep harness, the model checker
-matrix, the fault campaigns, the bench suite) and returns a JSON-plain
-payload for the artifact store.  It adds no simulation semantics of its
-own: a sweep job runs through the exact
-:func:`~repro.harness.parallel.run_points` deadline/retry/checkpoint
-loop the CLI uses, against the *shared* point cache, so results are
-bit-identical with the one-shot paths and partially-overlapping jobs
-dedup at point granularity.
+matrix, the fault campaigns) and returns a JSON-plain payload for the
+artifact store.  It adds no simulation semantics of its own: a sweep
+job runs through the exact :func:`~repro.harness.parallel.run_points`
+deadline/retry/checkpoint loop the CLI uses, against the *shared*
+point cache, so results are bit-identical with the one-shot paths and
+partially-overlapping jobs dedup at point granularity.
 
 A :class:`~repro.common.errors.DeadlockError` escaping a handler is
 *not* flattened to a string here: the worker catches it and attaches
@@ -24,7 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 from ..common.errors import DeadlockError
-from .jobs import JobRecord
+from .jobs import JOB_KINDS, JobRecord, JobValidationError
 from .store import ArtifactStore
 
 
@@ -131,15 +130,6 @@ def _run_faults(record: JobRecord, store: ArtifactStore,
             "ok": not failed}
 
 
-def _run_bench(record: JobRecord, store: ArtifactStore,
-               scratch: Path) -> Dict[str, Any]:
-    from ..bench import run_suite
-
-    spec = record.spec
-    return run_suite(spec["suite"], quick=spec["quick"],
-                     trials=spec["trials"])
-
-
 def _run_synthetic(record: JobRecord, store: ArtifactStore,
                    scratch: Path) -> Dict[str, Any]:
     """Load-generator placeholder work: bounded, cheap, controllable.
@@ -188,7 +178,6 @@ HANDLERS: Dict[str, Callable[[JobRecord, ArtifactStore, Path],
     "sweep": _run_sweep,
     "check": _run_check,
     "faults": _run_faults,
-    "bench": _run_bench,
     "synthetic": _run_synthetic,
 }
 
@@ -201,14 +190,17 @@ def execute_job(record: JobRecord, store: ArtifactStore,
 
     ``handlers`` overrides the kind dispatch table (tests inject
     failing handlers); exceptions propagate to the worker, which owns
-    retry/fail bookkeeping.
+    retry/fail bookkeeping.  A kind with no handler (a record persisted
+    by a version that knew more kinds) raises
+    :class:`~repro.service.jobs.JobValidationError`, which the worker
+    fails at once: a retry can only raise it again.
     """
     table = handlers if handlers is not None else HANDLERS
-    try:
-        handler = table[record.kind]
-    except KeyError:
-        raise RuntimeError(f"no handler for job kind {record.kind!r}") \
-            from None
+    handler = table.get(record.kind)
+    if handler is None:
+        raise JobValidationError(
+            f"no handler for job kind {record.kind!r}; known: "
+            f"{', '.join(JOB_KINDS)}")
     started = time.time()
     payload = handler(record, store, Path(scratch))
     return {"kind": record.kind, "spec": record.spec,

@@ -1,11 +1,11 @@
 """Job model for the simulation service: specs, records, content ids.
 
 A *job* is one unit of service work — a figure sweep, a model-check
-matrix cell, a fault campaign, a bench-suite run, or a synthetic
-load-generator placeholder.  Submissions are validated against a
-per-kind schema (stdlib-only, hand-rolled: required fields, types,
-choices, bounds) and *normalised* — every optional field is filled with
-its default — before anything else looks at them.
+matrix cell, a fault campaign, or a synthetic load-generator
+placeholder.  Submissions are validated against a per-kind schema
+(stdlib-only, hand-rolled: required fields, types, choices, bounds)
+and *normalised* — every optional field is filled with its default —
+before anything else looks at them.
 
 Normalisation is what makes dedup work: the job id is the SHA-256 of
 the canonical JSON of ``(kind, normalised spec)``, so two clients
@@ -36,7 +36,7 @@ from ..durability.records import (quarantine_count, read_or_quarantine,
                                   sweep_tmp, write_record)
 
 #: Everything the service knows how to execute, in doc order.
-JOB_KINDS = ("sweep", "check", "faults", "bench", "synthetic")
+JOB_KINDS = ("sweep", "check", "faults", "synthetic")
 
 #: Job states.  ``queued`` and ``running`` are *active*; the other two
 #: are terminal.  There is no ``shed`` state: a shed submission is
@@ -132,12 +132,6 @@ def _schemas() -> Dict[str, Dict[str, Field]]:
             "workers": Field((int,), 1, minimum=1, maximum=64),
             "model": Field((str,), "tso", choices=models),
             **_machine_fields(),
-        },
-        "bench": {
-            "suite": Field((str,), "micro",
-                           choices=("micro", "macro", "all")),
-            "quick": Field((bool,), True),
-            "trials": Field((int,), 3, minimum=1, maximum=100),
         },
         "synthetic": {
             "duration_ms": Field((int,), 10, minimum=0, maximum=600_000),

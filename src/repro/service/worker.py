@@ -16,11 +16,13 @@ Each worker is an OS process whose loop is *claim -> execute -> ack*:
 
 Failure bookkeeping: a job that raises is retried up to its record's
 ``max_attempts`` (the entry goes back to pending); a
-:class:`~repro.common.errors.DeadlockError` or
-:class:`~repro.common.errors.ModelError` is terminal immediately —
-both are deterministic, so a retry can only reproduce them — and a
-deadlock's structured :class:`~repro.sim.progress.ProgressDump` rides
-on the job record for the status API to serve.
+:class:`~repro.common.errors.DeadlockError`,
+:class:`~repro.common.errors.ModelError` or
+:class:`~repro.service.jobs.JobValidationError` (a kind with no
+handler) is terminal immediately — all are deterministic, so a retry
+can only reproduce them — and a deadlock's structured
+:class:`~repro.sim.progress.ProgressDump` rides on the job record for
+the status API to serve.
 
 Shutdown is graceful: SIGTERM/SIGINT asks the loop to stop after the
 current job, and a SIGTERM that lands *inside* ``run_points`` surfaces
@@ -42,7 +44,8 @@ from typing import Callable, Dict, List, Optional
 from ..common.errors import DeadlockError, ModelError
 from ..harness.parallel import SweepInterrupted
 from .executor import execute_job
-from .jobs import JobRecord, JobStore, read_json, write_json_atomic
+from .jobs import (JobRecord, JobStore, JobValidationError, read_json,
+                   write_json_atomic)
 from .queue import DiskQueue, Entry
 from .store import ArtifactStore
 
@@ -174,8 +177,9 @@ class Worker:
             self._finish(record, entry, "failed", {
                 "type": "DeadlockError", "message": str(exc),
                 "progress_dump": dump})
-        except ModelError as exc:
-            # Deterministic model bug: retrying can never succeed.
+        except (ModelError, JobValidationError) as exc:
+            # Deterministic model bug or unknown job kind: retrying can
+            # never succeed.
             self._finish(record, entry, "failed", {
                 "type": type(exc).__name__, "message": str(exc)})
         except Exception as exc:  # noqa: BLE001 - per-job bookkeeping

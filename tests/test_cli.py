@@ -1,7 +1,6 @@
 """The command-line interface."""
 
 import dataclasses
-import json
 
 import pytest
 
@@ -23,6 +22,15 @@ class TestParser:
     def test_mechanism_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--mechanism", "magic"])
+
+    def test_submit_kinds_are_the_service_job_kinds(self, capsys):
+        from repro.service.jobs import JOB_KINDS
+        for kind in JOB_KINDS:
+            assert build_parser().parse_args(["submit", kind]).kind == kind
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["submit", "bench"])
+        assert err.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -145,75 +153,3 @@ class TestModelCommands:
                      "--workers", "1"]) == 0
         out = capsys.readouterr().out
         assert "tso" not in out and "relaxed" not in out
-
-
-class TestBenchSuite:
-    """`repro bench --suite` runs the performance suite; `--check`
-    compares against a committed baseline report."""
-
-    @pytest.fixture(scope="class")
-    def report_path(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("bench") / "report.json"
-        assert main(["bench", "--suite", "micro", "--quick",
-                     "--trials", "2", "--json", str(path)]) == 0
-        return path
-
-    def test_micro_quick_smoke(self, report_path, capsys):
-        assert report_path.exists()
-
-    def test_report_schema(self, report_path):
-        report = json.loads(report_path.read_text())
-        assert report["version"] == 1
-        for key in ("python", "platform", "machine", "commit"):
-            assert key in report["environment"]
-        assert report["protocol"] == {"warmup": 1, "trials": 2,
-                                      "quick": True}
-        names = [b["name"] for b in report["benchmarks"]]
-        assert names == ["micro.event_queue", "micro.cache_lookup",
-                         "micro.sb_drain", "micro.addr_helpers"]
-        for bench in report["benchmarks"]:
-            assert bench["suite"] == "micro"
-            assert len(bench["samples"]) == bench["trials"] == 2
-            assert 0 < bench["min"] <= bench["median"]
-            assert bench["mad"] >= 0
-            assert bench["meta"]
-
-    def test_check_passes_against_self(self, report_path, capsys):
-        # A huge threshold keeps this robust on loaded test hosts: the
-        # assertion is about the pass path, not about host quietness.
-        assert main(["bench", "--suite", "micro", "--quick",
-                     "--trials", "2", "--check", str(report_path),
-                     "--threshold", "50"]) == 0
-        assert "no regression" in capsys.readouterr().out
-
-    def test_check_fails_on_regression(self, report_path, tmp_path,
-                                       capsys):
-        # A baseline claiming everything used to be 1000x faster must
-        # trip the threshold and exit nonzero.
-        report = json.loads(report_path.read_text())
-        for bench in report["benchmarks"]:
-            bench["median"] /= 1000.0
-        fast = tmp_path / "impossible.json"
-        fast.write_text(json.dumps(report))
-        assert main(["bench", "--suite", "micro", "--quick",
-                     "--trials", "2", "--check", str(fast)]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_committed_baseline_is_current(self):
-        # BENCH_4.json at the repo root must describe today's suite:
-        # full (non-quick) runs of registered benchmarks.  The check is
-        # additive — every committed entry must still be registered, but
-        # a brand-new bench point may land a PR ahead of the next full
-        # baseline refresh — except for the fingerprinted macro points,
-        # which gate simulator-semantics drift and must always be there.
-        from pathlib import Path
-
-        from repro.bench import all_benchmarks
-        committed = Path(__file__).parent.parent / "BENCH_4.json"
-        report = json.loads(committed.read_text())
-        assert report["version"] == 1
-        assert report["protocol"]["quick"] is False
-        names = {b["name"] for b in report["benchmarks"]}
-        assert names <= {b.name for b in all_benchmarks("all")}
-        assert {"macro.spec_single", "macro.parsec_4core",
-                "macro.canneal_16"} <= names

@@ -14,10 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.common.config import scaled_config, table_i
+from repro.modelcheck import explore
 from repro.sim.system import System
 from repro.workloads import make_parallel_traces, make_trace
 
-from .test_models_registry import BENCH_4_MACRO
+from .test_models_registry import BENCH_4_MACRO, BENCH_4_MODELCHECK_SLICE
 
 
 def _simulate_payload(payload):
@@ -68,9 +69,9 @@ class TestInProcessDeterminism:
 
 
 class TestBench4MacroFingerprints:
-    """The BENCH_4 macro points (``repro.bench.macro``, full sizes),
-    re-simulated: the kernel still produces the results pinned when
-    they were first benchmarked."""
+    """The BENCH_4 macro points (full sizes), re-simulated: the kernel
+    still produces the results pinned when they were first
+    benchmarked."""
 
     @pytest.mark.parametrize("name,payload", [
         ("macro.spec_single", ("502.gcc5", "tus", 1, 20_000, 42)),
@@ -79,6 +80,16 @@ class TestBench4MacroFingerprints:
     ])
     def test_matches_pin(self, name, payload):
         assert _simulate_payload(payload) == BENCH_4_MACRO[name]
+
+    def test_modelcheck_slice_matches_pin(self):
+        # macro.modelcheck_slice: the controlled scheduler and state
+        # hashing still explore the state space counted at BENCH_4.
+        report = explore("overlap", "tus", cores=2, lines=2,
+                         max_states=200)
+        assert {"unique_states": report.unique_states,
+                "terminal_states": report.terminal_states,
+                "executions": report.executions} \
+            == BENCH_4_MODELCHECK_SLICE
 
 
 class TestCrossProcessDeterminism:

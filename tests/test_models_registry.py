@@ -69,6 +69,11 @@ BENCH_4_MACRO = {
         "efe3c605e5d662021df835a566af7fc12e80c81883dfec8d2282a74e7ad5d570",
 }
 
+#: The committed counts of BENCH_4.json's model-checker slice
+#: (``explore("overlap", "tus", cores=2, lines=2, max_states=200)``).
+BENCH_4_MODELCHECK_SLICE = {"unique_states": 144, "terminal_states": 0,
+                            "executions": 200}
+
 
 def fingerprint(outcomes):
     return hashlib.sha256(repr(sorted(outcomes)).encode()).hexdigest()
@@ -156,14 +161,23 @@ class TestTSOGoldenSet:
 
 
 class TestBench4Fingerprints:
-    def test_macro_fingerprints_untouched(self):
+    @pytest.fixture(scope="class")
+    def committed(self):
         path = Path(__file__).resolve().parent.parent / "BENCH_4.json"
         data = json.loads(path.read_text())
-        found = {b["name"]: b["meta"]["fingerprint"]
-                 for b in data["benchmarks"]
-                 if "fingerprint" in (b.get("meta") or {})}
+        return {b["name"]: b.get("meta") or {} for b in data["benchmarks"]}
+
+    def test_macro_points_present(self, committed):
+        assert set(BENCH_4_MACRO) <= set(committed)
+
+    def test_macro_fingerprints_untouched(self, committed):
         for name, digest in BENCH_4_MACRO.items():
-            assert found.get(name) == digest
+            assert committed[name].get("fingerprint") == digest
+
+    def test_modelcheck_slice_counts_untouched(self, committed):
+        meta = committed["macro.modelcheck_slice"]
+        for key, count in BENCH_4_MODELCHECK_SLICE.items():
+            assert meta[key] == count
 
 
 class TestCorpus:

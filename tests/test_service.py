@@ -27,7 +27,7 @@ from repro.service import (ArtifactStore, DiskQueue, JobValidationError,
                            QueueFull, Service, ServiceConfig, job_id,
                            parse_prometheus_text, validate_spec)
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.jobs import JobStore, submit_record
+from repro.service.jobs import JobRecord, JobStore, submit_record
 from repro.service.metrics import Counter, render_histogram
 from repro.service.worker import Worker, service_paths
 
@@ -259,6 +259,30 @@ class TestWorkerInline:
         finally:
             service.stop(timeout=2.0)
 
+    def test_unknown_kind_fails_once_without_retry(self, tmp_path):
+        # A record whose kind this version has no handler for (e.g. a
+        # "bench" job persisted before that kind was removed) is
+        # deterministic: it fails on its first attempt, not after the
+        # retry budget.
+        service = make_service(tmp_path, max_attempts=3)
+        try:
+            record = JobRecord(id="b" * 16, kind="bench",
+                               spec={"suite": "micro"},
+                               max_attempts=3)
+            service.jobs.save(record)
+            service.queue.submit(record.id)
+            inline_worker(service).run(max_jobs=1)
+            done = service.job(record.id)
+            assert done.status == "failed"
+            assert done.attempts == 1
+            assert done.error["type"] == "JobValidationError"
+            assert "'bench'" in done.error["message"]
+            assert "sweep, check, faults, synthetic" \
+                in done.error["message"]
+            assert service.queue.depth() == 0
+        finally:
+            service.stop(timeout=2.0)
+
     def test_existing_artifact_completes_without_executing(self, tmp_path):
         # A prior attempt stored the artifact but died before its ack:
         # the next claimer completes the job without executing.
@@ -356,6 +380,9 @@ class TestServiceHTTP:
             status, body = client.submit("synthetic", {"duration_ms": -1})
             assert status == 400
             assert "duration_ms" in body["error"]
+            status, body = client.submit("bench", {})
+            assert status == 400
+            assert "unknown job kind 'bench'" in body["error"]
             with pytest.raises(ServiceClientError) as err:
                 client.job("feedfacefeedface")
             assert err.value.status == 404
