@@ -116,6 +116,9 @@ class MemorySystem:
                          channels=config.dram_channels,
                          stats=self.stats.child("dram"))
         self.topology = Topology(config)
+        #: One bit per core whose port changed (:meth:`CorePort.touch`)
+        #: since the run loop last looked at the core.
+        self.touched = 0
         self.ports = [CorePort(self, cid) for cid in range(config.num_cores)]
         #: Transactions between start and data supply, oldest first.  The
         #: model checker reads this to build the delay wait-for graph.
@@ -382,7 +385,8 @@ class CorePort:
         self.stats = stats
         self.l1d = CacheArray(cfg.l1d, stats=stats.child("l1d"))
         self.l2 = CacheArray(cfg.l2, stats=stats.child("l2"))
-        self.mshrs = MSHRFile(cfg.l1d.mshrs, stats=stats.child("mshr"))
+        self.mshrs = MSHRFile(cfg.l1d.mshrs, stats=stats.child("mshr"),
+                              on_change=self.touch)
         self.prefetcher = (StreamPrefetcher(cfg.stream_prefetch_degree,
                                             stats=stats.child("prefetcher"))
                            if cfg.stream_prefetch else None)
@@ -418,10 +422,18 @@ class CorePort:
         self._pending_reads = 0
         #: Parked-write lines a fill has reached (see _live_lines).
         self._filled_parked: set = set()
-        #: Bumped by every fill and snoop: the only events that change
-        #: this hierarchy's cache state, and so write permissions.
+        #: Bumped by every fill, snoop and MSHR allocation or retirement
+        #: (:meth:`touch`): the only changes to this hierarchy that can
+        #: change what its core's next step does.
         self.epoch = 0
+        self._bit = 1 << core_id
         self.probe = NULL_PROBE
+
+    def touch(self) -> None:
+        """Record a change to this hierarchy: bump :attr:`epoch` and set
+        the core's bit in :attr:`MemorySystem.touched`."""
+        self.epoch += 1
+        self.system.touched |= self._bit
 
     # -- queries ----------------------------------------------------------
     def line(self, addr: int) -> Optional[CacheLine]:
@@ -700,7 +712,7 @@ class CorePort:
               _unused: Optional[Callable[[int], None]]) -> None:
         """A fill (data and/or permission) arrives at this private
         hierarchy; install in L2 and L1D and wake the MSHR waiters."""
-        self.epoch += 1
+        self.touch()
         self._install_l2(addr, state, cycle)
         line = self.l1d.probe(addr)
         if line is not None:
@@ -801,7 +813,7 @@ class CorePort:
     # -- snoops ---------------------------------------------------------------
     def _snoop(self, addr: int, kind: SnoopKind, requester: int,
                cycle: int) -> SnoopReply:
-        self.epoch += 1
+        self.touch()
         line = self.l1d.probe(addr)
         if line is not None and line.not_visible:
             if self.snoop_hook is None:

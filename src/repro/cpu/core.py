@@ -196,19 +196,20 @@ class Core:
                 return None         # dispatch can insert
         return self.mechanism.drain_charge()
 
-    def skip_idle(self, charge, since: int, cycle: int) -> int:
-        """Account the skipped no-op step at ``cycle`` of a core stale
-        since ``since``, given its :meth:`idle_charge`; returns the
-        cycle the core is stale since from now on.  A DEFER skip leaves
-        the stall cycles to accrue; any other charges what the step
-        would have: the stall cycles up to ``cycle`` and the drain's
-        counts."""
+    def settle_skips(self, charge, skips: int, since: int,
+                     last: int) -> int:
+        """Account ``skips`` skipped no-op steps of a core stale since
+        ``since``, the last of them at cycle ``last``, all with the same
+        :meth:`idle_charge`; returns the cycle the core is stale since
+        from now on.  DEFER skips leave the stall cycles to accrue; any
+        other charge is what the steps would have counted: the stall
+        cycles up to ``last`` and ``skips`` times the drain's counts."""
         if charge is DEFER:
             return since
-        self.stalls.charge(self.last_stall, cycle - since, cycle)
+        self.stalls.charge(self.last_stall, last - since, last)
         for counter, delta in charge:
-            counter.value += delta
-        return cycle
+            counter.value += delta * skips
+        return last
 
     def next_wake(self, cycle: int) -> Optional[int]:
         """Earliest future cycle at which this core can make progress on

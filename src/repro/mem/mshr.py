@@ -18,6 +18,10 @@ from ..faults.plan import NULL_FAULTS
 from ..observe.bus import NULL_PROBE
 
 
+def _unwatched() -> None:
+    """The change callback of an MSHR file nobody watches."""
+
+
 class MSHREntry:
     """One in-flight miss."""
 
@@ -43,7 +47,8 @@ class MSHRFile:
     """
 
     def __init__(self, capacity: int, stats: Optional[StatGroup] = None,
-                 demand_reserve: int = 8) -> None:
+                 demand_reserve: int = 8,
+                 on_change: Callable[[], None] = _unwatched) -> None:
         if capacity < 1:
             raise ValueError("MSHR file needs at least one entry")
         self.capacity = capacity
@@ -62,6 +67,9 @@ class MSHRFile:
         #: Bumped whenever an entry is allocated or retired, so callers
         #: can tell that no allocation outcome can have changed.
         self.version = 0
+        #: Called on every such change too (the owning port's
+        #: :meth:`~repro.coherence.memsys.CorePort.touch`).
+        self._on_change = on_change
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -108,6 +116,7 @@ class MSHRFile:
         entry = MSHREntry(addr, is_write, cycle)
         self._entries[addr] = entry
         self.version += 1
+        self._on_change()
         self._allocs.inc()
         if self.probe:
             self.probe.emit(cycle, "mshr:alloc", line=addr, write=is_write,
@@ -160,6 +169,7 @@ class MSHRFile:
         if entry is None:
             return []
         self.version += 1
+        self._on_change()
         self._latency.sample(cycle - entry.issued_cycle)
         if self.probe:
             self.probe.emit(cycle, "mshr:complete", line=addr,

@@ -11,14 +11,15 @@ affordable to simulate in pure Python.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from heapq import heappop, heappush
+from typing import List, Optional, Tuple
 
 from ..common.config import SystemConfig
 from ..common.errors import ConfigError, DeadlockError
 from ..common.events import EventQueue
 from ..common.stats import StatGroup
 from ..coherence.memsys import MemorySystem
-from ..cpu.core import Core
+from ..cpu.core import DEFER, Core
 from ..cpu.trace import Trace
 from ..mechanisms.registry import make_mechanism
 from ..observe.bus import NULL_PROBE
@@ -28,6 +29,26 @@ from .results import CoreResult, SimResult
 
 class System:
     """A complete simulated machine executing one trace per core.
+
+    :meth:`run` visits only the cores an event cycle can have changed.
+    A core whose step made no progress is *stale*: its state is frozen
+    until its own wake cycle arrives or its own port changes, because
+    other cores and the memory system reach it only through fills,
+    snoops and MSHR changes, and each of those marks it touched
+    (:meth:`~repro.coherence.memsys.CorePort.touch`).  So a cycle visits,
+    in core-id order, the cores that are not stale, the stale cores
+    whose wake cycle has arrived, and, on a cycle where events fired,
+    the stale cores that are newly stale or touched (including touches
+    by an earlier core's step that cycle).  A visited stale core's next
+    step is judged by ``Core.idle_charge``: a provable no-op is skipped,
+    and while that judgement is a charge, every event cycle that passes
+    the core by is one more skip, which ``Core.settle_skips`` accounts
+    in bulk at the core's next visit, before the warm-up reset, before
+    a :class:`DeadlockError` and at the end of the run.  With a probe
+    attached, every stale core is visited on every event cycle and
+    stepped unless ``Core.stuck_at`` holds, so the probe sees each step.
+    :meth:`run_controlled` keeps its own rule: any event re-enables
+    every stale core, because that rule feeds ``sched_position``.
 
     Both run loops raise :class:`DeadlockError` ("watchdog") once
     ``config.deadlock_cycles`` cycles pass without progress, and only a
@@ -73,92 +94,116 @@ class System:
         watchdog = self.config.deadlock_cycles
         last_progress = 0
         warmup_pending = warmup_committed > 0
+        check_warmup = warmup_pending
         cores = self.cores
         events = self.events
+        memsys = self.memsys
         run_until = events.run_until
         event_cycles = events._cycles
-        # Per-core skip state.  A core whose step made no progress is
-        # stale: its state is frozen until its own wake cycle arrives or
-        # its own port changes.  Other cores and the memory system reach
-        # a core only through events that fill or snoop its caches or
-        # change its MSHRs, and those bump its port stamp
-        # (``CorePort.epoch``, ``MSHRFile.version``).  So a stale core
-        # is not stepped on a cycle without events, and on an event
-        # cycle its next step's outcome (``Core.idle_charge``) is
-        # computed once per stamp and reused: a provable no-op is
-        # skipped, its stall cycles and drain counts charged as the step
-        # would have (``Core.skip_idle``).  With a probe attached every
-        # event re-steps each stale core unless ``Core.stuck_at`` holds,
-        # so the probe sees every step.
+        # Event-driven core visits (see the class docstring).  Core sets
+        # are bit masks over core ids: ``live`` (not done), ``stale``,
+        # ``due`` (stale, wake cycle arrived) and the memory system's
+        # ``touched``; ``wakes`` is a heap of stale cores' wake cycles.
+        # ``since[cid]`` is the cycle a stale core's stall cycles are
+        # charged up to, ``charges[cid]`` its last ``idle_charge`` while
+        # that is a charge (else None), and ``base[cid]`` how many event
+        # cycles had been counted (``skips``, the last one
+        # ``last_skip``) when it was last accounted.
         n = len(cores)
-        stale_since = [None] * n
-        stamps = [None] * n
-        idle = [None] * n
+        since = [0] * n
+        charges = [None] * n
+        base = [0] * n
+        wakes: List[Tuple[int, int]] = []
+        live = (1 << n) - 1
+        stale = due = 0
+        skips = last_skip = 0
         port_aware = not self.probe
-        done = [False] * n
-        remaining = n
-        while remaining:
+        while live:
             cycle = self.cycle
-            if warmup_pending and sum(
-                    c._committed for c in cores) >= warmup_committed:
-                warmup_pending = False
-                self._begin_measurement()
+            if check_warmup:
+                # Only a commit can reach the threshold, and a commit is
+                # a step's progress.
+                check_warmup = False
+                if sum(c._committed for c in cores) >= warmup_committed:
+                    warmup_pending = False
+                    _settle(cores, stale, charges, base, since, skips,
+                            last_skip)
+                    self._begin_measurement()
             if max_cycles is not None and cycle >= max_cycles:
                 break
             fired = run_until(cycle) if (
                 event_cycles and event_cycles[0] <= cycle) else 0
             progress = fired > 0
-            for cid, core in enumerate(cores):
-                if done[cid]:
-                    continue
-                since = stale_since[cid]
-                if since is not None:
-                    wake = core.wake_cycle
-                    if wake is not None and wake <= cycle:
+            while wakes and wakes[0][0] <= cycle:
+                wake, cid = heappop(wakes)
+                if stale >> cid & 1 and cores[cid].wake_cycle == wake:
+                    due |= 1 << cid
+            visit = live & ~stale | due
+            if fired:
+                visit |= stale & (memsys.touched if port_aware else -1)
+            while visit:
+                low = visit & -visit
+                visit ^= low
+                cid = low.bit_length() - 1
+                core = cores[cid]
+                if stale & low:
+                    charge = charges[cid]
+                    if charge is not None and skips > base[cid]:
+                        since[cid] = core.settle_skips(
+                            charge, skips - base[cid], since[cid], last_skip)
+                    if due & low:
+                        charges[cid] = None
                         if fired and core.stuck_at(cycle):
                             continue
-                    elif not fired:
-                        continue
-                    elif port_aware:
-                        port = core.port
-                        stamp = (port.epoch, port.mshrs.version)
-                        if stamp != stamps[cid]:
-                            stamps[cid] = stamp
-                            idle[cid] = core.idle_charge(cycle)
-                        charge = idle[cid]
+                    else:
+                        memsys.touched &= ~low
+                        if port_aware:
+                            charge = core.idle_charge(cycle)
+                        else:
+                            charge = DEFER if core.stuck_at(cycle) else None
                         if charge is not None:
-                            stale_since[cid] = core.skip_idle(
-                                charge, since, cycle)
+                            since[cid] = core.settle_skips(
+                                charge, 1, since[cid], cycle)
+                            charges[cid] = None if charge is DEFER else charge
+                            base[cid] = skips + 1
                             continue
-                    elif core.stuck_at(cycle):
-                        # The fired events cannot have unblocked this
-                        # core; keep it stale (its skipped cycles keep
-                        # accruing to the same stall reason).
-                        continue
-                    core.charge_skipped(cycle - since - 1, cycle)
-                    stale_since[cid] = None
+                    core.charge_skipped(cycle - since[cid] - 1, cycle)
+                    stale ^= low
+                    due &= ~low
                 stepped = core.step(cycle)
                 if stepped:
                     progress = True
                     last_progress = cycle   # see the class docstring
+                    check_warmup = warmup_pending
                 # step() records finish_cycle exactly when the core first
                 # reports is_done(); checking it avoids a third is_done()
                 # call per step.
                 if core.finish_cycle is not None and core.is_done():
-                    done[cid] = True
-                    remaining -= 1
+                    live ^= low
                 elif not stepped:
-                    stale_since[cid] = cycle
-                    stamps[cid] = None
-                    core.wake_cycle = core.next_wake(cycle)
-            if not remaining:
+                    stale |= low
+                    since[cid] = cycle
+                    charges[cid] = None
+                    # Evaluated at the next event cycle, like a touch.
+                    memsys.touched |= low
+                    wake = core.next_wake(cycle)
+                    core.wake_cycle = wake
+                    if wake is not None:
+                        heappush(wakes, (wake, cid))
+                if fired and port_aware:
+                    # A step can touch the ports of cores after it.
+                    visit |= memsys.touched & stale & -(low << 1)
+            if fired:
+                skips += 1
+                last_skip = cycle
+            if not live:
                 break
             if progress:
                 target = cycle + 1
             else:
-                # Fast-forward.  Every non-done core is stale here (a
-                # step that made progress would have set ``progress``),
-                # and no event has fired since each went stale, so the
+                # Fast-forward.  Every live core is stale here (a step
+                # that made progress would have set ``progress``), and
+                # no event has fired since each went stale, so the
                 # cached ``wake_cycle`` values are exact — no need to
                 # recompute next_wake per core as
                 # _next_interesting_cycle() does.
@@ -166,29 +211,32 @@ class System:
                 next_event = events.next_cycle()
                 if next_event is not None:
                     target = next_event if next_event > cycle else cycle + 1
-                for cid, core in enumerate(cores):
-                    if done[cid]:
-                        continue
-                    wake = core.wake_cycle
-                    if wake is not None:
+                while wakes:
+                    wake, cid = wakes[0]
+                    if stale >> cid & 1 and cores[cid].wake_cycle == wake:
                         cand = wake if wake > cycle else cycle + 1
                         if target is None or cand < target:
                             target = cand
+                        break
+                    heappop(wakes)      # a core no longer stale on it
                 if target is None:
+                    _settle(cores, stale, charges, base, since, skips,
+                            last_skip)
                     raise self._deadlock(
                         "no-progress",
                         f"no progress possible at cycle {cycle} "
                         f"({self.workload}/{self.config.mechanism})")
             self.cycle = target
             if target - last_progress > watchdog:
+                _settle(cores, stale, charges, base, since, skips, last_skip)
                 raise self._deadlock(
                     "watchdog",
                     f"watchdog: {watchdog} cycles without progress "
                     f"({self.workload}/{self.config.mechanism})")
-        for cid, core in enumerate(self.cores):
-            if stale_since[cid] is not None and not done[cid]:
-                core.charge_skipped(self.cycle - stale_since[cid] - 1,
-                                    self.cycle)
+        _settle(cores, stale, charges, base, since, skips, last_skip)
+        for cid, core in enumerate(cores):
+            if stale >> cid & 1:
+                core.charge_skipped(self.cycle - since[cid] - 1, self.cycle)
         return self._result()
 
     def run_controlled(self, scheduler, max_cycles: int = 100_000
@@ -334,6 +382,19 @@ class System:
         return SimResult(self.workload, self.config.mechanism,
                          self.config.core.sb_entries, self.cycle - start,
                          cores, self.stats.flatten())
+
+
+def _settle(cores: List[Core], stale: int, charges: list, base: list,
+            since: list, skips: int, last_skip: int) -> None:
+    """Settle every stale core's implicit skips: each event cycle up to
+    ``last_skip`` (the ``skips``-th) that passed the core by while its
+    ``charges`` entry held a charge."""
+    for cid, core in enumerate(cores):
+        charge = charges[cid]
+        if stale >> cid & 1 and charge is not None and skips > base[cid]:
+            since[cid] = core.settle_skips(charge, skips - base[cid],
+                                           since[cid], last_skip)
+            base[cid] = skips
 
 
 def run_single(config: SystemConfig, trace: Trace,

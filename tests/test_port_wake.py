@@ -1,16 +1,20 @@
-"""The run loop's port-aware staleness skip is complete and exact.
+"""The run loop's event-driven staleness skip is complete and exact.
 
-``System.run`` skips a stale core on an event cycle while its port stamp
-holds and ``Core.idle_charge`` proves the step a no-op, charging what
-the step would have charged.  The shadow run below replaces every such
-skip (``Core.skip_idle``) with the real step and checks, at each one,
-that the step made no progress, changed no core, mechanism or port
-state, and bumped exactly the predicted counters.  It then restores
-the skip's own accounting, so the shadow run must end with the normal
-run's result, byte for byte.  This covers every mechanism, the Table I
-machine and a 4-entry-MSHR one (where nearly every store parks), fault
-injection off and ``medium``, 1 and 16 cores, and a warm-up reset in
-the middle of the run or none.
+``System.run`` visits a stale core only on an event cycle that touched
+its port (``MemorySystem.touched``) or once its wake cycle arrives.
+While ``Core.idle_charge`` proves the core's step a no-op, every event
+cycle that passes it by is a skip, and ``Core.settle_skips`` charges a
+run of them at once, as the steps would have.  The shadow run below
+marks every stale core touched on every event cycle, so each skip is
+settled alone at its own cycle, and replaces every settle with the real
+step: it checks that the step made no progress, changed no core,
+mechanism or port state, and bumped exactly the predicted counters.
+It then restores the settle's own accounting, so the shadow run must
+end with the normal run's result, byte for byte.  A second run checks
+that every port change reaches the mask.  Both cover every mechanism,
+the Table I machine and a 4-entry-MSHR one (where nearly every store
+parks), fault injection off and ``medium``, 1 and 16 cores, and a
+warm-up reset in the middle of the run or none.
 """
 
 import dataclasses
@@ -18,10 +22,12 @@ from collections import Counter as Tally
 
 import pytest
 
+from repro.coherence.msgs import SnoopKind
 from repro.common.config import MECHANISMS, table_i
 from repro.cpu.core import DEFER, Core
 from repro.cpu.stall import StallReason
 from repro.faults import FaultInjector, FaultPlan, INTENSITIES
+from repro.mem.cacheline import State
 from repro.sim.system import System
 from repro.workloads import make_parallel_traces, make_trace
 
@@ -81,13 +87,32 @@ def snapshot(core):
             len(port._pending), dict(port._pending_writes))
 
 
-def shadow_skip(skips):
-    """A ``Core.skip_idle`` that steps the core for real and checks the
-    step against the skip, then leaves the accounting as the skip
-    would have."""
+def touch_all(system):
+    """Make the run loop treat every stale core's port as touched on
+    every event cycle, so it re-evaluates each one there instead of
+    letting skips pile up: every settle then covers one skip, at the
+    current cycle."""
+    events, memsys = system.events, system.memsys
+    everyone = (1 << len(system.cores)) - 1
+    real_run_until = events.run_until
+
+    def run_until(cycle):
+        fired = real_run_until(cycle)
+        if fired:
+            memsys.touched = everyone
+        return fired
+    events.run_until = run_until
+
+
+def shadow_settle(skips, systems):
+    """A ``Core.settle_skips`` for a :func:`touch_all` run that steps
+    the core for real and checks the step against the skip, then leaves
+    the accounting as the settle would have."""
     stats_of = {}
 
-    def skip_idle(core, charge, since, cycle):
+    def settle_skips(core, charge, count, since, cycle):
+        assert (count, cycle) == (1, systems[-1].cycle), (core.core_id,
+                                                          count, cycle)
         if core not in stats_of:
             stats_of[core] = (leaves(core.stats), leaves(core.port.stats))
         core_stats, port_stats = stats_of[core]
@@ -118,15 +143,17 @@ def shadow_skip(skips):
             return since
         core.charge_skipped(cycle - since - 1, cycle)
         return cycle
-    return skip_idle
+    return settle_skips
 
 
-def simulate(mechanism, machine_name, faults, cores, warmup):
+def simulate(mechanism, machine_name, faults, cores, warmup, prepare=None):
     system = System(machine(machine_name, mechanism, cores),
                     traces(cores), workload="shadow")
     if faults:
         FaultInjector(system,
                       FaultPlan(FAULT_SEED, INTENSITIES["medium"])).attach()
+    if prepare is not None:
+        prepare(system)
     total = sum(len(core.trace.uops) for core in system.cores)
     return system.run(warmup_committed=total * 3 // 10 if warmup else 0)
 
@@ -144,9 +171,15 @@ CASES = [(mechanism, machine_name, faults, cores, warmup)
 def test_shadow_steps_match_the_skips(monkeypatch, mechanism, machine_name,
                                       faults, cores, warmup):
     normal = simulate(mechanism, machine_name, faults, cores, warmup)
-    skips = Tally()
-    monkeypatch.setattr(Core, "skip_idle", shadow_skip(skips))
-    shadow = simulate(mechanism, machine_name, faults, cores, warmup)
+    skips, systems = Tally(), []
+
+    def prepare(system):
+        systems.append(system)
+        touch_all(system)
+
+    monkeypatch.setattr(Core, "settle_skips", shadow_settle(skips, systems))
+    shadow = simulate(mechanism, machine_name, faults, cores, warmup,
+                      prepare)
     assert shadow.canonical_json() == normal.canonical_json()
     if cores > 1:
         assert skips["defer"] > 0
@@ -156,23 +189,112 @@ def test_shadow_steps_match_the_skips(monkeypatch, mechanism, machine_name,
             assert skips["charge"] > 0
 
 
+@pytest.mark.parametrize("mechanism,machine_name,faults,cores,warmup",
+                         CASES)
+def test_every_port_change_marks_its_core(monkeypatch, mechanism,
+                                          machine_name, faults, cores,
+                                          warmup):
+    """The run loop visits a stale core only when its bit in
+    ``MemorySystem.touched`` is set, so a port change that misses the
+    mask would freeze the core.  After every event cycle and every core
+    step, each live stale core whose port stamp moved since the loop
+    last evaluated it (or that was never evaluated since it went stale)
+    must have its bit set."""
+    state = {}
+    changed = Tally()
+
+    def check():
+        system = state["system"]
+        touched = system.memsys.touched
+        for cid, stamp in state["stale"].items():
+            port = system.cores[cid].port
+            if stamp != (port.epoch, port.mshrs.version):
+                assert touched >> cid & 1, (cid, system.cycle)
+                changed["stale cores touched"] += 1
+
+    def prepare(system):
+        state.update(system=system, stale={})
+        real_run_until = system.events.run_until
+
+        def run_until(cycle):
+            fired = real_run_until(cycle)
+            check()
+            return fired
+        system.events.run_until = run_until
+
+    real_step, real_idle_charge = Core.step, Core.idle_charge
+
+    def step(core, cycle):
+        state["stale"].pop(core.core_id, None)
+        progress = real_step(core, cycle)
+        check()
+        if not progress and not core.is_done():
+            state["stale"][core.core_id] = None
+        return progress
+
+    def idle_charge(core, cycle):
+        port = core.port
+        state["stale"][core.core_id] = (port.epoch, port.mshrs.version)
+        return real_idle_charge(core, cycle)
+
+    monkeypatch.setattr(Core, "step", step)
+    monkeypatch.setattr(Core, "idle_charge", idle_charge)
+    simulate(mechanism, machine_name, faults, cores, warmup, prepare)
+    if cores > 1:
+        assert changed["stale cores touched"] > 0
+
+
+def test_each_port_change_source_marks_its_core():
+    """Fills, snoops and MSHR allocation and retirement each bump the
+    port's epoch and set the core's bit.  The run above cannot tell an
+    MSHR change apart: on these runs every one on a stale core's port
+    happens inside a fill, which marks the core first."""
+    memsys = System(machine("table_i", "baseline", 2), traces(2)).memsys
+    port = memsys.ports[1]
+    changes = {
+        "mshr allocate": lambda: port.mshrs.allocate(0x1000, False, 0),
+        "mshr complete": lambda: port.mshrs.complete(0x1000, 5),
+        "snoop": lambda: port._snoop(0x2000, SnoopKind.INVALIDATE, 0, 6),
+        "fill": lambda: port._fill(0x3000, State.E, 7, None),
+    }
+    for name, change in changes.items():
+        memsys.touched = 0
+        epoch = port.epoch
+        change()
+        assert (memsys.touched, port.epoch) == (0b10, epoch + 1), name
+
+
 def test_skips_cut_steps_without_moving_results(monkeypatch):
     """The skip is live: on a 16-core run most event-cycle re-steps of a
-    blocked core disappear, and the result does not move."""
-    steps = Tally()
-    real_step = Core.step
+    blocked core disappear, and the result does not move.  The skipping
+    itself is proportional to port changes, not to event cycles."""
+    calls = Tally()
 
-    def counting_step(core, cycle):
-        steps["calls"] += 1
-        return real_step(core, cycle)
+    def counting(name):
+        real = getattr(Core, name)
 
-    monkeypatch.setattr(Core, "step", counting_step)
+        def method(core, *args):
+            calls[name] += 1
+            return real(core, *args)
+        monkeypatch.setattr(Core, name, method)
+
+    for name in ("step", "idle_charge", "settle_skips"):
+        counting(name)
     normal = simulate("baseline", "table_i", False, 16, False)
-    calls = steps["calls"]
-    steps.clear()
+    counts = dict(calls)
+    calls.clear()
+    simulate("baseline", "table_i", False, 16, False, touch_all)
+    per_skip = calls["settle_skips"]
+    calls.clear()
+    # Settling one skip at a time (touch_all) reproduces the per-skip
+    # accounting of a loop that visits every stale core on every event
+    # cycle: 16,559 calls here, as many as the earlier per-skip
+    # ``Core.skip_idle`` made on this run.  Event-driven visits need
+    # 1,090 idle_charge plus 839 settle calls instead.
+    assert counts["idle_charge"] + counts["settle_skips"] < per_skip * 0.25
     monkeypatch.setattr(Core, "idle_charge",
                         lambda core, cycle: DEFER if core.stuck_at(cycle)
                         else None)
     unskipped = simulate("baseline", "table_i", False, 16, False)
     assert unskipped.canonical_json() == normal.canonical_json()
-    assert calls < steps["calls"] * 0.75
+    assert counts["step"] < calls["step"] * 0.75
