@@ -2,7 +2,10 @@
 
 The scanner is layout-aware: pointed at a service data dir, a
 ``--spool`` frontier, or a bare point-cache/record directory, it walks
-the layout it recognises and classifies what it finds:
+the layout it recognises and classifies what it finds.  The service
+queue and the frontier are both a :class:`~.spool.Spool`, so one scan
+(:func:`_fsck_spool`) covers their pending/running entries; each
+layout adds only a per-entry disposition and its own side records.
 
 =====================  =================================================
 finding kind           meaning / repair
@@ -12,7 +15,8 @@ finding kind           meaning / repair
 ``corrupt``            a record that fails envelope validation (parse,
                        checksum, or schema); quarantined — except queue
                        entries, whose payload is a pure function of the
-                       filename and is rebuilt in place
+                       filename and is rebuilt in place.  A spool's
+                       records quarantine into ``<spool>/quarantine/``
 ``dangling-running``   a claimed entry with no live claimant (stopped
                        service / killed checker); renamed back to
                        pending so the work reruns
@@ -31,14 +35,14 @@ live monitor performs the running-entry repairs itself).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .records import (QUARANTINE_DIR, CorruptRecord, quarantine,
-                      read_record, write_record)
+                      quarantine_count, read_record, write_record)
+from .spool import Spool
 
 #: Finding kinds that leave data at risk (non-informational).
 PROBLEM_KINDS = ("tmp-orphan", "corrupt", "dangling-running",
@@ -168,31 +172,35 @@ def _scan_tmp(directory: Path, report: FsckReport, repair: bool,
         finding = report.add("tmp-orphan", path,
                              f"orphaned tmp file ({age:.0f}s old)")
         if repair:
-            try:
-                path.unlink()
-                finding.repaired = True
-                finding.action = "removed"
-            except OSError as exc:
-                finding.action = f"unlink failed: {exc}"
+            _remove(finding, path)
+
+
+def _remove(finding: Finding, path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError as exc:
+        finding.action = f"unlink failed: {exc}"
+        return
+    finding.repaired = True
+    finding.action = "removed"
 
 
 def _scan_quarantine(directory: Path, report: FsckReport) -> None:
-    qdir = directory / QUARANTINE_DIR
-    if not qdir.is_dir():
-        return
-    count = sum(1 for p in qdir.iterdir() if p.is_file())
+    count = quarantine_count(directory)
     if count:
-        report.add("quarantined", qdir,
+        report.add("quarantined", directory / QUARANTINE_DIR,
                    f"{count} previously quarantined record(s)")
 
 
 def _check_record(path: Path, report: FsckReport, repair: bool,
                   schema: Optional[str] = None,
-                  rebuild: Optional[dict] = None) -> bool:
+                  rebuild: Optional[dict] = None,
+                  root: Optional[Path] = None) -> bool:
     """Validate one record file; returns True when it reads clean.
 
     ``rebuild`` is a replacement payload (queue entries only) written
-    in place on repair; otherwise a corrupt record is quarantined.
+    in place on repair; otherwise a corrupt record is quarantined into
+    ``<root>/quarantine/`` (default: beside the record).
     """
     try:
         read_record(path, schema)
@@ -201,109 +209,107 @@ def _check_record(path: Path, report: FsckReport, repair: bool,
         finding = report.add("corrupt", path, exc.reason)
         if repair:
             if rebuild is not None:
-                quarantine(path, reason="rebuilt")
+                quarantine(path, root=root, reason="rebuilt")
                 write_record(path, schema or "generic", rebuild)
                 finding.repaired = True
                 finding.action = "rebuilt from filename"
             else:
-                dest = quarantine(path, reason="fsck")
+                dest = quarantine(path, root=root, reason="fsck")
                 finding.repaired = True
                 finding.action = f"quarantined -> {dest}"
         return False
 
 
 def _scan_records(directory: Path, report: FsckReport, repair: bool,
-                  tmp_age: float, schema: Optional[str] = None) -> None:
-    """Generic scan of one flat directory of record files."""
+                  tmp_age: float, schema: Optional[str] = None,
+                  root: Optional[Path] = None) -> None:
+    """Generic scan of one flat directory of record files.  With a
+    ``root``, corrupt records quarantine there (whose quarantine the
+    caller reports); otherwise beside the directory's records."""
     if not directory.is_dir():
         return
     _scan_tmp(directory, report, repair, tmp_age)
-    _scan_quarantine(directory, report)
+    if root is None:
+        _scan_quarantine(directory, report)
     for path in sorted(directory.glob("*.json")):
-        _check_record(path, report, repair, schema)
+        _check_record(path, report, repair, schema, root=root)
+
+
+def _fsck_spool(spool: Spool, report: FsckReport, repair: bool,
+                tmp_age: float, schema: str,
+                dispose: Callable[[str, bool], Optional[tuple]],
+                rebuild: Optional[Callable[[str], Optional[dict]]] = None
+                ) -> None:
+    """The one scan of a spool's pending/ and running/ entries.
+
+    Each entry is validated against ``schema``; a corrupt one is
+    rebuilt in place from ``rebuild(name)`` when the client can, else
+    quarantined and skipped.  ``dispose(name, running)`` then judges
+    it: ``None`` when healthy, else ``(finding kind, detail, requeue)``
+    — repaired by a requeue to pending/ or by removing the entry.
+    """
+    for directory in (spool.root, spool.pending_dir, spool.running_dir):
+        _scan_tmp(directory, report, repair, tmp_age)
+    _scan_quarantine(spool.root, report)
+    for running, directory, names in (
+            (False, spool.pending_dir, spool.pending()),
+            (True, spool.running_dir, spool.running())):
+        for name in names:
+            path = directory / name
+            fresh = rebuild(name) if rebuild is not None else None
+            if not _check_record(path, report, repair, schema,
+                                 rebuild=fresh, root=spool.root) \
+                    and fresh is None:
+                continue
+            verdict = dispose(name, running)
+            if verdict is None:
+                continue
+            kind, detail, requeue = verdict
+            finding = report.add(kind, path, detail)
+            if not repair:
+                continue
+            if requeue:
+                finding.repaired = spool.requeue(name)
+                finding.action = "requeued"
+            else:
+                _remove(finding, path)
 
 
 # ----------------------------------------------------------------------
 # Service layout
 # ----------------------------------------------------------------------
 
-def _entry_rebuild(name: str) -> Optional[dict]:
-    """A queue entry's payload, recomputed from its filename."""
-    from ..service.jobs import PRIORITIES
-    from ..service.queue import Entry
-    try:
-        entry = Entry(name)
-    except (ValueError, IndexError):
-        return None
-    by_num = {num: label for label, num in PRIORITIES.items()}
-    priority = by_num.get(entry.priority, "normal")
-    return {"job": entry.job, "priority": priority}
-
-
 def _fsck_service(root: Path, report: FsckReport, repair: bool,
                   tmp_age: float) -> None:
     from ..service.jobs import JobStore
-    pending = root / "queue" / "pending"
-    running = root / "queue" / "running"
+    from ..service.queue import DiskQueue, Entry, entry_rebuild
     jobs_dir = root / "jobs"
     store_dir = root / "store"
 
     # Job records first: entry repairs below consult them.
-    _scan_tmp(jobs_dir, report, repair, tmp_age)
-    _scan_quarantine(jobs_dir, report)
-    for path in sorted(jobs_dir.glob("*.json")):
-        _check_record(path, report, repair, "job-record")
-
+    _scan_records(jobs_dir, report, repair, tmp_age, "job-record")
     jobs = JobStore(jobs_dir) if jobs_dir.is_dir() else None
 
-    def record_of(entry_name: str):
-        if jobs is None:
+    def dispose(name: str, running: bool) -> Optional[tuple]:
+        entry = Entry.parse(name)
+        record = jobs.load(entry.job) \
+            if jobs is not None and entry is not None else None
+        if record is None:
+            return "orphan-entry", "queue entry with no job record", False
+        if not running:
             return None
-        stem = entry_name[:-5] if entry_name.endswith(".json") else entry_name
-        job = stem.split("-", 2)[-1]
-        return jobs.load(job)
+        # An active job reruns; a terminal one only lost its ack.
+        return ("dangling-running", f"claimed entry for job {record.id} "
+                f"(status {record.status})", record.active)
 
-    # Queue entries: validate (rebuildable), then cross-check records.
-    for directory in (pending, running):
-        _scan_tmp(directory, report, repair, tmp_age)
-        _scan_quarantine(directory, report)
-        for path in sorted(directory.glob("*.json")):
-            _check_record(path, report, repair, "queue-entry",
-                          rebuild=_entry_rebuild(path.name))
-            record = record_of(path.name)
-            if record is None:
-                finding = report.add(
-                    "orphan-entry", path,
-                    "queue entry with no job record")
-                if repair:
-                    try:
-                        path.unlink()
-                        finding.repaired = True
-                        finding.action = "removed"
-                    except OSError:
-                        pass
-            elif directory is running:
-                finding = report.add(
-                    "dangling-running", path,
-                    f"claimed entry for job {record.id} "
-                    f"(status {record.status})")
-                if repair:
-                    try:
-                        if record.active:
-                            os.rename(path, pending / path.name)
-                            finding.action = "requeued"
-                        else:
-                            path.unlink()
-                            finding.action = "removed (job terminal)"
-                        finding.repaired = True
-                    except OSError:
-                        pass
+    queue = Spool(root / "queue")
+    _fsck_spool(queue, report, repair, tmp_age, DiskQueue.SCHEMA,
+                dispose, rebuild=entry_rebuild)
 
     # The inverse crash window: an active record with no queue entry.
     if jobs is not None:
-        entries = {p.name.split("-", 2)[-1][:-5]
-                   for d in (pending, running) if d.is_dir()
-                   for p in d.glob("*.json")}
+        entries = {entry.job for entry
+                   in Entry.parse_all(queue.pending() + queue.running())}
         for record in jobs.all():
             if not record.active or record.id in entries:
                 continue
@@ -311,13 +317,12 @@ def _fsck_service(root: Path, report: FsckReport, repair: bool,
                 "lost-entry", jobs.path(record.id),
                 f"{record.status} job {record.id} has no queue entry")
             if repair:
-                from ..service.queue import DiskQueue
-                queue = DiskQueue(root / "queue", max_backlog=1 << 30)
                 record.status = "queued"
                 record.worker = None
                 record.pid = None
                 jobs.save(record)
-                queue.submit(record.id, record.priority)
+                DiskQueue(queue.root, max_backlog=1 << 30).submit(
+                    record.id, record.priority)
                 finding.repaired = True
                 finding.action = "re-enqueued"
 
@@ -333,12 +338,7 @@ def _fsck_service(root: Path, report: FsckReport, repair: bool,
             if not _check_record(path, report, False, "heartbeat") \
                     and repair:
                 # Heartbeats are ephemeral: no point quarantining.
-                try:
-                    path.unlink()
-                    report.findings[-1].repaired = True
-                    report.findings[-1].action = "removed"
-                except OSError:
-                    pass
+                _remove(report.findings[-1], path)
 
     # Nested frontier spools under scratch/ (check jobs with --spool).
     scratch = root / "scratch"
@@ -354,58 +354,32 @@ def _fsck_service(root: Path, report: FsckReport, repair: bool,
 
 def _fsck_frontier(root: Path, report: FsckReport, repair: bool,
                    tmp_age: float) -> None:
-    pending = root / "pending"
-    running = root / "running"
-    _scan_records(pending, report, repair, tmp_age, "frontier-record")
-    _scan_tmp(running, report, repair, tmp_age)
-    _scan_quarantine(running, report)
-    if running.is_dir():
-        done = set()
-        for log in root.glob("done-*.log"):
-            try:
-                done.update(line for line
-                            in log.read_text().splitlines() if line)
-            except OSError:
-                pass
-        for path in sorted(running.glob("*.json")):
-            if not _check_record(path, report, repair,
-                                 "frontier-record"):
-                continue
-            finding = report.add("dangling-running", path,
-                                 "claimed frontier record")
-            if repair:
-                try:
-                    if path.stem in done:
-                        path.unlink()
-                        finding.action = "removed (already done)"
-                    else:
-                        os.rename(path, pending / path.name)
-                        finding.action = "requeued"
-                    finding.repaired = True
-                except OSError:
-                    pass
-    visited = root / "visited"
-    if visited.is_dir():
-        _scan_tmp(visited, report, repair, tmp_age)
-        _scan_quarantine(visited, report)
-        for path in sorted(visited.glob("*.json")):
-            schema = "frontier-claim" if path.name.startswith("k-") \
-                else None
-            _check_record(path, report, repair, schema)
+    from ..modelcheck.frontier import load_done
+    done = load_done(root)
+
+    def dispose(name: str, running: bool) -> Optional[tuple]:
+        if not running:
+            return None
+        if name[:-5] in done:
+            return ("dangling-running", "claimed frontier record "
+                    "(already done)", False)
+        return "dangling-running", "claimed frontier record", True
+
+    _fsck_spool(Spool(root), report, repair, tmp_age, "frontier-record",
+                dispose)
+    _scan_records(root / "visited", report, repair, tmp_age,
+                  "frontier-claim", root=root)
     _scan_records(root / "terminals", report, repair, tmp_age,
-                  "frontier-terminal")
-    _scan_records(root / "prov", report, repair, tmp_age)
+                  "frontier-terminal", root=root)
+    _scan_records(root / "prov", report, repair, tmp_age, root=root)
     # Root-level singletons: meta, violation, per-worker stats.
-    _scan_tmp(root, report, repair, tmp_age)
-    _scan_quarantine(root, report)
-    meta = root / "meta.json"
-    if meta.exists():
-        _check_record(meta, report, repair, "frontier-meta")
-    violation = root / "violation.json"
-    if violation.exists():
-        _check_record(violation, report, repair)
-    for path in sorted(root.glob("stats-*.json")):
-        _check_record(path, report, repair, "frontier-stats")
+    singletons = [(root / "meta.json", "frontier-meta"),
+                  (root / "violation.json", None)]
+    singletons += [(path, "frontier-stats")
+                   for path in sorted(root.glob("stats-*.json"))]
+    for path, schema in singletons:
+        if path.exists():
+            _check_record(path, report, repair, schema, root=root)
 
 
 __all__ = ["Finding", "FsckReport", "PROBLEM_KINDS", "detect_layout",

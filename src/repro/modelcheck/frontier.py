@@ -1,10 +1,11 @@
 """Frontier stores: where the BFS keeps its queue, visited set and
 bookkeeping — in memory (the default) or on disk (durable).
 
-The disk store makes a model-check run *durable and distributable* by
-reusing the spool-dir discipline of :mod:`repro.service.queue`: every
-record is one small JSON file, every state transition is one atomic
-``os.rename`` (or an ``os.link`` where first-writer-wins matters), so
+The disk store makes a model-check run *durable and distributable*.
+Its queue is a :class:`repro.durability.spool.Spool` — the one place
+the claim (rename) / ack / requeue / recover protocol lives — and the
+rest of its state is small record files, created by an atomic rename
+or, where first-writer-wins matters, an ``os.link``.  So
 
 * a SIGKILL at any instant loses no work — ``recover()`` renames the
   ``running/`` leftovers back to ``pending/`` and the redo is
@@ -35,8 +36,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..durability.faultyfs import NULL_FS
-from ..durability.records import (CorruptRecord, quarantine,
-                                  read_record, sweep_tmp, write_record)
+from ..durability.records import sweep_tmp
+from ..durability.spool import Spool
 
 #: Signature tuples survive a JSON round-trip as lists; normalise back.
 def _sig(raw) -> Tuple:
@@ -58,6 +59,18 @@ def make_record(prefix, sleep=(), parent: Optional[str] = None,
     return {"id": record_name(prefix, full), "prefix": tuple(prefix),
             "sleep": tuple(sorted(frozenset(sleep))),
             "parent": parent, "full": full}
+
+
+def load_done(root) -> Set[str]:
+    """Every record id acked into a ``done-<pid>.log`` under ``root``."""
+    done: Set[str] = set()
+    for log in Path(root).glob("done-*.log"):
+        try:
+            done.update(line for line in log.read_text().splitlines()
+                        if line)
+        except OSError:
+            continue
+    return done
 
 
 def _load_record(payload: dict) -> dict:
@@ -171,62 +184,24 @@ class DiskFrontier:
 
     def __init__(self, root, fs=NULL_FS, fsync: bool = False,
                  sweep_age: float = 60.0) -> None:
-        self.root = Path(root)
-        self.pending_dir = self.root / "pending"
-        self.running_dir = self.root / "running"
+        self.spool = Spool.open(root, fs=fs, fsync=fsync,
+                                sweep_age=sweep_age)
+        self.root = self.spool.root
         self.visited_dir = self.root / "visited"
         self.terminal_dir = self.root / "terminals"
         self.prov_dir = self.root / "prov"
-        for directory in (self.pending_dir, self.running_dir,
-                          self.visited_dir, self.terminal_dir,
+        #: Orphaned tmp files reclaimed on open.
+        self.tmp_swept = self.spool.tmp_swept
+        for directory in (self.visited_dir, self.terminal_dir,
                           self.prov_dir):
-            directory.mkdir(parents=True, exist_ok=True)
-        self.fs = fs
-        self.fsync = fsync
-        #: Orphaned tmp files reclaimed on open; corrupt records moved
-        #: aside by this process's reads.
-        self.tmp_swept = sum(
-            sweep_tmp(d, max_age=sweep_age)
-            for d in (self.root, self.pending_dir, self.running_dir,
-                      self.visited_dir, self.terminal_dir,
-                      self.prov_dir))
-        self.quarantined = 0
-        self._done: Set[str] = set()
+            directory.mkdir(exist_ok=True)
+            self.tmp_swept += sweep_tmp(directory, max_age=sweep_age)
+        self._done = load_done(self.root)
         self._done_log = self.root / f"done-{os.getpid()}.log"
-        self._load_done()
 
-    # -- small file helpers --------------------------------------------------
-    def _write_atomic(self, path: Path, payload: dict,
-                      schema: str) -> None:
-        write_record(path, schema, payload, fs=self.fs,
-                     fsync=self.fsync)
-
-    def _write_exclusive(self, path: Path, payload: dict,
-                         schema: str) -> bool:
-        """First-writer-wins creation; True when this call created it."""
-        return write_record(path, schema, payload, fs=self.fs,
-                            fsync=self.fsync, exclusive=True)
-
-    def _read(self, path: Path, schema: Optional[str] = None) \
-            -> Optional[dict]:
-        """Read and validate one spool record; a corrupt record is
-        quarantined into ``<root>/quarantine/`` (kept as evidence for
-        ``repro fsck``) and reads as missing."""
-        try:
-            return read_record(path, schema)
-        except CorruptRecord:
-            if quarantine(path, root=self.root) is not None:
-                self.quarantined += 1
-            return None
-
-    def _load_done(self) -> None:
-        for log in self.root.glob("done-*.log"):
-            try:
-                for line in log.read_text().splitlines():
-                    if line:
-                        self._done.add(line)
-            except FileNotFoundError:
-                continue
+    def quarantined(self) -> int:
+        """Corrupt records moved aside so far (counted from disk)."""
+        return self.spool.quarantined()
 
     # -- queue ---------------------------------------------------------------
     def seed(self, meta: dict, record: dict) -> bool:
@@ -242,56 +217,41 @@ class DiskFrontier:
         # promises.  (The reverse order had a crash window that left a
         # spool which "resumed" to an instantly-complete empty run.)
         self.push(record)
-        self._write_atomic(meta_path, meta, "frontier-meta")
+        self.spool.write(meta_path, "frontier-meta", meta)
         return False
 
     def meta(self) -> Optional[dict]:
-        return self._read(self.root / "meta.json")
-
-    def _names(self, directory: Path) -> List[str]:
-        try:
-            names = [n for n in os.listdir(directory)
-                     if n.endswith(".json")]
-        except FileNotFoundError:
-            return []
-        names.sort()
-        return names
+        return self.spool.read(self.root / "meta.json")
 
     def queue_empty(self) -> bool:
-        return not self._names(self.pending_dir)
+        return not self.spool.pending()
 
     def running_empty(self) -> bool:
-        return not self._names(self.running_dir)
+        return not self.spool.running()
 
     def push(self, record: dict) -> None:
         name = record["id"] + ".json"
         if (record["id"] in self._done
-                or (self.pending_dir / name).exists()
-                or (self.running_dir / name).exists()):
+                or (self.spool.pending_dir / name).exists()
+                or (self.spool.running_dir / name).exists()):
             return
         payload = dict(record)
         payload["prefix"] = list(record["prefix"])
         payload["sleep"] = [list(s) for s in record["sleep"]]
-        self._write_atomic(self.pending_dir / name, payload,
-                           "frontier-record")
+        self.spool.write(self.spool.pending_dir / name, "frontier-record",
+                         payload)
 
     def pop(self) -> Optional[dict]:
-        for name in self._names(self.pending_dir):
-            src = self.pending_dir / name
-            dst = self.running_dir / name
-            try:
-                os.rename(src, dst)
-            except (FileNotFoundError, OSError):
+        for name in self.spool.pending():
+            if not self.spool.claim(name):
                 continue      # another worker won the claim
-            payload = self._read(dst, "frontier-record")
+            payload = self.spool.read(self.spool.running_dir / name,
+                                      "frontier-record")
             if payload is None or payload["id"] in self._done:
                 # A stale duplicate of an already-finished record —
-                # or a corrupt one, which ``_read`` has quarantined
+                # or a corrupt one, which the read has quarantined
                 # (kept for fsck rather than silently unlinked).
-                try:
-                    os.unlink(dst)
-                except FileNotFoundError:
-                    pass
+                self.spool.ack(name)
                 continue
             return _load_record(payload)
         return None
@@ -300,29 +260,13 @@ class DiskFrontier:
         self._done.add(record["id"])
         with open(self._done_log, "a") as log:
             log.write(record["id"] + "\n")
-        try:
-            os.unlink(self.running_dir / (record["id"] + ".json"))
-        except FileNotFoundError:
-            pass
+        self.spool.ack(record["id"] + ".json")
 
     def recover(self) -> int:
-        """Requeue running leftovers (a killed worker's claims)."""
-        self._load_done()
-        requeued = 0
-        for name in self._names(self.running_dir):
-            src = self.running_dir / name
-            if name[:-5] in self._done:
-                try:
-                    os.unlink(src)
-                except FileNotFoundError:
-                    pass
-                continue
-            try:
-                os.rename(src, self.pending_dir / name)
-                requeued += 1
-            except (FileNotFoundError, OSError):
-                continue
-        return requeued
+        """Requeue running leftovers (a killed worker's claims); drop
+        those some worker already acked."""
+        self._done |= load_done(self.root)
+        return self.spool.recover(lambda name: name[:-5] not in self._done)
 
     # -- visited claims ------------------------------------------------------
     def _claim_path(self, key: str) -> Path:
@@ -333,10 +277,10 @@ class DiskFrontier:
             return "seen"     # already compacted: its owner was acked
         payload = {"key": key, "owner": owner,
                    "sleep": [list(s) for s in sorted(frozenset(sleep))]}
-        if self._write_exclusive(self._claim_path(key), payload,
-                                 "frontier-claim"):
+        if self.spool.write(self._claim_path(key), "frontier-claim",
+                            payload, exclusive=True):
             return "new"
-        existing = self._read(self._claim_path(key), "frontier-claim")
+        existing = self.spool.read(self._claim_path(key), "frontier-claim")
         if existing is not None and existing.get("owner") == owner:
             return "ours"     # crash redo of our own expansion
         if existing is None and self._segment_lookup(key) is None:
@@ -344,20 +288,27 @@ class DiskFrontier:
             # a segment mid-read) or was corrupt and has just been
             # quarantined; in the latter case the key is unclaimed
             # again — retake it so the state is not silently skipped.
-            if self._write_exclusive(self._claim_path(key), payload,
-                                     "frontier-claim"):
+            if self.spool.write(self._claim_path(key), "frontier-claim",
+                                payload, exclusive=True):
                 return "new"
         return "seen"
 
+    def _records(self, directory: Path, pattern: str = "*.json"):
+        """The readable records matching ``pattern`` (a corrupt one is
+        quarantined and skipped)."""
+        for path in directory.glob(pattern):
+            payload = self.spool.read(path)
+            if payload is not None:
+                yield payload
+
     def _segment_lookup(self, key: str) -> Optional[dict]:
-        for seg in self.visited_dir.glob("seg-*.json"):
-            payload = self._read(seg)
-            if payload and key in payload.get("keys", {}):
+        for payload in self._records(self.visited_dir, "seg-*.json"):
+            if key in payload.get("keys", {}):
                 return payload["keys"][key]
         return None
 
     def get_sleep(self, key: str) -> Optional[frozenset]:
-        payload = self._read(self._claim_path(key))
+        payload = self.spool.read(self._claim_path(key))
         if payload is None:
             payload = self._segment_lookup(key)
         if payload is None:
@@ -365,19 +316,16 @@ class DiskFrontier:
         return _sleep_set(payload.get("sleep", []))
 
     def set_sleep(self, key: str, sleep) -> None:
-        payload = self._read(self._claim_path(key)) or {"key": key,
-                                                        "owner": ""}
+        payload = self.spool.read(self._claim_path(key)) \
+            or {"key": key, "owner": ""}
         payload["sleep"] = [list(s) for s in sorted(frozenset(sleep))]
-        self._write_atomic(self._claim_path(key), payload,
-                           "frontier-claim")
+        self.spool.write(self._claim_path(key), "frontier-claim", payload)
 
     def visited_count(self) -> int:
         keys = {name[2:-5] for name in os.listdir(self.visited_dir)
                 if name.startswith("k-") and name.endswith(".json")}
-        for seg in self.visited_dir.glob("seg-*.json"):
-            payload = self._read(seg)
-            if payload:
-                keys.update(payload.get("keys", {}))
+        for payload in self._records(self.visited_dir, "seg-*.json"):
+            keys.update(payload.get("keys", {}))
         return len(keys)
 
     def compact_visited(self) -> int:
@@ -385,14 +333,14 @@ class DiskFrontier:
         periodic visited-set merge): claims whose owning record has
         been acked can no longer be redone, so their per-file owner
         information is dead weight.  Returns how many claims merged."""
-        self._load_done()
+        self._done |= load_done(self.root)
         merged: Dict[str, dict] = {}
         victims: List[Path] = []
         for name in sorted(os.listdir(self.visited_dir)):
             if not (name.startswith("k-") and name.endswith(".json")):
                 continue
             path = self.visited_dir / name
-            payload = self._read(path)
+            payload = self.spool.read(path)
             if payload is None or payload.get("owner") not in self._done:
                 continue
             merged[payload["key"]] = {"sleep": payload.get("sleep", [])}
@@ -402,86 +350,60 @@ class DiskFrontier:
         seg_id = hashlib.sha1(
             "".join(sorted(merged)).encode()).hexdigest()[:12]
         seg = self.visited_dir / f"seg-{seg_id}.json"
-        existing = self._read(seg) or {"keys": {}}
+        existing = self.spool.read(seg) or {"keys": {}}
         existing["keys"].update(merged)
-        self._write_atomic(seg, existing, "frontier-claim")
+        self.spool.write(seg, "frontier-claim", existing)
         for path in victims:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
+            path.unlink(missing_ok=True)
         return len(merged)
 
     # -- terminal states -----------------------------------------------------
     def terminal(self, record_id: str, key: str) -> None:
-        self._write_exclusive(self.terminal_dir / f"t-{record_id}.json",
-                              {"key": key}, "frontier-terminal")
+        self.spool.write(self.terminal_dir / f"t-{record_id}.json",
+                         "frontier-terminal", {"key": key}, exclusive=True)
 
     def terminal_stats(self) -> Tuple[int, Tuple[str, ...]]:
-        keys = []
-        count = 0
-        for name in os.listdir(self.terminal_dir):
-            if not name.endswith(".json"):
-                continue
-            payload = self._read(self.terminal_dir / name)
-            if payload is None:
-                continue
-            count += 1
-            keys.append(payload["key"])
-        return count, tuple(sorted(set(keys)))
+        keys = [payload["key"] for payload in self._records(self.terminal_dir)]
+        return len(keys), tuple(sorted(set(keys)))
 
     # -- proviso -------------------------------------------------------------
     def proviso_open(self, key: str, expect: int, prefix) -> None:
-        self._write_exclusive(self.prov_dir / f"p-{key}.json",
-                              {"expect": expect, "prefix": list(prefix)},
-                              "frontier-prov")
+        self.spool.write(self.prov_dir / f"p-{key}.json", "frontier-prov",
+                         {"expect": expect, "prefix": list(prefix)},
+                         exclusive=True)
 
     def proviso_resolve(self, key: str, child_id: str,
                         fresh: bool) -> Optional[tuple]:
-        self._write_exclusive(
-            self.prov_dir / f"m-{key}-{child_id}.json", {"fresh": fresh},
-            "frontier-prov")
-        head = self._read(self.prov_dir / f"p-{key}.json")
+        self.spool.write(self.prov_dir / f"m-{key}-{child_id}.json",
+                         "frontier-prov", {"fresh": fresh}, exclusive=True)
+        head = self.spool.read(self.prov_dir / f"p-{key}.json")
         if head is None:
             return None
-        resolved = 0
-        any_fresh = False
-        marker_prefix = f"m-{key}-"
-        for name in os.listdir(self.prov_dir):
-            if not name.startswith(marker_prefix):
-                continue
-            payload = self._read(self.prov_dir / name)
-            if payload is None:
-                continue
-            resolved += 1
-            any_fresh = any_fresh or payload.get("fresh", False)
-        if resolved < head["expect"] or any_fresh:
+        markers = list(self._records(self.prov_dir, f"m-{key}-*.json"))
+        if len(markers) < head["expect"] \
+                or any(marker.get("fresh", False) for marker in markers):
             return None
-        if self._write_exclusive(self.prov_dir / f"r-{key}.json", {},
-                                 "frontier-prov"):
+        if self.spool.write(self.prov_dir / f"r-{key}.json", "frontier-prov",
+                            {}, exclusive=True):
             return tuple(head["prefix"])
         return None
 
     # -- violation -----------------------------------------------------------
     def set_violation(self, payload: dict) -> bool:
-        return self._write_exclusive(self.root / "violation.json",
-                                     payload, "frontier-violation")
+        return self.spool.write(self.root / "violation.json",
+                                "frontier-violation", payload,
+                                exclusive=True)
 
     def get_violation(self) -> Optional[dict]:
-        return self._read(self.root / "violation.json")
+        return self.spool.read(self.root / "violation.json")
 
     # -- worker stats --------------------------------------------------------
     def add_stats(self, label: str, executions: int) -> None:
         """Persist a finished worker's execution count so the merged
         report reflects the whole fleet's work."""
-        self._write_atomic(self.root / f"stats-{label}.json",
-                           {"executions": executions},
-                           "frontier-stats")
+        self.spool.write(self.root / f"stats-{label}.json",
+                         "frontier-stats", {"executions": executions})
 
     def stats_executions(self) -> int:
-        total = 0
-        for path in self.root.glob("stats-*.json"):
-            payload = self._read(path)
-            if payload:
-                total += int(payload.get("executions", 0))
-        return total
+        return sum(int(payload.get("executions", 0))
+                   for payload in self._records(self.root, "stats-*.json"))

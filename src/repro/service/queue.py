@@ -1,21 +1,10 @@
 """Disk-backed, crash-safe, priority task queue with a bounded backlog.
 
-The queue is two spool directories of tiny entry files::
-
-    queue/pending/p<priority>-<seq>-<job id>.json
-    queue/running/p<priority>-<seq>-<job id>.json
-
-Every transition is a single atomic ``os.rename`` of one entry file,
-which gives three properties with no locks and no daemon:
-
-* **claim is race-free** — many workers may try to rename the same
-  pending entry into ``running/``; the filesystem lets exactly one
-  succeed (the losers get ``FileNotFoundError`` and move on);
-* **crash-safe** — an entry is always in exactly one directory, so a
-  worker that dies mid-job leaves its entry in ``running/`` where the
-  monitor finds it and renames it back (nothing accepted is ever lost);
-* **restart-safe** — queue state *is* the directory listing; a service
-  restart recovers the backlog by reading nothing but filenames.
+The queue is a client of :class:`repro.durability.spool.Spool`, where
+the claim/ack/requeue protocol lives; entries are tiny files named
+``queue/{pending,running}/p<priority>-<seq>-<job id>.json``, whose
+payload is a pure function of the name (:func:`entry_rebuild`), so a
+rotted entry never strands its job.
 
 Ordering: entries drain lexicographically, and filenames sort by
 priority first (``p0`` < ``p1`` < ``p2``), then by a monotonic
@@ -34,14 +23,17 @@ import itertools
 import os
 import threading
 import time
+from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..common.errors import ReproError
 from ..durability.faultyfs import NULL_FS
-from ..durability.records import quarantine_count, sweep_tmp
-from .jobs import DEFAULT_PRIORITY, PRIORITIES, read_json, \
-    write_json_atomic
+from ..durability.spool import Spool
+from .jobs import DEFAULT_PRIORITY, PRIORITIES
+
+#: Priority label of each priority number in an entry name.
+_PRIORITY_NAMES = {num: label for label, num in PRIORITIES.items()}
 
 
 class QueueFull(ReproError):
@@ -67,30 +59,45 @@ class Entry:
         self.seq = int(seq)
         self.job = job
 
-    def __repr__(self) -> str:   # pragma: no cover - debugging aid
-        return f"Entry({self.name})"
+    @classmethod
+    def parse(cls, name: str) -> Optional["Entry"]:
+        """The entry, or ``None`` when ``name`` is not an entry name."""
+        try:
+            return cls(name)
+        except (ValueError, IndexError):
+            return None
+
+    @classmethod
+    def parse_all(cls, names: Iterable[str]) -> List["Entry"]:
+        return [e for e in map(cls.parse, names) if e is not None]
+
+
+def entry_rebuild(name: str) -> Optional[dict]:
+    """A queue entry's payload, recomputed from its filename."""
+    entry = Entry.parse(name)
+    if entry is None:
+        return None
+    return {"job": entry.job,
+            "priority": _PRIORITY_NAMES.get(entry.priority,
+                                            DEFAULT_PRIORITY)}
 
 
 class DiskQueue:
-    """Priority FIFO over spool directories (see module docstring)."""
+    """Priority FIFO over a :class:`Spool` (see module docstring)."""
 
     #: Envelope schema tag of queue entry payloads.
     SCHEMA = "queue-entry"
 
     def __init__(self, root: Path, max_backlog: int = 64, fs=NULL_FS,
                  fsync: bool = False, sweep_age: float = 60.0) -> None:
-        self.root = Path(root)
-        self.pending_dir = self.root / "pending"
-        self.running_dir = self.root / "running"
-        self.pending_dir.mkdir(parents=True, exist_ok=True)
-        self.running_dir.mkdir(parents=True, exist_ok=True)
+        self.spool = Spool.open(root, fs=fs, fsync=fsync,
+                                sweep_age=sweep_age)
+        self.pending_dir = self.spool.pending_dir
+        self.running_dir = self.spool.running_dir
         self.max_backlog = max_backlog
-        self.fs = fs
-        self.fsync = fsync
         #: Orphaned tmp files reclaimed when this queue opened (a
         #: crash between an entry's write and its rename leaks one).
-        self.tmp_swept = sweep_tmp(self.pending_dir, max_age=sweep_age) \
-            + sweep_tmp(self.running_dir, max_age=sweep_age)
+        self.tmp_swept = self.spool.tmp_swept
         # Sequence numbers only need to be unique and increasing per
         # submitting process; cross-process ties break on the counter
         # suffix which embeds the pid.
@@ -99,27 +106,11 @@ class DiskQueue:
         self._lock = threading.Lock()
 
     # -- introspection -------------------------------------------------------
-    def _entries(self, directory: Path) -> List[Entry]:
-        entries = []
-        try:
-            names = os.listdir(directory)
-        except FileNotFoundError:
-            return []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                entries.append(Entry(name))
-            except (ValueError, IndexError):
-                continue
-        entries.sort(key=lambda e: e.name)
-        return entries
-
     def pending(self) -> List[Entry]:
-        return self._entries(self.pending_dir)
+        return Entry.parse_all(self.spool.pending())
 
     def running(self) -> List[Entry]:
-        return self._entries(self.running_dir)
+        return Entry.parse_all(self.spool.running())
 
     def depth(self) -> int:
         return len(self.pending())
@@ -128,11 +119,8 @@ class DiskQueue:
         return len(self.running())
 
     def depth_by_priority(self) -> Dict[str, int]:
-        by_num = {num: 0 for num in PRIORITIES.values()}
-        for entry in self.pending():
-            by_num[entry.priority] = by_num.get(entry.priority, 0) + 1
-        return {name: by_num.get(num, 0)
-                for name, num in PRIORITIES.items()}
+        by_num = Counter(entry.priority for entry in self.pending())
+        return {name: by_num[num] for name, num in PRIORITIES.items()}
 
     # -- producer edge -------------------------------------------------------
     def submit(self, job: str, priority: str = DEFAULT_PRIORITY) -> str:
@@ -152,74 +140,39 @@ class DiskQueue:
             stamp = time.time_ns() // 1_000_000
             name = f"p{prio}-{stamp:015d}{self._pid % 100_000:05d}" \
                    f"{seq:06d}-{job}.json"
-            write_json_atomic(self.pending_dir / name,
-                              {"job": job, "priority": priority},
-                              schema=self.SCHEMA, fs=self.fs,
-                              fsync=self.fsync)
+            self.spool.write(self.pending_dir / name, self.SCHEMA,
+                             {"job": job, "priority": priority})
         return name
 
     # -- consumer edge -------------------------------------------------------
     def claim(self) -> Optional[Entry]:
-        """Atomically move the best pending entry to ``running/``.
-
-        Returns the claimed entry, or ``None`` when the queue is empty.
-        Safe to call concurrently from any number of processes.
-        """
+        """Claim the best pending entry; ``None`` when the queue is
+        empty.  Safe to call concurrently from any number of
+        processes."""
         for entry in self.pending():
-            src = self.pending_dir / entry.name
-            dst = self.running_dir / entry.name
-            try:
-                os.rename(src, dst)
-            except (FileNotFoundError, OSError):
-                continue    # someone else won this entry
-            return entry
+            if self.spool.claim(entry.name):
+                return entry
         return None
 
     def ack(self, entry_name: str) -> None:
         """The claimed job finished (terminally); drop its entry."""
-        try:
-            os.unlink(self.running_dir / entry_name)
-        except FileNotFoundError:
-            pass
+        self.spool.ack(entry_name)
 
     def requeue(self, entry_name: str) -> bool:
-        """Move a running entry back to pending (worker died/retreated).
+        """Move a running entry back to pending (worker died/retreated);
+        ``False`` when it is already gone."""
+        return self.spool.requeue(entry_name)
 
-        Returns ``False`` when the entry is gone (already acked or
-        requeued by someone else) — requeue races are benign.
-        """
-        try:
-            os.rename(self.running_dir / entry_name,
-                      self.pending_dir / entry_name)
-        except (FileNotFoundError, OSError):
-            return False
-        return True
-
-    def entry_payload(self, directory: Path, entry_name: str) -> Optional[dict]:
-        payload = read_json(directory / entry_name, self.SCHEMA)
-        if payload is None:
-            # Missing or corrupt (read_json quarantined it).  The
-            # payload is a pure function of the entry name — rebuild
-            # it so a rotted entry never strands its job.
-            try:
-                entry = Entry(entry_name)
-            except (ValueError, IndexError):
-                return None
-            by_num = {num: label for label, num in PRIORITIES.items()}
-            payload = {"job": entry.job,
-                       "priority": by_num.get(entry.priority,
-                                              DEFAULT_PRIORITY)}
-        return payload
+    def entry_payload(self, directory: Path,
+                      entry_name: str) -> Optional[dict]:
+        payload = self.spool.read(Path(directory) / entry_name, self.SCHEMA)
+        # Missing or corrupt (now quarantined): rebuild from the name.
+        return payload if payload is not None else entry_rebuild(entry_name)
 
     def quarantined(self) -> int:
         """Corrupt entries moved aside so far (derived from disk)."""
-        return quarantine_count(self.pending_dir) \
-            + quarantine_count(self.running_dir)
+        return self.spool.quarantined()
 
     def running_age(self, entry_name: str) -> Optional[float]:
         """Seconds since the entry was claimed; ``None`` if gone."""
-        try:
-            claimed = os.stat(self.running_dir / entry_name).st_mtime
-        except FileNotFoundError:
-            return None
-        return max(0.0, time.time() - claimed)
+        return self.spool.running_age(entry_name)

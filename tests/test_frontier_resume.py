@@ -155,6 +155,12 @@ class TestDiskFrontierUnit:
         other = DiskFrontier(store.root)
         assert other.recover() == 1
         assert not other.queue_empty()
+        # A claim whose ack reached a done log but whose unlink did not
+        # (a crash between the two) is dropped, not requeued.
+        record = other.pop()
+        (store.root / "done-1.log").write_text(record["id"] + "\n")
+        assert DiskFrontier(store.root).recover() == 0
+        assert other.queue_empty() and other.running_empty()
 
     def test_claim_distinguishes_ours_from_seen(self, tmp_path):
         store = self._seeded(tmp_path)
@@ -213,7 +219,7 @@ class TestFrontierDurability:
         victim = next((store.root / "pending").glob("*.json"))
         victim.write_bytes(b"\xff\x00 not json")
         assert store.pop() is None        # skipped, not an exception
-        assert store.quarantined == 1
+        assert store.quarantined() == 1
         qdir = store.root / "quarantine"
         assert sum(1 for p in qdir.iterdir() if p.is_file()) == 1
 

@@ -18,6 +18,7 @@ The contracts under test, bottom-up:
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -128,6 +129,8 @@ class TestDiskQueue:
         queue.ack(entry.name)
         assert queue.depth() == 0 and queue.inflight() == 0
         assert not queue.requeue(entry.name)   # already gone: benign
+        queue.ack(entry.name)                  # second ack: benign too
+        assert queue.depth() == 0 and queue.inflight() == 0
 
     def test_backlog_bound_sheds_at_submission_edge(self, tmp_path):
         queue = DiskQueue(tmp_path, max_backlog=2)
@@ -336,6 +339,37 @@ class TestWorkerInline:
         finally:
             service.stop(timeout=2.0)
 
+    def test_backlog_wait_does_not_count_against_the_lease(self, tmp_path):
+        # The lease runs from the claim, not from the submission: an
+        # entry that sat in the backlog past lease_seconds must not be
+        # requeued while its live worker is still running it.  (No
+        # monitor thread: the test drives the one repair pass itself.)
+        service = make_service(tmp_path, lease_seconds=60.0,
+                               monitor_interval=3600.0)
+        try:
+            record, _ = service.submit(
+                "synthetic", {"duration_ms": 1500, "payload": "aged"})
+            entry = service.queue.pending()[0]
+            aged = time.time() - 3600.0
+            os.utime(service.queue.pending_dir / entry.name, (aged, aged))
+            worker = threading.Thread(
+                target=inline_worker(service).run, kwargs={"max_jobs": 1})
+            worker.start()
+            try:
+                wait_for(lambda: service.job(record.id).status
+                         == "running")
+                assert service._repair_running() == 0
+                assert (service.queue.running_dir / entry.name).exists()
+                assert service.queue.depth() == 0
+            finally:
+                worker.join(timeout=30.0)
+            done = service.job(record.id)
+            assert done.status == "done" and done.attempts == 1
+            assert service.queue.depth() == 0
+            assert service.queue.inflight() == 0
+        finally:
+            service.stop(timeout=2.0)
+
 
 # ----------------------------------------------------------------------
 # End-to-end over HTTP, with real worker processes
@@ -526,6 +560,7 @@ class TestDurableRecords:
                 service.queue.pending_dir, entry.name)
             assert payload == {"job": record.id, "priority": "normal"}
             assert service.queue.quarantined() == 1
+            assert (service.queue.spool.root / "quarantine").is_dir()
             # The entry file moved aside; the record is now entry-less.
             # The monitor's lost-entry repair re-enqueues it.
             assert service.queue.depth() == 0
