@@ -235,6 +235,7 @@ def _cmd_models(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .common.pool import TaskFailure
     from .harness.checks import CheckJob, run_checks
     from .modelcheck import SCENARIOS
     mechanisms = MECHANISMS if args.mechanism == "all" else (args.mechanism,)
@@ -260,6 +261,10 @@ def _cmd_check(args) -> int:
     reports = run_checks(jobs, workers=args.workers)
     failures = 0
     for report in reports:
+        if isinstance(report, TaskFailure):
+            failures += 1
+            print(f"ERROR {report.label}: {report.kind}: {report.message}")
+            continue
         print(report.summary())
         if report.violation is not None:
             failures += 1

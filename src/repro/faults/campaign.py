@@ -26,20 +26,20 @@ is eventually published), and Store->Store order — and compares the
 derived images.  Any timing the faults perturb is free to differ;
 anything architectural is not.
 
-Campaigns fan out across worker processes like
-:mod:`repro.harness.checks`; a worker that raises is recorded as an
-``error`` outcome rather than killing the sweep.
+Campaigns fan out through :func:`repro.common.pool.fan_out`, like the
+sweeps and the check matrix; a worker that raises or dies is recorded as
+an ``error`` outcome of its own spec rather than killing the sweep.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.addr import LINE_SIZE, line_addr
 from ..common.config import RetryConfig
 from ..common.errors import DeadlockError
+from ..common.pool import TaskFailure, fan_out
 from ..common.rng import make_rng
 from ..cpu.isa import alu, fence, load, store
 from ..cpu.trace import Trace
@@ -333,50 +333,24 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     return result
 
 
-def _campaign_payload(spec: CampaignSpec) -> dict:
-    """Worker entry point: run one campaign, return a plain dict."""
-    return run_campaign(spec).to_dict()
-
-
 def run_campaigns(specs: Sequence[CampaignSpec],
                   workers: int = 1) -> List[CampaignResult]:
     """Run many campaign points, optionally across worker processes.
 
-    A worker that raises charges its point an ``error`` outcome and the
-    sweep continues — campaign sweeps exist to find exactly the seeds
-    that break things, so one broken seed must never hide the rest.
-    Results come back in spec order.
+    A worker that raises or dies charges its own point an ``error``
+    outcome (no retries) and the sweep continues — campaign sweeps exist
+    to find exactly the seeds that break things, so one broken seed must
+    never hide the rest.  Results come back in spec order.
     """
-    results: List[Optional[CampaignResult]] = [None] * len(specs)
-
-    def record_error(index: int, exc: BaseException) -> None:
-        spec = specs[index]
-        results[index] = CampaignResult(
-            label=spec.label(), seed=spec.seed, mechanism=spec.mechanism,
-            intensity=spec.intensity, outcome="error",
-            detail=f"{type(exc).__name__}: {exc}")
-
-    if workers <= 1 or len(specs) <= 1:
-        for index, spec in enumerate(specs):
-            try:
-                results[index] = run_campaign(spec)
-            except Exception as exc:  # noqa: BLE001 - recorded per point
-                record_error(index, exc)
-        return [r for r in results if r is not None]
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
-        pending = {pool.submit(_campaign_payload, spec): index
-                   for index, spec in enumerate(specs)}
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = pending.pop(future)
-                try:
-                    results[index] = CampaignResult.from_dict(
-                        future.result())
-                except Exception as exc:  # noqa: BLE001 - per point
-                    record_error(index, exc)
-    return [r for r in results if r is not None]
+    results: List[object] = [None] * len(specs)
+    fan_out(run_campaign, specs, [spec.label() for spec in specs],
+            workers, results.__setitem__)
+    return [CampaignResult(label=spec.label(), seed=spec.seed,
+                           mechanism=spec.mechanism,
+                           intensity=spec.intensity, outcome="error",
+                           detail=res.message)
+            if isinstance(res, TaskFailure) else res
+            for spec, res in zip(specs, results)]
 
 
 def sweep_specs(seeds: Sequence[int], mechanisms: Sequence[str],

@@ -3,18 +3,18 @@
 A check matrix (scenario x mechanism) is embarrassingly parallel: every
 cell builds its own reduced system and explores it independently, and a
 :class:`~repro.modelcheck.explorer.CheckReport` is plain picklable data.
-Cells are sharded across worker processes with the same worker-count
-policy as the simulation sweeps (:func:`repro.harness.parallel
-.default_workers`); results come back in submission order so output is
-stable regardless of scheduling.
+Cells are sharded through :func:`repro.common.pool.fan_out` with the
+worker-count policy of the sweeps (:func:`repro.harness.parallel
+.default_workers`); a failed cell costs only its own slot, and results
+come back in job order so output is stable regardless of scheduling.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
+from ..common.pool import TaskFailure, fan_out
 from ..modelcheck import CheckReport, explore, fuzz
 from .parallel import default_workers
 
@@ -88,13 +88,14 @@ def run_check(job: CheckJob) -> CheckReport:
                    model=job.model, por=job.por, spool=job.spool)
 
 
-def run_checks(jobs: List[CheckJob],
-               workers: Optional[int] = None) -> List[CheckReport]:
-    """Run the matrix, fanning out across processes when it pays off."""
+def run_checks(jobs: List[CheckJob], workers: Optional[int] = None
+               ) -> List[Union[CheckReport, TaskFailure]]:
+    """Run the matrix across processes; one entry per job, in job order:
+    its report, or the failure record of a cell that raised or whose
+    worker died (no retries)."""
     if workers is None:
         workers = default_workers()
-    workers = min(workers, len(jobs))
-    if workers <= 1 or len(jobs) <= 1:
-        return [run_check(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_check, jobs))
+    reports: List[Union[CheckReport, TaskFailure, None]] = [None] * len(jobs)
+    fan_out(run_check, jobs, [job.label for job in jobs], workers,
+            reports.__setitem__)
+    return reports

@@ -21,7 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..common.config import SystemConfig, table_i
 from ..durability.faultyfs import NULL_FS
@@ -155,13 +155,6 @@ class Runner:
                   if profile(bench).suite == "parsec" else self.simpoints)
         return [self.run(bench, mechanism, sb_entries, config, tag, point)
                 for point in range(points)]
-
-    def run_many(self, points: Iterable[Point], workers: Optional[int] = None):
-        """Execute a batch of points, fanning cache misses out across
-        worker processes.  Returns a
-        :class:`~repro.harness.parallel.SweepTelemetry`."""
-        from .parallel import run_points   # avoid an import cycle
-        return run_points(self, list(points), workers=workers)
 
     # -- point execution ----------------------------------------------------
     def point_seed(self, pt: Point) -> int:

@@ -54,7 +54,7 @@ class ServiceConfig:
     restart_workers: bool = True
     fsync: bool = False              # fsync durable records + dirs
     tmp_sweep_age: float = 60.0      # orphaned-tmp reclaim age gate
-    entry_repair_age: float = 2.0    # queued-record-without-entry age
+    entry_repair_age: float = 2.0    # lost-entry / fresh-claim grace
 
 
 def _pid_alive(pid: Optional[int]) -> bool:
@@ -233,6 +233,12 @@ class Service:
     # ------------------------------------------------------------------
     # Monitor: dead workers cost attempts, never jobs
     # ------------------------------------------------------------------
+    def _worker_alive(self, record: JobRecord) -> bool:
+        """Is the worker named on a job record still running?"""
+        if record.worker in self.fleet.alive():
+            return self.fleet.is_alive(record.worker)
+        return _pid_alive(record.pid)
+
     def _repair_running(self) -> int:
         """Requeue running entries whose worker is gone (or fail them
         once their attempt budget is spent).  Returns entries touched."""
@@ -247,10 +253,13 @@ class Service:
                 # died between its final record save and the ack.
                 self.queue.ack(entry.name)
                 continue
-            alive = self.fleet.is_alive(record.worker) \
-                if record.worker in self.fleet.alive() \
-                else _pid_alive(record.pid)
             age = self.queue.running_age(entry.name)
+            if record.status == "queued" and age is not None \
+                    and age < self.config.entry_repair_age:
+                # Just claimed: its worker has not saved the record as
+                # running yet, so the record names no worker to judge.
+                continue
+            alive = self._worker_alive(record)
             expired = age is not None \
                 and age > self.config.lease_seconds
             if alive and not expired:
@@ -292,12 +301,8 @@ class Service:
         for record in self.jobs.all():
             if not record.active or record.id in entries:
                 continue
-            if record.status == "running":
-                alive = self.fleet.is_alive(record.worker) \
-                    if record.worker in self.fleet.alive() \
-                    else _pid_alive(record.pid)
-                if alive:
-                    continue
+            if record.status == "running" and self._worker_alive(record):
+                continue
             try:
                 age = now - self.jobs.path(record.id).stat().st_mtime
             except OSError:

@@ -70,6 +70,18 @@ class TestCommands:
         assert "wait-graph" in out
         assert "replay(" in out      # the pytest reproducer snippet
 
+    def test_check_failed_cell_is_an_error_line(self, capsys, monkeypatch):
+        from repro.harness import checks
+
+        def boom(job):
+            raise RuntimeError("cell exploded")
+        monkeypatch.setattr(checks, "run_check", boom)
+        assert main(["check", "--scenario", "sb", "--mechanism", "tus",
+                     "--workers", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "ERROR sb/tus: error: RuntimeError: cell exploded" in out
+        assert "0/1 checks passed" in out
+
     def test_check_fuzz_mode(self, capsys):
         assert main(["check", "--scenario", "sb", "--mechanism",
                      "baseline", "--fuzz", "5", "--workers", "1"]) == 0

@@ -8,6 +8,8 @@ pinned-seed campaign per mechanism terminates, violates no invariant,
 and matches the fault-free run's derived final-memory image.
 """
 
+import os
+
 import pytest
 
 from repro.common.config import RetryConfig, table_i
@@ -20,6 +22,7 @@ from repro.faults import (FaultConfig, FaultInjector, FaultPlan,
 from repro.faults.campaign import (CampaignSpec, build_traces,
                                    derived_image, run_campaign,
                                    run_campaigns, sweep_specs)
+from repro.faults import campaign
 from repro.sim.system import System
 
 
@@ -230,6 +233,25 @@ class TestCampaign:
         assert outcomes[0] == "ok" and outcomes[2] == "ok"
         assert results[1].outcome == "error"
         assert "bogus" in results[1].detail
+
+    def test_worker_crash_costs_only_its_own_spec(self, monkeypatch):
+        # Seed 1's worker process dies outright (a pool break): only that
+        # spec is an error, every other seed still runs, in spec order.
+        monkeypatch.setattr(campaign, "run_campaign", _dies_on_seed_1)
+        specs = [CampaignSpec(seed=seed) for seed in range(4)]
+        results = run_campaigns(specs, workers=2)
+        assert [r.seed for r in results] == [0, 1, 2, 3]
+        assert [r.outcome for r in results] == ["ok", "error", "ok", "ok"]
+        assert "BrokenProcessPool" in results[1].detail
+
+
+_real_run_campaign = run_campaign
+
+
+def _dies_on_seed_1(spec):
+    if spec.seed == 1:
+        os._exit(17)    # kills the worker process, breaking the pool
+    return _real_run_campaign(spec)
 
 
 class TestDerivedImage:

@@ -9,11 +9,14 @@ deterministically.
 """
 
 import hashlib
+import os
 
 import pytest
 
 import repro.modelcheck.scheduler as scheduler_module
 from repro.common.config import MECHANISMS
+from repro.common.pool import TaskFailure
+from repro.harness import checks
 from repro.harness.checks import CheckJob, run_check, run_checks
 from repro.mechanisms.tus import TUSMechanism
 from repro.modelcheck import (INVARIANTS, SCENARIOS, MemoryFrontier,
@@ -300,6 +303,19 @@ class TestHarness:
         assert [r.mechanism for r in reports] == ["baseline", "tus"]
         assert all(r.passed for r in reports)
 
+    def test_failed_cells_cost_only_their_own_slots(self, monkeypatch):
+        # sb/tus kills its worker (a pool break) and sb/csb raises: the
+        # other reports come back, in job order, beside two records.
+        monkeypatch.setattr(checks, "run_check", _breaks_tus_and_csb)
+        jobs = [CheckJob("sb", m) for m in ("baseline", "tus", "csb", "ssb")]
+        reports = run_checks(jobs, workers=2)
+        assert [r.mechanism for r in reports[::3]] == ["baseline", "ssb"]
+        assert all(r.passed for r in reports[::3])
+        assert [(r.label, r.kind) for r in reports[1:3]] == [
+            ("sb/tus", "crash"), ("sb/csb", "error")]
+        assert all(isinstance(r, TaskFailure) for r in reports[1:3])
+        assert "deliberately broken cell" in reports[2].message
+
     def test_fuzz_job_routes_to_swarm_mode(self):
         report = run_check(CheckJob("sb", "tus", fuzz_runs=5, seed=1))
         assert report.mode == "fuzz"
@@ -309,6 +325,14 @@ class TestHarness:
         report = run_check(CheckJob("sb", "baseline"))
         assert "exhaustive" in report.summary()
         assert "PASS" in report.summary()
+
+
+def _breaks_tus_and_csb(job):
+    if job.mechanism == "tus":
+        os._exit(17)    # kills the worker process, breaking the pool
+    if job.mechanism == "csb":
+        raise ValueError("deliberately broken cell")
+    return run_check(job)
 
 
 class _FIFOScheduler:

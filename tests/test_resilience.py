@@ -13,7 +13,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.harness import Point, Runner, parallel, run_points
+from repro.common import pool
+from repro.harness import Point, Runner, run_points
 from repro.harness.parallel import FailureManifest, PointFailure
 from repro.harness.runner import _simulate_payload
 
@@ -103,7 +104,7 @@ class TestCrashingWorker:
     def test_sweep_survives_broken_pool(self, tmp_path, monkeypatch):
         # The pool breaks at submit, deterministically: a crash seen by
         # wait() would race the next submit.
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+        monkeypatch.setattr(pool, "ProcessPoolExecutor",
                             SubmitBreaksOnPoison)
         runner = small_runner(tmp_path)
         points = small_points()

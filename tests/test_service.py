@@ -370,6 +370,25 @@ class TestWorkerInline:
         finally:
             service.stop(timeout=2.0)
 
+    def test_fresh_claim_is_not_judged_worker_lost(self, tmp_path):
+        # Between a worker's claim and its save of the record as
+        # running, the record still reads queued with no worker: the
+        # monitor must give that claim entry_repair_age before judging
+        # it lost, or the job runs twice.
+        service = make_service(tmp_path, monitor_interval=3600.0)
+        try:
+            service.submit("synthetic", {"duration_ms": 0,
+                                         "payload": "claimed"})
+            entry = service.queue.claim()
+            assert service._repair_running() == 0
+            assert (service.queue.running_dir / entry.name).exists()
+            aged = time.time() - 3600.0
+            os.utime(service.queue.running_dir / entry.name, (aged, aged))
+            assert service._repair_running() == 1
+            assert [e.name for e in service.queue.pending()] == [entry.name]
+        finally:
+            service.stop(timeout=2.0)
+
 
 # ----------------------------------------------------------------------
 # End-to-end over HTTP, with real worker processes
