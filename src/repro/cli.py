@@ -150,8 +150,8 @@ def _sweep_runner(args):
 
 
 def _cmd_sweep(args) -> int:
-    from .harness import (FIGURES, SweepInterrupted, render_telemetry,
-                          sweep_all, sweep_figure)
+    from .harness import (FIGURES, SweepFailed, SweepInterrupted,
+                          render_telemetry, sweep_all, sweep_figure)
     from .harness.export import telemetry_to_json, to_csv, to_json
     runner = _sweep_runner(args)
     try:
@@ -172,6 +172,13 @@ def _cmd_sweep(args) -> int:
         print("completed points are checkpointed in the cache; "
               "re-run the same command to resume", file=sys.stderr)
         return 130
+    except SweepFailed as exc:
+        print(render_telemetry(exc.telemetry))
+        for failure in exc.telemetry.failures:
+            print(f"ERROR {failure.label}: {failure.kind}: "
+                  f"{failure.message}", file=sys.stderr)
+        print(f"\n{exc}", file=sys.stderr)
+        return 1
     for result in results:
         print(result.render())
         print()

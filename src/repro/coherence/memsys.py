@@ -58,11 +58,6 @@ POLL_INTERVAL = 24
 #: Retry delay when the directory entry is busy or unallocatable
 #: (the ``fixed`` retry policy; see :class:`RetryPolicy`).
 BUSY_RETRY = 16
-#: Internal retry delay when a core-side resource (MSHR) is full.
-#: Kept for configuration parity: the MSHR-full path parks requests and
-#: retries them event-driven on the next fill, so no fixed delay is
-#: consumed on that path.
-RESOURCE_RETRY = 4
 
 
 class RetryPolicy:

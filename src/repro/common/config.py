@@ -204,9 +204,8 @@ class RetryConfig:
 
     The default ``fixed`` policy reproduces the original constants: a
     busy directory entry is re-tried after exactly ``busy_retry`` cycles
-    (and ``resource_retry`` is kept for parity, though the MSHR-full
-    path parks requests and retries them event-driven on the next fill,
-    so no fixed delay is consumed there).  The ``backoff`` policy
+    (the MSHR-full path needs no delay: it parks requests and retries
+    them event-driven on the next fill).  The ``backoff`` policy
     replaces the fixed window with bounded exponential backoff plus
     jitter — ``min(max_delay, busy_retry * backoff_factor**attempt) +
     U[0, jitter]`` — so that retry storms cannot synchronize when fault
@@ -215,7 +214,6 @@ class RetryConfig:
 
     policy: str = "fixed"
     busy_retry: int = 16
-    resource_retry: int = 4
     backoff_factor: int = 2
     max_delay: int = 256
     jitter: int = 8
@@ -224,7 +222,7 @@ class RetryConfig:
     def validate(self) -> None:
         if self.policy not in ("fixed", "backoff"):
             raise ConfigError(f"unknown retry policy {self.policy!r}")
-        if self.busy_retry < 1 or self.resource_retry < 1:
+        if self.busy_retry < 1:
             raise ConfigError("retry delays must be positive")
         if self.backoff_factor < 1 or self.max_delay < self.busy_retry:
             raise ConfigError("backoff must not shrink the retry window")

@@ -2,16 +2,18 @@
 
 ``repro.models`` holds the model-independent machinery — programs and
 outcomes (:mod:`.program`), the enumeration/random-walk schedule
-drivers and the shared WCB insert rules (:mod:`.drivers`) — and puts a
+drivers (:mod:`.drivers`), and the one TUS atomic-group machine with
+the WCB insert rules (:mod:`.machine`) — and puts a
 :class:`~repro.models.base.MemoryModel` registry in front of the
-operational backends, mirroring ``repro.mechanisms.registry``:
+operational backends, mirroring ``repro.mechanisms.registry``.  Each
+backend runs the TUS machine over its own storage:
 
 * ``tso`` — the paper's base model (:mod:`.tso`): Sewell et al.'s
-  x86-TSO reference plus the TUS functional machine;
+  x86-TSO reference plus a flat multi-copy-atomic storage;
 * ``relaxed`` — an ARM-flavoured backend (:mod:`.relaxed`):
   instruction reordering, non-multi-copy-atomic propagation,
-  cumulative ``dmb``-style fences, and the TUS atomic-group store
-  path ported on top.
+  cumulative ``dmb``-style fences, and a storage that lets
+  disjoint-line groups publish out of order.
 
 :mod:`.axiomatic` judges candidate executions against per-model
 acyclicity axioms, and :mod:`.corpus` pins per-model allowed/forbidden
@@ -25,10 +27,10 @@ backend.
 
 from .base import (DEFAULT_MODEL, MemoryModel, available_models,
                    get_model, register_model)
-from .drivers import (drain_into_groups, enumerate_machine,
-                      enumerate_mechanism_outcomes,
+from .drivers import (enumerate_machine, enumerate_mechanism_outcomes,
                       enumerate_model_outcomes, enumerate_tus_outcomes,
                       random_walk_outcomes, random_walks)
+from .machine import drain_into_groups
 from .program import (Fence, Load, Outcome, Program, Store,
                       make_outcome, outcome_matches)
 from . import relaxed, tso  # noqa: F401  (import = registration)

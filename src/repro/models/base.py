@@ -6,9 +6,10 @@ A *memory model* bundles three artefacts under one name, mirroring how
 * a **reference machine** — the plain operational semantics of the model
   (Sewell et al.'s x86-TSO abstract machine; the Colvin & Smith-style
   reordering machine for the relaxed backend);
-* a **TUS machine** — the functional atomic-group store path (SB →
-  pending groups → visible) ported on top of that model's storage
-  subsystem, used by :func:`repro.models.drivers.enumerate_tus_outcomes`;
+* a **TUS machine** — the one functional atomic-group store path (SB →
+  pending groups → visible), :class:`repro.models.machine.TUSMachine`,
+  over that model's storage subsystem, used by
+  :func:`repro.models.drivers.enumerate_tus_outcomes`;
 * an **axiomatic judgment** — per-model acyclicity axioms over the
   po/rf/co/fr relations :mod:`repro.models.axiomatic` extracts from
   candidate executions.
@@ -19,8 +20,8 @@ Machines follow one step protocol so the drivers in
 ``enabled_steps() -> list[tuple]``
     hashable step tokens enabled in the current state;
 ``step(*token)``
-    apply one token (tokens are splatted, so the TSO machine's legacy
-    ``step(cid, kind)`` signature is a valid instance);
+    apply one token; a token is a step kind followed by its arguments,
+    e.g. ``("exec", cid)``;
 ``clone()``, ``state_key()``, ``done()``, ``outcome()``
     copy, memoise, terminate, and project to a canonical
     :data:`~repro.models.program.Outcome`.

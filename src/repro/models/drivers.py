@@ -2,17 +2,13 @@
 
 The exhaustive DFS with state memoisation and the seeded random-walk
 sampler operate on *any* machine implementing the step protocol of
-:mod:`repro.models.base`, so the same drivers enumerate the TSO
-reference machine, the TUS machine, and the relaxed backend.
-
-The WCB insert rules (coalescing, store cycles, group merging — paper
-Section III-B) are likewise shared: :func:`drain_into_groups` is the
-single implementation both the TSO and the relaxed TUS machines use.
+:mod:`repro.models.base`, so the same drivers enumerate the TUS
+machine on every model's storage and the relaxed reference machine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Set
 
 from ..common.config import MECHANISMS
 from ..common.errors import ModelError
@@ -72,50 +68,9 @@ def random_walks(factory: Callable[[], object], walks: int = 200,
     return outcomes
 
 
-# ----------------------------------------------------------------------
-# Shared WCB insert rules (paper Section III-B)
-# ----------------------------------------------------------------------
-
 #: Store paths whose functional visibility model coalesces stores into
 #: atomic groups; the rest publish one store at a time in FIFO order.
 COALESCING_MECHANISMS = ("csb", "tus")
-
-
-def drain_into_groups(core, addr: int, value: int,
-                      coalescing: bool) -> None:
-    """Insert one drained store into ``core``'s pending atomic groups.
-
-    ``core`` needs ``groups`` (list of lists of (addr, value)) and
-    ``last_written_group`` attributes.  A store joins the group already
-    holding its line; joining a group other than the most recently
-    written one is a store *cycle* and merges every group in between
-    into one atomic group.  With ``coalescing=False`` every store is a
-    fresh singleton group (FIFO store paths).
-    """
-    if not coalescing:
-        core.groups.append([(addr, value)])
-        core.last_written_group = len(core.groups) - 1
-        return
-    target = None
-    for index, group in enumerate(core.groups):
-        if any(g_addr == addr for g_addr, _ in group):
-            target = index
-            break
-    if target is None:
-        core.groups.append([(addr, value)])
-        core.last_written_group = len(core.groups) - 1
-        return
-    if (core.last_written_group is not None
-            and core.last_written_group != target):
-        # A store cycle: merge every group from `target` to the tail
-        # into one atomic group (paper Section III-B).
-        merged: List[Tuple[int, int]] = []
-        for group in core.groups[target:]:
-            merged.extend(group)
-        core.groups = core.groups[:target] + [merged]
-        target = len(core.groups) - 1
-    core.groups[target].append((addr, value))
-    core.last_written_group = target
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """A relaxed (ARM/POWER-flavoured) operational memory-model backend.
 
-Two machines over one shared storage subsystem, following the
+One storage subsystem serves two machines, following the
 instruction-level operational style of Colvin & Smith's wide-spectrum
 semantics and the storage-subsystem treatment of "Taming Weak Memory
 Models" (both in PAPERS.md):
@@ -13,21 +13,21 @@ Models" (both in PAPERS.md):
   coherence list but propagate to each other core *independently* — the
   storage subsystem is **not multi-copy atomic**, so two observers may
   see independent writes in opposite orders (IRIW).
-* :class:`RelaxedTUSMachine` — the TUS atomic-group store path (SB →
-  pending groups → visible) ported onto the same storage.  Group
-  formation (coalescing, store cycles, merging) is byte-for-byte the
-  paper's WCB rules via :func:`~repro.models.drivers.drain_into_groups`;
-  what weakens is *publication*: a pending group may become visible
-  ahead of an older group when the two touch disjoint lines
-  (store-store reordering at group granularity), and a published
-  group propagates to each core independently, as one atomic batch.
+* the TUS atomic-group store path — the shared
+  :class:`~repro.models.machine.TUSMachine` over :class:`_Storage`.
+  Group formation is the paper's WCB rules, exactly as under TSO; what
+  weakens is *publication*: a pending group may become visible ahead
+  of an older group when the two touch disjoint lines
+  (:meth:`_Storage.publishable`, store-store reordering at group
+  granularity), and a published group propagates to each core
+  independently, as one atomic batch.
 
 ``Fence`` is a full cumulative barrier (``dmb sy``): it commits only
 once every program-earlier instruction has committed (for the TUS
-machine: SB and pending groups empty, matching the TSO machine's fence
-rule), and committing it propagates every write its core has observed
-to every other core — the A/B-cumulativity that restores SC for the
-fenced litmus shapes (MP+dmb, SB+dmb, fenced IRIW).
+machine: SB and pending groups empty), and committing it propagates
+every write its core has observed to every other core — the
+A/B-cumulativity that restores SC for the fenced litmus shapes
+(MP+dmb, SB+dmb, fenced IRIW).
 
 Reads return the coherence-latest write the core has observed (its own
 committed writes count as observed), which keeps per-location SC:
@@ -38,9 +38,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..common.errors import ModelError
 from .base import MemoryModel, register_model
-from .drivers import drain_into_groups
+from .machine import TUSMachine
 from .program import Fence, Load, Outcome, Program, Store, make_outcome
 
 #: One published batch: the publishing core plus its (addr, value)
@@ -86,6 +85,14 @@ class _Storage:
             if b_addr == addr:
                 return value
         return None
+
+    def publishable(self, groups) -> List[int]:
+        """Pending groups (oldest first) that may publish now: any
+        group touching no line an older pending group touches, so
+        groups over disjoint lines publish in either order."""
+        return [gi for gi, group in enumerate(groups)
+                if all(not {a for a, _ in group} & {a for a, _ in older}
+                       for older in groups[:gi])]
 
     def propagation_steps(self, cid: int) -> List[int]:
         """Batch indices that may propagate to core ``cid`` now: each
@@ -237,165 +244,6 @@ class RelaxedMachine:
         return other
 
 
-class _TUSCoreState:
-    """Mutable per-core TUS state (mirrors the TSO machine's)."""
-
-    __slots__ = ("pc", "sb", "groups", "last_written_group")
-
-    def __init__(self) -> None:
-        self.pc = 0
-        self.sb: List[Tuple[int, int]] = []
-        self.groups: List[List[Tuple[int, int]]] = []
-        self.last_written_group: Optional[int] = None
-
-
-class RelaxedTUSMachine:
-    """The TUS atomic-group store path on the relaxed storage.
-
-    Instruction issue is in order (the store path, not the core, is
-    what TUS changes); the weakening relative to the TSO TUS machine
-    is (a) a pending group may publish ahead of an older group touching
-    disjoint lines and (b) published groups propagate per-core.
-    """
-
-    def __init__(self, program: Program, coalescing: bool = True) -> None:
-        self.program = program
-        self.coalescing = coalescing
-        self.cores = [_TUSCoreState() for _ in program.threads]
-        self.storage = _Storage(program.num_cores)
-        self.regs: Dict[str, int] = {}
-
-    # -- step enumeration ---------------------------------------------
-    def enabled_steps(self) -> List[Tuple]:
-        steps: List[Tuple] = []
-        props_matter = False
-        for cid, core in enumerate(self.cores):
-            thread = self.program.threads[cid]
-            if core.pc < len(thread):
-                op = thread[core.pc]
-                if isinstance(op, Fence):
-                    if not core.sb and not core.groups:
-                        steps.append(("exec", cid))
-                else:
-                    steps.append(("exec", cid))
-                if any(isinstance(later, (Load, Fence))
-                       for later in thread[core.pc:]):
-                    props_matter = True
-            if core.sb:
-                steps.append(("drain", cid))
-            for gi, group in enumerate(core.groups):
-                addrs = {a for a, _ in group}
-                if all(not addrs & {a for a, _ in earlier}
-                       for earlier in core.groups[:gi]):
-                    steps.append(("visible", cid, gi))
-        if props_matter:
-            for cid in range(self.program.num_cores):
-                for index in self.storage.propagation_steps(cid):
-                    steps.append(("prop", index, cid))
-        return steps
-
-    def step(self, kind: str, *args) -> None:
-        if kind == "exec":
-            (cid,) = args
-            self._exec(cid)
-        elif kind == "drain":
-            (cid,) = args
-            self._drain(cid)
-        elif kind == "visible":
-            cid, gi = args
-            self._make_visible(cid, gi)
-        elif kind == "prop":
-            index, cid = args
-            self.storage.propagate(index, cid)
-        else:
-            raise ValueError(f"unknown step kind {kind!r}")
-
-    # -- semantics ----------------------------------------------------
-    def _exec(self, cid: int) -> None:
-        core = self.cores[cid]
-        op = self.program.threads[cid][core.pc]
-        core.pc += 1
-        if isinstance(op, Store):
-            core.sb.append((op.addr, op.value))
-        elif isinstance(op, Load):
-            self.regs[op.reg] = self._local_read(cid, op.addr)
-        elif isinstance(op, Fence):
-            if core.sb or core.groups:
-                raise ModelError("fence executed with pending stores")
-            self.storage.flush(cid)
-        else:
-            raise TypeError(f"unknown op {op!r}")
-
-    def _local_read(self, cid: int, addr: int) -> int:
-        """Youngest own SB entry, then youngest pending-group write,
-        then the storage view (same forwarding rule as the TSO TUS
-        machine, over the relaxed storage)."""
-        core = self.cores[cid]
-        for sb_addr, value in reversed(core.sb):
-            if sb_addr == addr:
-                return value
-        for group in reversed(core.groups):
-            for g_addr, value in reversed(group):
-                if g_addr == addr:
-                    return value
-        return self.storage.view(cid, addr)
-
-    def _drain(self, cid: int) -> None:
-        core = self.cores[cid]
-        addr, value = core.sb.pop(0)
-        drain_into_groups(core, addr, value, self.coalescing)
-
-    def _make_visible(self, cid: int, gi: int) -> None:
-        """Publish pending group ``gi`` as one atomic batch."""
-        core = self.cores[cid]
-        group = core.groups.pop(gi)
-        self.storage.commit(cid, tuple(group))
-        if core.last_written_group is not None:
-            if core.last_written_group == gi:
-                core.last_written_group = None
-            elif core.last_written_group > gi:
-                core.last_written_group -= 1
-
-    # -- termination --------------------------------------------------
-    def done(self) -> bool:
-        return all(core.pc >= len(self.program.threads[cid])
-                   and not core.sb and not core.groups
-                   for cid, core in enumerate(self.cores))
-
-    def outcome(self) -> Outcome:
-        addresses = self.program.addresses()
-        return make_outcome(self.regs, self.storage.memory(addresses),
-                            addresses)
-
-    # -- memoisation --------------------------------------------------
-    def state_key(self):
-        return (
-            tuple(core.pc for core in self.cores),
-            tuple(tuple(core.sb) for core in self.cores),
-            tuple(tuple(tuple(g) for g in core.groups)
-                  for core in self.cores),
-            tuple(core.last_written_group for core in self.cores),
-            self.storage.state_key(),
-            tuple(sorted(self.regs.items())),
-        )
-
-    def clone(self) -> "RelaxedTUSMachine":
-        other = RelaxedTUSMachine.__new__(RelaxedTUSMachine)
-        other.program = self.program
-        other.coalescing = self.coalescing
-        other.storage = self.storage.clone()
-        other.regs = dict(self.regs)
-        other.cores = []
-        for core in self.cores:
-            copy = _TUSCoreState()
-            copy.pc = core.pc
-            copy.sb = list(core.sb)
-            copy.groups = [list(g) for g in core.groups]
-            copy.last_written_group = core.last_written_group
-            other.cores.append(copy)
-        return other
-
-
 @register_model
 class RelaxedModel(MemoryModel):
     """ARM/POWER-style relaxed ordering with cumulative full fences."""
@@ -410,8 +258,9 @@ class RelaxedModel(MemoryModel):
         return RelaxedMachine(program)
 
     def machine(self, program: Program,
-                coalescing: bool = True) -> RelaxedTUSMachine:
-        return RelaxedTUSMachine(program, coalescing=coalescing)
+                coalescing: bool = True) -> TUSMachine:
+        return TUSMachine(program, _Storage(program.num_cores),
+                          coalescing=coalescing)
 
     def consistent(self, execution) -> bool:
         from .axiomatic import relaxed_consistent

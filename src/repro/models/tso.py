@@ -1,8 +1,7 @@
 """The x86-TSO backend: the paper's base consistency model.
 
-Two operational machines live here, registered under the ``"tso"``
-name so the model-generic drivers, CLI, and service reach them through
-the registry:
+Registered under the ``"tso"`` name so the model-generic drivers, CLI,
+and service reach it through the registry.  It holds:
 
 * :func:`enumerate_outcomes` — Sewell et al.'s abstract machine ("x86-TSO:
   A Rigorous and Usable Programmer's Model", CACM 2010), written as its
@@ -12,28 +11,25 @@ the registry:
   fences require an empty SB) or drains the head of some thread's SB to
   memory.  It shares no code with the TUS machine, so it stays the
   independent ground truth the tests compare against.
-* :class:`TUSMachine` — a value-accurate functional model of the TUS
-  store path (Section III): stores leave each core's FIFO SB into
-  *pending atomic groups* — the functional shadow of the WCB + WOQ +
-  unauthorized-L1D machinery — and a group becomes *visible* by applying
-  all its writes to global memory atomically, in WOQ (allocation) order.
-  Coalescing follows the paper's rules
-  (:func:`~repro.models.drivers.drain_into_groups`).  Timing is
-  abstracted into scheduler nondeterminism: any interleaving of
-  ``exec`` / ``drain`` / ``visible`` steps across cores is a legal
-  schedule, explored by :mod:`repro.models.drivers`.
+* :class:`_FlatMemory` — the storage x86-TSO gives the shared
+  :class:`~repro.models.machine.TUSMachine`: one multi-copy-atomic
+  memory, with pending atomic groups published one at a time in WOQ
+  (allocation) order.
 
 The TSO-preservation theorem of Section III-D corresponds to: every
-outcome of :class:`TUSMachine` is in :func:`enumerate_outcomes`.
+outcome of the TUS machine on :class:`_FlatMemory` is in
+:func:`enumerate_outcomes`.  Without coalescing every store is its own
+group, published in SB order: the machine is then plain x86-TSO, and
+serves as this backend's reference machine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..common.errors import ModelError
 from .base import MemoryModel, register_model
-from .drivers import drain_into_groups
+from .machine import TUSMachine
 from .program import Fence, Load, Outcome, Program, Store, make_outcome
 
 # ----------------------------------------------------------------------
@@ -131,147 +127,47 @@ def _freeze(d: Dict) -> Tuple:
 
 
 # ----------------------------------------------------------------------
-# The TUS atomic-group machine
+# The TUS machine's storage
 # ----------------------------------------------------------------------
 
-class _CoreState:
-    """Mutable per-core state (converted to tuples for memoisation)."""
+class _FlatMemory:
+    """Multi-copy-atomic storage: one memory every core reads.
 
-    __slots__ = ("pc", "sb", "groups", "last_written_group")
-
-    def __init__(self) -> None:
-        self.pc = 0
-        self.sb: List[Tuple[int, int]] = []
-        #: Ordered pending atomic groups (oldest first).
-        self.groups: List[List[Tuple[int, int]]] = []
-        #: Index of the group that received the last drained store.
-        self.last_written_group: Optional[int] = None
-
-
-class TUSMachine:
-    """Executes one litmus program under TUS visibility semantics.
-
-    With ``coalescing=False`` the drain step never joins or merges
-    groups: every store becomes its own singleton atomic group and
-    publishes in FIFO order.  That models the non-coalescing store
-    paths (baseline, SSB, SPB), whose visibility order is exactly the
-    store-buffer order — i.e. plain x86-TSO.
+    Only the head pending group may publish (WOQ order), nothing
+    propagates, and a fence has nothing left to do once the machine
+    lets it commit.
     """
 
-    def __init__(self, program: Program, coalescing: bool = True) -> None:
-        self.program = program
-        self.coalescing = coalescing
-        self.cores = [_CoreState() for _ in program.threads]
-        self.memory: Dict[int, int] = {}
-        self.regs: Dict[str, int] = {}
+    __slots__ = ("image",)
 
-    # -- step enumeration ----------------------------------------------------
-    def enabled_steps(self) -> List[Tuple[int, str]]:
-        steps: List[Tuple[int, str]] = []
-        for cid, core in enumerate(self.cores):
-            thread = self.program.threads[cid]
-            if core.pc < len(thread):
-                op = thread[core.pc]
-                if isinstance(op, Fence):
-                    if not core.sb and not core.groups:
-                        steps.append((cid, "exec"))
-                else:
-                    steps.append((cid, "exec"))
-            if core.sb:
-                steps.append((cid, "drain"))
-            if core.groups:
-                steps.append((cid, "visible"))
-        return steps
+    def __init__(self) -> None:
+        self.image: Dict[int, int] = {}
 
-    def step(self, cid: int, kind: str) -> None:
-        core = self.cores[cid]
-        if kind == "exec":
-            self._exec(cid, core)
-        elif kind == "drain":
-            self._drain(core)
-        elif kind == "visible":
-            self._make_visible(core)
-        else:
-            raise ValueError(f"unknown step kind {kind!r}")
+    def publishable(self, groups) -> List[int]:
+        return [0] if groups else []
 
-    # -- semantics -----------------------------------------------------------
-    def _exec(self, cid: int, core: _CoreState) -> None:
-        op = self.program.threads[cid][core.pc]
-        core.pc += 1
-        if isinstance(op, Store):
-            core.sb.append((op.addr, op.value))
-        elif isinstance(op, Load):
-            self.regs[op.reg] = self._local_read(core, op.addr)
-        elif isinstance(op, Fence):
-            if core.sb or core.groups:
-                raise ModelError("fence executed with pending stores")
-        else:
-            raise TypeError(f"unknown op {op!r}")
+    def commit(self, cid: int, writes) -> None:
+        for addr, value in writes:
+            self.image[addr] = value
 
-    def _local_read(self, core: _CoreState, addr: int) -> int:
-        """Loads see their own stores early: youngest SB entry, then the
-        youngest pending-group write, then memory (x86-TSO read rule
-        extended to the SB's WCB/WOQ 'extension')."""
-        for sb_addr, value in reversed(core.sb):
-            if sb_addr == addr:
-                return value
-        for group in reversed(core.groups):
-            for g_addr, value in reversed(group):
-                if g_addr == addr:
-                    return value
-        return self.memory.get(addr, 0)
+    def view(self, cid: int, addr: int) -> int:
+        return self.image.get(addr, 0)
 
-    def _drain(self, core: _CoreState) -> None:
-        """Move the SB head into the pending groups (WCB insert rules)."""
-        addr, value = core.sb.pop(0)
-        drain_into_groups(core, addr, value, self.coalescing)
+    def flush(self, cid: int) -> None:
+        pass
 
-    def _make_visible(self, core: _CoreState) -> None:
-        """Apply the head atomic group to memory, atomically."""
-        group = core.groups.pop(0)
-        for addr, value in group:
-            self.memory[addr] = value
-        if core.last_written_group is not None:
-            core.last_written_group = (
-                None if core.last_written_group == 0
-                else core.last_written_group - 1)
+    def propagation_steps(self, cid: int) -> List[int]:
+        return []
 
-    # -- termination -------------------------------------------------------
-    def done(self) -> bool:
-        return all(core.pc >= len(self.program.threads[cid])
-                   and not core.sb and not core.groups
-                   for cid, core in enumerate(self.cores))
+    def memory(self, addresses) -> Dict[int, int]:
+        return dict(self.image)
 
-    def outcome(self) -> Outcome:
-        return make_outcome(self.regs, self.memory,
-                            self.program.addresses())
-
-    # -- memoisation key -----------------------------------------------------
     def state_key(self):
-        return (
-            tuple(core.pc for core in self.cores),
-            tuple(tuple(core.sb) for core in self.cores),
-            tuple(tuple(tuple(g) for g in core.groups)
-                  for core in self.cores),
-            tuple(core.last_written_group for core in self.cores),
-            tuple(sorted(self.regs.items())),
-            tuple(sorted(self.memory.items())),
-        )
+        return tuple(sorted(self.image.items()))
 
-    def clone(self) -> "TUSMachine":
-        other = TUSMachine.__new__(TUSMachine)
-        other.program = self.program
-        other.coalescing = self.coalescing
-        other.memory = dict(self.memory)
-        other.regs = dict(self.regs)
-        other.cores = []
-        for core in self.cores:
-            copy = _CoreState()
-            copy.pc = core.pc
-            copy.sb = list(core.sb)
-            copy.groups = [list(g) for g in core.groups]
-            copy.last_written_group = core.last_written_group
-            other.cores.append(copy)
+    def clone(self) -> "_FlatMemory":
+        other = _FlatMemory()
+        other.image = dict(self.image)
         return other
 
 
@@ -288,10 +184,10 @@ class TSOModel(MemoryModel):
     def reference_machine(self, program: Program):
         # The TUS machine without coalescing publishes every store as a
         # FIFO singleton group — operationally the TSO store buffer.
-        return TUSMachine(program, coalescing=False)
+        return TUSMachine(program, _FlatMemory(), coalescing=False)
 
     def machine(self, program: Program, coalescing: bool = True):
-        return TUSMachine(program, coalescing=coalescing)
+        return TUSMachine(program, _FlatMemory(), coalescing=coalescing)
 
     def reference_outcomes(self, program: Program,
                            max_states: int = 200_000) -> Set[Outcome]:

@@ -4,10 +4,12 @@ The executor is deliberately thin — it maps a validated job spec onto
 the repo's existing entry points (the sweep harness, the model checker
 matrix, the fault campaigns) and returns a JSON-plain payload for the
 artifact store.  It adds no simulation semantics of its own: a sweep
-job runs through the exact :func:`~repro.harness.parallel.run_points`
-deadline/retry/checkpoint loop the CLI uses, against the *shared*
-point cache, so results are bit-identical with the one-shot paths and
-partially-overlapping jobs dedup at point granularity.
+job runs through :func:`~repro.harness.sweep.sweep_figure`, the same
+collect/fan-out/replay path (and
+:func:`~repro.harness.parallel.run_points` deadline/retry/checkpoint
+loop) the CLI uses, against the *shared* point cache, so results are
+bit-identical with the one-shot paths and partially-overlapping jobs
+dedup at point granularity.
 
 A :class:`~repro.common.errors.DeadlockError` escaping a handler is
 *not* flattened to a string here: the worker catches it and attaches
@@ -36,9 +38,8 @@ def _table_dict(result) -> Dict[str, Any]:
 
 def _run_sweep(record: JobRecord, store: ArtifactStore,
                scratch: Path) -> Dict[str, Any]:
-    from ..harness.parallel import collect_points, run_points
     from ..harness.runner import Runner
-    from ..harness.sweep import FIGURES, figure_kwargs
+    from ..harness.sweep import SweepFailed, sweep_figure
 
     spec = record.spec
     runner = Runner(cache_dir=str(store.point_cache_dir),
@@ -48,23 +49,19 @@ def _run_sweep(record: JobRecord, store: ArtifactStore,
                     seed=spec["seed"],
                     simpoints=spec["simpoints"],
                     parsec_simpoints=spec["parsec_simpoints"])
-    fn = FIGURES[spec["figure"]]
-    kwargs = figure_kwargs(spec["figure"], spec["benches"])
-    points = collect_points(runner, fn, **kwargs)
-    manifest_path = scratch / f"{record.id}.manifest.json"
-    telemetry = run_points(runner, points, workers=spec["workers"],
-                           manifest_path=manifest_path)
+    failure = None
+    try:
+        tables, telemetry = sweep_figure(
+            spec["figure"], runner, workers=spec["workers"],
+            benches=spec["benches"],
+            manifest_path=scratch / f"{record.id}.manifest.json")
+    except SweepFailed as exc:
+        failure, telemetry = exc, exc.telemetry
     record.points_total = telemetry.points_total
     record.point_cache_hits = telemetry.cache_hits
     record.points_simulated = telemetry.simulated
-    if telemetry.failures:
-        failed = ", ".join(f.label for f in telemetry.failures[:4])
-        raise RuntimeError(
-            f"{len(telemetry.failures)} point(s) failed ({failed}); "
-            f"manifest at {manifest_path}")
-    output = fn(runner, **kwargs)
-    tables = list(output.values()) if isinstance(output, dict) \
-        else [output]
+    if failure is not None:
+        raise failure
     return {"figure": spec["figure"],
             "tables": [_table_dict(t) for t in tables],
             "telemetry": telemetry.to_dict()}

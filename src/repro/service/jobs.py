@@ -85,7 +85,7 @@ def _schemas() -> Dict[str, Dict[str, Field]]:
     cheap (mechanism/figure tables import the harness)."""
     from ..common.config import MECHANISMS
     from ..models import available_models
-    mechs = tuple(MECHANISMS) + ("all",)
+    mechs = tuple(MECHANISMS)
     models = tuple(available_models())
     schemas: Dict[str, Dict[str, Field]] = {
         "sweep": {
@@ -214,6 +214,14 @@ def validate_spec(kind: str, spec: Dict[str, Any]) -> Dict[str, Any]:
             problems.append(
                 f"unknown figure {normalised['figure']!r}; known: "
                 f"{', '.join(sorted(FIGURES))}")
+    if kind == "check" and "scenario" in normalised:
+        # Imported here, not in the schema: only check jobs pay for
+        # loading the model checker.
+        from ..modelcheck.scenarios import get_scenario
+        try:
+            get_scenario(normalised["scenario"])
+        except ValueError as exc:
+            problems.append(str(exc))
     if problems:
         raise JobValidationError("; ".join(problems))
     return dict(sorted(normalised.items()))

@@ -82,6 +82,24 @@ class TestCommands:
         assert "ERROR sb/tus: error: RuntimeError: cell exploded" in out
         assert "0/1 checks passed" in out
 
+    def test_sweep_failed_point_exits_1(self, capsys, monkeypatch,
+                                        tmp_path):
+        from repro.harness import Runner
+        real = Runner.simulate
+
+        def broken_tus(self, pt):
+            if pt.mechanism == "tus":
+                raise RuntimeError("point exploded")
+            return real(self, pt)
+        monkeypatch.setattr(Runner, "simulate", broken_tus)
+        assert main(["sweep", "fig9", "--workers", "1",
+                     "--benches", "synth.burst", "--st-length", "2500",
+                     "--simpoints", "1", "--cache", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "== sweep telemetry ==" in captured.out
+        assert "1 point(s) failed" in captured.err
+        assert "RuntimeError: point exploded" in captured.err
+
     def test_check_fuzz_mode(self, capsys):
         assert main(["check", "--scenario", "sb", "--mechanism",
                      "baseline", "--fuzz", "5", "--workers", "1"]) == 0

@@ -1,10 +1,10 @@
-"""The memory-model registry, and the TSO golden-set regression.
+"""The memory-model registry, and the golden-set regressions.
 
-The default model's behaviour must never drift silently: the ``tso``
-backend's reference, TUS-machine, mechanism, and random-walk outcome
-sets are pinned here as SHA-256 fingerprints (so a semantic change
-cannot hide inside a pass), and the committed ``BENCH_4.json`` macro
-fingerprints must be untouched.
+No model's behaviour may drift silently: each backend's reference,
+TUS-machine, mechanism, and random-walk outcome sets are pinned here
+as SHA-256 fingerprints (so a semantic change cannot hide inside a
+pass), and the committed ``BENCH_4.json`` macro fingerprints must be
+untouched.
 """
 
 import hashlib
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.config import MECHANISMS
 from repro.common.errors import ModelError
 from repro.harness.checks import CheckJob
 from repro.models import (DEFAULT_MODEL, available_models,
@@ -34,6 +35,8 @@ CORPUS = {entry.name: entry for entry in corpus()}
 #: existed before the x86-TSO machines moved into ``repro.models.tso``,
 #: every one of them matched this table program for program (on the
 #: corpus, TUS on x86-TSO produces exactly the reference outcomes).
+#: ``ssb``, ``csb`` and ``spb`` also matched it before the TSO and
+#: relaxed TUS machines were folded into one, so all five are pinned.
 TSO_GOLDEN = {
     "SB": "cd2a9064be931447f0b0793d990abdb875fdcb5c8aa8be79b25bfc16c06a02d5",
     "SB+fences": "13d06ba8eda01b1eecdd97be5cef3b70b36827b46dca1551e4793739b4f176b9",
@@ -57,6 +60,76 @@ TSO_GOLDEN = {
 #: four SB outcomes, so it also equals the SB reference digest.
 SB_WALK_GOLDEN = \
     "cd2a9064be931447f0b0793d990abdb875fdcb5c8aa8be79b25bfc16c06a02d5"
+
+#: Per corpus program, the ``relaxed`` backend's pinned digests:
+#: ``(reference, machine, walk)``.  ``reference`` is the plain relaxed
+#: enumeration, ``machine`` the TUS machine's, and ``walk`` that of
+#: ``random_walk_outcomes(walks=25, seed=7)``.  Every mechanism's
+#: enumeration (coalescing or not) is pinned to ``machine``: computed
+#: before the TSO and relaxed TUS machines were folded into one, all
+#: five matched it program for program.
+RELAXED_GOLDEN = {
+    "SB": (
+        "cd2a9064be931447f0b0793d990abdb875fdcb5c8aa8be79b25bfc16c06a02d5",
+        "cd2a9064be931447f0b0793d990abdb875fdcb5c8aa8be79b25bfc16c06a02d5",
+        "67740462a03ef58d25734d1f45fc348763f2681ee39edb4640a78905a6f90a4a"),
+    "SB+fences": (
+        "13d06ba8eda01b1eecdd97be5cef3b70b36827b46dca1551e4793739b4f176b9",
+        "13d06ba8eda01b1eecdd97be5cef3b70b36827b46dca1551e4793739b4f176b9",
+        "13d06ba8eda01b1eecdd97be5cef3b70b36827b46dca1551e4793739b4f176b9"),
+    "MP": (
+        "cd2a9064be931447f0b0793d990abdb875fdcb5c8aa8be79b25bfc16c06a02d5",
+        "cd2a9064be931447f0b0793d990abdb875fdcb5c8aa8be79b25bfc16c06a02d5",
+        "e154cab8f96d6798413532466b490ccbbf25d6a644c2f0956b0fe85d91564422"),
+    "MP+fences": (
+        "be76edae4256a5c68fdf54241d054985e9cd701650d27b23c0cc2490f7a2c73b",
+        "be76edae4256a5c68fdf54241d054985e9cd701650d27b23c0cc2490f7a2c73b",
+        "ba50bb659e150ded22ed65e0009e9b2b1de63fd891b69f7647c188bb0fce4d88"),
+    "LB": (
+        "cd2a9064be931447f0b0793d990abdb875fdcb5c8aa8be79b25bfc16c06a02d5",
+        "67740462a03ef58d25734d1f45fc348763f2681ee39edb4640a78905a6f90a4a",
+        "394eec2993b76cdd1d435c99d0a1b57356d1a86c8a648166c04d1663938276b2"),
+    "LB+fences": (
+        "67740462a03ef58d25734d1f45fc348763f2681ee39edb4640a78905a6f90a4a",
+        "67740462a03ef58d25734d1f45fc348763f2681ee39edb4640a78905a6f90a4a",
+        "e0c231d73fde08c3c80ec3f11808f8c5cd100d489641667610d4c786cfe01e3e"),
+    "WRC": (
+        "1f29e2ce7b8792aa27d0f81d8a416755d98d9f4554eddb3b7a5e5ec1767e4511",
+        "1f29e2ce7b8792aa27d0f81d8a416755d98d9f4554eddb3b7a5e5ec1767e4511",
+        "f590589cea73e4683e8dd7f11e2ffb7b18a41704ca981e20347bb3e1179ef127"),
+    "WRC+fences": (
+        "c1dee2b212f9063545f9c5561358592cba02256de8a9a4281815d53a09df882f",
+        "c1dee2b212f9063545f9c5561358592cba02256de8a9a4281815d53a09df882f",
+        "3ab88de38af1d428ce8180556b36802f44ddb93fc2540cd86687592d8709392e"),
+    "IRIW": (
+        "36a96106ca5cca6237be8ae896ab9f52fbf751016a08a284d70217424e2a2a69",
+        "36a96106ca5cca6237be8ae896ab9f52fbf751016a08a284d70217424e2a2a69",
+        "a6aa67503399384f83fb2915461f5dbf942cdff7db53b429b90ae55a6de02751"),
+    "IRIW+fences": (
+        "1170a4651675905efaebb54d7238a22041add9e90021c610130b32562888680b",
+        "1170a4651675905efaebb54d7238a22041add9e90021c610130b32562888680b",
+        "40c5e3cf0da9b188d2ecb145aeb76b0f3a9e78da6795a6e85bb59284e52e83f0"),
+    "SF": (
+        "c450f3976c629c83435940939d6f4163bfd4d42c587ad7cec22deaaf4220a580",
+        "c450f3976c629c83435940939d6f4163bfd4d42c587ad7cec22deaaf4220a580",
+        "c450f3976c629c83435940939d6f4163bfd4d42c587ad7cec22deaaf4220a580"),
+    "ABA-coalesce": (
+        "b3845598dbfa7b685846f31db451ec6bcd6817918f6b5c0c1ce9b4049c2a9cc4",
+        "b3845598dbfa7b685846f31db451ec6bcd6817918f6b5c0c1ce9b4049c2a9cc4",
+        "95473b52f61e250d9fc64721bb0c96f5a312f4134e3f5cbf5e364dfa46b1833d"),
+    "interleave": (
+        "e43bbf4d13893fd3391d9357f1a55d5c2cd2ee2d25f02928e6c2672f0098c1fa",
+        "e43bbf4d13893fd3391d9357f1a55d5c2cd2ee2d25f02928e6c2672f0098c1fa",
+        "bf36c30ca3448d9077d8f248dc9061fb98a1b50cf3d6ff96d73fdba5d21f0df1"),
+    "2+2W": (
+        "469409eb723e7056bf458c2ce086a664bfa7ccd2b3d7f077b7ae14d698b9faf5",
+        "469409eb723e7056bf458c2ce086a664bfa7ccd2b3d7f077b7ae14d698b9faf5",
+        "f68ec5a003130856ee9d3d4c62216567b30fdb3fa4ea78ba70bef746191b160c"),
+    "CoRR": (
+        "d4b127042aaf0d93c6622ce488505e7587b6c8b875c945d25c2bd0710a279263",
+        "d4b127042aaf0d93c6622ce488505e7587b6c8b875c945d25c2bd0710a279263",
+        "d4b127042aaf0d93c6622ce488505e7587b6c8b875c945d25c2bd0710a279263"),
+}
 
 #: The committed macro-benchmark fingerprints of BENCH_4.json.  The
 #: refactor must not change what the macro workloads simulate.
@@ -133,7 +206,7 @@ class TestTSOGoldenSet:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_mechanisms_match_legacy_on_litmus(self, name):
         program = CORPUS[name].program
-        for mechanism in ("baseline", "tus"):
+        for mechanism in MECHANISMS:
             assert fingerprint(enumerate_mechanism_outcomes(
                 program, mechanism, model="tso")) == TSO_GOLDEN[name]
 
@@ -158,6 +231,37 @@ class TestTSOGoldenSet:
         with pytest.raises(ModelError,
                            match=f"too large for exhaustive {model} search"):
             enumerate_model_outcomes(program, model=model, max_states=5)
+
+
+class TestRelaxedGoldenSet:
+    """The relaxed backend's enumerations, pinned like TSO's."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_reference_pinned(self, name):
+        program = CORPUS[name].program
+        assert fingerprint(enumerate_model_outcomes(
+            program, model="relaxed")) == RELAXED_GOLDEN[name][0]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_tus_machine_pinned(self, name):
+        program = CORPUS[name].program
+        assert fingerprint(enumerate_tus_outcomes(
+            program, model="relaxed")) == RELAXED_GOLDEN[name][1]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_mechanisms_pinned(self, name):
+        program = CORPUS[name].program
+        for mechanism in MECHANISMS:
+            assert fingerprint(enumerate_mechanism_outcomes(
+                program, mechanism, model="relaxed")) == \
+                RELAXED_GOLDEN[name][1], mechanism
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_random_walks_pinned(self, name):
+        program = CORPUS[name].program
+        assert fingerprint(random_walk_outcomes(
+            program, walks=25, seed=7, model="relaxed")) == \
+            RELAXED_GOLDEN[name][2]
 
 
 class TestBench4Fingerprints:

@@ -19,9 +19,12 @@ import pytest
 from repro.models import (Fence, Load, Program, Store, get_model,
                           enumerate_model_outcomes, enumerate_tus_outcomes)
 from repro.models.corpus import ALLOWED, corpus
-from repro.models.relaxed import RelaxedMachine, RelaxedTUSMachine
+from repro.models.relaxed import RelaxedMachine
 
 CORPUS = {entry.name: entry for entry in corpus()}
+
+#: The TUS machine on the relaxed storage.
+relaxed_tus = get_model("relaxed").machine
 
 #: Criticals that distinguish the models: observable under relaxed,
 #: forbidden under TSO.
@@ -153,8 +156,8 @@ class TestDifferentialEquivalence:
         expected = expected_final_memory(program)
         for walk in range(self.WALKS_PER_PROGRAM):
             for machine in (RelaxedMachine(program),
-                            RelaxedTUSMachine(program),
-                            RelaxedTUSMachine(program, coalescing=False)):
+                            relaxed_tus(program),
+                            relaxed_tus(program, coalescing=False)):
                 memory, _ = run_logged_walk(machine, seed * 1000 + walk)
                 assert memory == expected
 
@@ -163,7 +166,7 @@ class TestDifferentialEquivalence:
         program = make_random_program(seed)
         for walk in range(self.WALKS_PER_PROGRAM):
             for machine in (RelaxedMachine(program),
-                            RelaxedTUSMachine(program)):
+                            relaxed_tus(program)):
                 _, commits = run_logged_walk(machine, seed * 1000 + walk)
                 for cid, thread in enumerate(program.threads):
                     for addr in {op.addr for op in thread
@@ -194,7 +197,7 @@ class TestRelaxedMachineDetails:
         # Mirrors the TSO TUS machine's fence rule: exec of a fence is
         # only enabled once SB and pending groups drained.
         program = Program([[Store(0x10, 1), Fence(), Load(0x20, "r1")]])
-        machine = RelaxedTUSMachine(program)
+        machine = relaxed_tus(program)
         machine.step("exec", 0)            # buffer the store
         kinds = {step[0] for step in machine.enabled_steps()}
         assert kinds == {"drain"}
@@ -206,7 +209,7 @@ class TestRelaxedMachineDetails:
         # Two pending groups touching disjoint lines may publish in
         # either order; same-line groups may not.
         program = Program([[Store(0x10, 1), Store(0x20, 2)]])
-        machine = RelaxedTUSMachine(program, coalescing=False)
+        machine = relaxed_tus(program, coalescing=False)
         for _ in range(2):
             machine.step("exec", 0)
             machine.step("drain", 0)
@@ -216,7 +219,7 @@ class TestRelaxedMachineDetails:
 
     def test_same_line_groups_publish_in_order(self):
         program = Program([[Store(0x10, 1), Store(0x10, 2)]])
-        machine = RelaxedTUSMachine(program, coalescing=False)
+        machine = relaxed_tus(program, coalescing=False)
         for _ in range(2):
             machine.step("exec", 0)
             machine.step("drain", 0)

@@ -14,7 +14,8 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.common import pool
-from repro.harness import Point, Runner, run_points
+from repro.harness import (Point, Runner, SweepFailed, run_points,
+                           sweep_figure)
 from repro.harness.parallel import FailureManifest, PointFailure
 from repro.harness.runner import _simulate_payload
 
@@ -86,6 +87,34 @@ class TestRaisingWorker:
                                workers=1)
         assert len(telemetry.failures) == 1
         assert telemetry.failures[0].kind == "error"
+
+
+class TestSweepStopsBeforeReplay:
+    def test_failed_point_is_not_simulated_again(self, tmp_path):
+        # With one worker the fan-out runs in this process; the failed
+        # point must not be re-simulated by the figure replay, where no
+        # timeout or crash isolation guards it.
+        runner = small_runner(tmp_path)
+        real = runner.simulate
+        calls = []
+
+        def flaky(pt):
+            calls.append(pt)
+            if _is_poison(pt):
+                raise ValueError("deliberately broken point")
+            return real(pt)
+        runner.simulate = flaky
+        with pytest.raises(SweepFailed) as err:
+            sweep_figure("fig9", runner, workers=1,
+                         benches=["synth.burst"],
+                         manifest_path=tmp_path / "manifest.json")
+        assert len([pt for pt in calls if _is_poison(pt)]) == 1
+        assert "1 point(s) failed" in str(err.value)
+        assert "manifest at" in str(err.value)
+        telemetry = err.value.telemetry
+        assert [f.kind for f in telemetry.failures] == ["error"]
+        assert telemetry.simulated == len(calls) - 1
+        assert not FailureManifest.load(tmp_path / "manifest.json").ok
 
 
 class SubmitBreaksOnPoison(ProcessPoolExecutor):

@@ -57,6 +57,13 @@ class TestSpecValidation:
             validate_spec("nope", {})
         with pytest.raises(JobValidationError):
             validate_spec("sweep", {"figure": "fig999"})
+        # Specs the executor could never run are refused up front.
+        with pytest.raises(JobValidationError):
+            validate_spec("check", {"mechanism": "all"})
+        with pytest.raises(JobValidationError):
+            validate_spec("check", {"scenario": "nope"})
+        with pytest.raises(JobValidationError):
+            validate_spec("faults", {"mechanism": "all"})
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(JobValidationError):

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 
 from repro.models import (Fence, Load, Program, Store,
                           enumerate_mechanism_outcomes,
-                          enumerate_tus_outcomes, random_walk_outcomes)
+                          enumerate_tus_outcomes, get_model,
+                          random_walk_outcomes)
 from repro.models.corpus import X, Y, corpus_by_name
-from repro.models.tso import TUSMachine, enumerate_outcomes
+from repro.models.tso import enumerate_outcomes
 
 from .support import max_examples
 
 
 LITMUS = {name: entry.program for name, entry in corpus_by_name().items()}
+
+#: The TUS machine on the x86-TSO storage.
+tso_machine = get_model("tso").machine
 
 
 class TestLitmusSubset:
@@ -47,30 +51,30 @@ class TestCoalescingAtomicity:
                 assert values["r2"] == 1
 
     def test_machine_coalesces_same_line(self):
-        machine = TUSMachine(Program([[Store(X, 1), Store(X, 2)]]))
-        machine.step(0, "exec")
-        machine.step(0, "exec")
-        machine.step(0, "drain")
-        machine.step(0, "drain")
+        machine = tso_machine(Program([[Store(X, 1), Store(X, 2)]]))
+        machine.step("exec", 0)
+        machine.step("exec", 0)
+        machine.step("drain", 0)
+        machine.step("drain", 0)
         assert len(machine.cores[0].groups) == 1
 
     def test_cycle_merges_pending_groups(self):
-        machine = TUSMachine(Program([[
+        machine = tso_machine(Program([[
             Store(X, 1), Store(Y, 1), Store(X, 2)]]))
         for _ in range(3):
-            machine.step(0, "exec")
+            machine.step("exec", 0)
         for _ in range(3):
-            machine.step(0, "drain")
+            machine.step("drain", 0)
         assert len(machine.cores[0].groups) == 1   # {X, Y} merged
 
     def test_group_publishes_atomically(self):
-        machine = TUSMachine(Program([[
+        machine = tso_machine(Program([[
             Store(X, 1), Store(Y, 1), Store(X, 2)]]))
         for _ in range(3):
-            machine.step(0, "exec")
+            machine.step("exec", 0)
         for _ in range(3):
-            machine.step(0, "drain")
-        machine.step(0, "visible")
+            machine.step("drain", 0)
+        machine.step("visible", 0, 0)
         assert machine.memory == {X: 2, Y: 1}
 
 
@@ -93,38 +97,38 @@ class TestNonCoalescing:
 
 class TestLocalReads:
     def test_load_sees_own_sb(self):
-        machine = TUSMachine(Program([[Store(X, 7), Load(X, "r1")]]))
-        machine.step(0, "exec")
-        machine.step(0, "exec")
+        machine = tso_machine(Program([[Store(X, 7), Load(X, "r1")]]))
+        machine.step("exec", 0)
+        machine.step("exec", 0)
         assert machine.regs["r1"] == 7
 
     def test_load_sees_pending_group(self):
-        machine = TUSMachine(Program([[Store(X, 7), Load(X, "r1")]]))
-        machine.step(0, "exec")
-        machine.step(0, "drain")
-        machine.step(0, "exec")
+        machine = tso_machine(Program([[Store(X, 7), Load(X, "r1")]]))
+        machine.step("exec", 0)
+        machine.step("drain", 0)
+        machine.step("exec", 0)
         assert machine.regs["r1"] == 7
 
     def test_load_sees_youngest_pending_write(self):
-        machine = TUSMachine(Program([[
+        machine = tso_machine(Program([[
             Store(X, 1), Store(X, 2), Load(X, "r1")]]))
-        machine.step(0, "exec")
-        machine.step(0, "drain")
-        machine.step(0, "exec")
-        machine.step(0, "drain")
-        machine.step(0, "exec")
+        machine.step("exec", 0)
+        machine.step("drain", 0)
+        machine.step("exec", 0)
+        machine.step("drain", 0)
+        machine.step("exec", 0)
         assert machine.regs["r1"] == 2
 
 
 class TestFences:
     def test_fence_blocked_until_drained(self):
-        machine = TUSMachine(Program([[Store(X, 1), Fence()]]))
-        machine.step(0, "exec")
+        machine = tso_machine(Program([[Store(X, 1), Fence()]]))
+        machine.step("exec", 0)
         steps = machine.enabled_steps()
-        assert (0, "exec") not in steps   # fence waits
-        machine.step(0, "drain")
-        machine.step(0, "visible")
-        assert (0, "exec") in machine.enabled_steps()
+        assert ("exec", 0) not in steps   # fence waits
+        machine.step("drain", 0)
+        machine.step("visible", 0, 0)
+        assert ("exec", 0) in machine.enabled_steps()
 
 
 def _program_strategy():

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from repro.models import Fence, Load, Program, Store
+from repro.models import Fence, Load, Program, Store, get_model
 from repro.models.corpus import X, Y, corpus_by_name
-from repro.models.tso import TUSMachine, enumerate_outcomes
+from repro.models.tso import enumerate_outcomes
 
 LITMUS = {name: entry.program for name, entry in corpus_by_name().items()}
 
@@ -140,17 +140,18 @@ def run_logged_walk(program, coalescing, seed):
     """Drive one machine down a seeded random schedule, logging every
     write in the order it reaches memory as ``(cid, addr, value)``."""
     rng = random.Random(seed)
-    machine = TUSMachine(program, coalescing=coalescing)
+    machine = get_model("tso").machine(program, coalescing=coalescing)
     commits = []
     while True:
         steps = machine.enabled_steps()
         if not steps:
             break
-        cid, kind = rng.choice(steps)
+        token = rng.choice(steps)
+        kind, cid = token[:2]
         if kind == "visible":
             commits.extend((cid, addr, value)
                            for addr, value in machine.cores[cid].groups[0])
-        machine.step(cid, kind)
+        machine.step(*token)
     assert machine.done(), "machine stuck before completion"
     return machine.memory, commits
 
