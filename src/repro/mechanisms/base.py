@@ -6,6 +6,8 @@ which post-SB structures hold store data, and how loads find that data.
 The five mechanisms of the paper's evaluation (baseline, SSB, CSB, SPB,
 TUS) are all implementations of this interface, which is what lets the
 harness swap them under an otherwise identical core and memory system.
+Shared behaviour lives in :class:`PrefetchAtCommit` (all five) and
+:class:`CoalescingMechanism` (CSB and TUS: one WCB front end).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from ..common.events import EventQueue
 from ..common.stats import Charge, StatGroup
 from ..coherence.memsys import CorePort
 from ..cpu.storebuffer import SBEntry, StoreBuffer
+from ..mem.wcb import InsertResult, WCBFile
 from ..observe.bus import NULL_PROBE
 
 #: Invariants every mechanism must uphold on every reachable state
@@ -172,3 +175,114 @@ class PrefetchAtCommit(StoreMechanism):
             # never silently dropped in favour of the reserve).  If the
             # file is full anyway, the drain path re-requests at the head.
             self.port.request_write(entry.line, cycle, prefetch=False)
+
+
+class CoalescingMechanism(PrefetchAtCommit):
+    """Shared behaviour: coalesce committed stores in the WCBs.
+
+    CSB and TUS re-purpose the write-combining buffers the same way
+    (Section III-B): the SB head coalesces into atomic groups under the
+    lex rule, loads forward from the buffers, and a full buffer file
+    (or a lex conflict) forces a flush.  They differ only in how a
+    flushed group reaches the L1D, which subclasses decide in
+    :meth:`_flush` (CSB first needs permission for every line; TUS
+    writes the group unauthorized and lets the WOQ order it).
+
+    Drain-rate model: a cycle spends a commit-width budget; coalescing
+    into a resident WCB line costs 1, a fresh allocation 2, and at most
+    one group flush (also 2) can start.  A lex conflict ends the cycle.
+    """
+
+    def __init__(self, config, port, sb, events, stats,
+                 wcb_entries: int) -> None:
+        super().__init__(config, port, sb, events, stats)
+        self.wcb = WCBFile(wcb_entries, stats.child("wcb"))
+        self._flush_blocked = stats.counter(
+            "flush_blocked_cycles", "cycles a WCB flush could not proceed")
+        self._forward_latency = min(config.core.forward_latency,
+                                    config.memory.l1d.latency)
+
+    def _flush(self, cycle: int) -> bool:
+        """Write every buffered atomic group to the L1D, all-or-nothing;
+        False when the groups cannot go yet."""
+        raise NotImplementedError
+
+    def drain(self, cycle: int) -> int:
+        entries = self.sb._entries
+        if not entries or not entries[0].committed:
+            # No SB pressure: opportunistically flush so fences and
+            # quiescent phases converge.
+            if self.wcb.buffers and self._flush(cycle):
+                return 1
+            return 0
+        progress = 0
+        budget = self.config.core.commit_width
+        flushed = False
+        wcb_insert = self.wcb.insert
+        while budget > 0:
+            if not entries or not entries[0].committed:
+                break
+            head = entries[0]
+            result = wcb_insert(head.line, head.mask)
+            if result == InsertResult.COALESCED:
+                self.sb.pop_head(cycle)
+                progress += 1
+                budget -= 1
+            elif result == InsertResult.ALLOCATED:
+                self.sb.pop_head(cycle)
+                progress += 1
+                budget -= 2   # a fresh buffer allocation costs more
+            elif result == InsertResult.LEX_CONFLICT:
+                # The head store waits until the conflicting line has
+                # been made visible; flushing the buffered groups is
+                # what lets that happen.
+                self._flush_blocked.inc()
+                if not flushed and self._flush(cycle):
+                    flushed = True
+                    progress += 1
+                break
+            else:
+                # NEED_FLUSH: push the buffered groups into the L1D;
+                # at most one flush (L1D write burst) per cycle.
+                if flushed or not self._flush(cycle):
+                    self._flush_blocked.inc()
+                    break
+                flushed = True
+                progress += 1
+                budget -= 2
+        return progress
+
+    def drain_idle(self) -> bool:
+        # The head-independent work is the opportunistic flush, which
+        # needs buffered lines (a refused flush may still issue
+        # requests or bump counters, so it is not skipped while
+        # buffers exist).
+        return not self.wcb.buffers
+
+    def drained(self) -> bool:
+        return self.wcb.empty
+
+    def search(self, addr: int, size: int) -> Optional[int]:
+        entry = self.wcb.find(addr)
+        if entry is None:
+            return None
+        line = addr & ~63
+        mask = ((1 << size) - 1) << (addr - line)
+        if entry.mask & mask:
+            return self._forward_latency
+        return None
+
+    # -- model-checker hooks -----------------------------------------------
+    def _wcb_state(self, groups: dict) -> Tuple:
+        """The WCB part of :meth:`modelcheck_state`, with atomic-group
+        ids renumbered through ``groups`` (a :func:`group_id_map`)."""
+        return (tuple((entry.addr, entry.mask, groups[entry.group])
+                      for entry in self.wcb.buffers),
+                self.wcb._last_written)
+
+    def modelcheck_state(self) -> Tuple:
+        groups = group_id_map(entry.group for entry in self.wcb.buffers)
+        return (self.name,) + self._wcb_state(groups)
+
+    def footprint_lines(self) -> Tuple[int, ...]:
+        return tuple(sorted({entry.addr for entry in self.wcb.buffers}))

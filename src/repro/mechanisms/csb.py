@@ -5,7 +5,10 @@ preserving x86-TSO via atomic groups and the lex order.  Unlike TUS, a
 WCB group can only be written to the L1D once the core holds *write
 permission for every line of the group* — so when a flush hits a miss,
 the SB stops draining for the whole miss latency (the paper's key
-criticism, Section II).
+criticism, Section II).  The SB -> WCB drain loop, the WCB forwarding
+search and the WCB model-checker state are the shared
+:class:`~repro.mechanisms.base.CoalescingMechanism`; this module only
+decides the flush.
 
 Two cores flushing overlapping groups would steal each other's freshly
 granted lines forever, so CSB applies the same lex rule as TUS's
@@ -18,76 +21,23 @@ close into a cycle.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..common.addr import lex_order
-from ..mem.wcb import InsertResult, WCBFile
-from .base import COMMON_INVARIANTS, PrefetchAtCommit, group_id_map
+from .base import COMMON_INVARIANTS, CoalescingMechanism
 from .registry import register
 
 
 @register("csb")
-class CSBMechanism(PrefetchAtCommit):
+class CSBMechanism(CoalescingMechanism):
     """SB -> WCB coalescing -> permission-gated atomic L1D writes."""
 
     def __init__(self, config, port, sb, events, stats) -> None:
-        super().__init__(config, port, sb, events, stats)
-        self.wcb = WCBFile(config.mechanisms.csb_wcb_entries,
-                           stats.child("wcb"))
-        self._c_blocked = stats.counter(
-            "flush_blocked_cycles",
-            "cycles a WCB flush waited for write permission")
+        super().__init__(config, port, sb, events, stats,
+                         config.mechanisms.csb_wcb_entries)
         self._c_group_writes = stats.counter(
             "group_writes", "atomic groups written to the L1D")
-        self._forward_latency = min(config.core.forward_latency,
-                                    config.memory.l1d.latency)
         port.hold_hook = self._hold_request
-
-    def drain(self, cycle: int) -> int:
-        entries = self.sb._entries
-        if not entries or not entries[0].committed:
-            if self.wcb.buffers and self._flush(cycle):
-                return 1
-            return 0
-        progress = 0
-        budget = self.config.core.commit_width
-        flushed = False
-        while budget > 0:
-            if not entries or not entries[0].committed:
-                break
-            head = entries[0]
-            result = self.wcb.insert(head.line, head.mask)
-            if result == InsertResult.COALESCED:
-                self.sb.pop_head(cycle)
-                progress += 1
-                budget -= 1
-            elif result == InsertResult.ALLOCATED:
-                self.sb.pop_head(cycle)
-                progress += 1
-                budget -= 2
-            elif result == InsertResult.LEX_CONFLICT:
-                # The head store waits until the conflicting store has
-                # been made visible, which for CSB means flushing the
-                # buffered groups to the L1D.
-                self._c_blocked.inc()
-                if not flushed and self._flush(cycle):
-                    flushed = True
-                    progress += 1
-                break
-            else:
-                if flushed or not self._flush(cycle):
-                    self._c_blocked.inc()
-                    break
-                flushed = True
-                progress += 1
-                budget -= 2
-        return progress
-
-    def drain_idle(self) -> bool:
-        # CSB's head-independent work is the opportunistic flush, which
-        # needs buffered lines (a failed flush also issues permission
-        # requests, so it must not be skipped while buffers exist).
-        return not self.wcb.buffers
 
     def _flush(self, cycle: int) -> bool:
         """Write buffered groups to the L1D; all lines need permission.
@@ -144,32 +94,9 @@ class CSBMechanism(PrefetchAtCommit):
         # burst publishes it and the WCB entry drains.
         return self.wcb.find(addr) is not None
 
-    def drained(self) -> bool:
-        return self.wcb.empty
-
-    def search(self, addr: int, size: int) -> Optional[int]:
-        entry = self.wcb.find(addr)
-        if entry is None:
-            return None
-        line = addr & ~63
-        mask = ((1 << size) - 1) << (addr - line)
-        if entry.mask & mask:
-            return self._forward_latency
-        return None
-
     # -- model-checker hooks -----------------------------------------------
     def modelcheck_invariants(self) -> Tuple[str, ...]:
         # CSB writes a group only with permission for every line in hand,
         # so unauthorized data must never appear in its caches; its lex
         # delays must never close into a wait cycle.
         return COMMON_INVARIANTS + ("no-unauthorized", "wait-graph")
-
-    def modelcheck_state(self) -> Tuple:
-        groups = group_id_map(entry.group for entry in self.wcb.buffers)
-        return ("csb",
-                tuple((entry.addr, entry.mask, groups[entry.group])
-                      for entry in self.wcb.buffers),
-                self.wcb._last_written)
-
-    def footprint_lines(self) -> Tuple[int, ...]:
-        return tuple(sorted({entry.addr for entry in self.wcb.buffers}))

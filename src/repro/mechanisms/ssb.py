@@ -149,6 +149,10 @@ class SSBMechanism(PrefetchAtCommit):
         # when it is still resident.
         if self.port.is_writable(line):
             self.port.write_hit(line, cycle)
+        elif self.port.visibility_hook is not None:
+            # The L2-only write publishes too; observers must hear of it
+            # as they do of write_hit's.
+            self.port.visibility_hook([line], cycle)
         self.port.update_l2(line)
         self._c_l1_writes.inc()
         return 1

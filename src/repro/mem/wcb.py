@@ -163,8 +163,8 @@ class WCBFile:
         for entry in self.buffers:
             entry.group = group
 
-    def drain_groups(self) -> List[List[WCBEntry]]:
-        """Remove and return all buffers, clustered by atomic group.
+    def groups(self) -> List[List[WCBEntry]]:
+        """The buffered entries clustered by atomic group.
 
         Groups come back in allocation order, which is the order the WOQ
         must make them visible in.
@@ -172,9 +172,13 @@ class WCBFile:
         groups: Dict[int, List[WCBEntry]] = {}
         for entry in self.buffers:
             groups.setdefault(entry.group, []).append(entry)
-        self.buffers = []
-        self._last_written = None
         return [groups[g] for g in sorted(groups)]
+
+    def drain_groups(self) -> List[List[WCBEntry]]:
+        """Remove and return all buffers as :meth:`groups`."""
+        groups = self.groups()
+        self.reset()
+        return groups
 
     def reset(self) -> None:
         self.buffers = []

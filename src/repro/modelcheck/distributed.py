@@ -58,8 +58,10 @@ def worker_main(spool: str, worker_id: int) -> None:
                               por=meta["por"])
     report = base_runner.report
     since_compact = [0]
+    idle = [0.0]
 
     def runner(schedule, pause: bool):
+        idle[0] = 0.0   # claimed a record: the idle stretch is over
         since_compact[0] += 1
         if since_compact[0] >= COMPACT_EVERY:
             since_compact[0] = 0
@@ -71,13 +73,12 @@ def worker_main(spool: str, worker_id: int) -> None:
                              "message": outcome.message,
                              "taken": list(outcome.taken)})
 
-    idle = [0.0]
-
     def wait() -> bool:
         # Pending is empty but someone still runs: their expansion may
         # push children.  Idle briefly; give up after a stale-claim
-        # timeout so a dead sibling cannot wedge the fleet (the driver
-        # recovers its running records afterwards).
+        # timeout (30 s with no record claimed) so a dead sibling
+        # cannot wedge the fleet (the driver recovers its running
+        # records afterwards).
         if idle[0] > 30.0:
             return False
         time.sleep(0.02)

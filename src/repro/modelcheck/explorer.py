@@ -79,6 +79,9 @@ class Violation:
     trace: Tuple[str, ...] = ()
     #: The check's ``machine`` overrides (see :func:`explore`).
     machine: Optional[dict] = None
+    #: The check's per-run cycle budget; a replay needs the same one
+    #: (a budget violation may not reproduce under a larger budget).
+    max_cycles: int = DEFAULT_MAX_CYCLES
 
     def describe(self) -> str:
         overrides = machine_overrides(self.machine)
@@ -90,6 +93,8 @@ class Violation:
             + (f", model {self.model}" if self.model != DEFAULT_MODEL
                else "")
             + (f", machine {overrides}" if overrides else "")
+            + (f", max_cycles {self.max_cycles}"
+               if self.max_cycles != DEFAULT_MAX_CYCLES else "")
             + (", unsound authorization" if self.unsound else ""),
             f"minimised schedule ({len(self.schedule)} decisions): "
             f"{list(self.schedule)}",
@@ -107,6 +112,8 @@ class Violation:
         overrides = machine_overrides(self.machine)
         if overrides:
             extra_args += f",\n                     machine={overrides!r}"
+        if self.max_cycles != DEFAULT_MAX_CYCLES:
+            extra_args += f", max_cycles={self.max_cycles}"
         return (
             "def test_replay_counterexample():\n"
             "    from repro.modelcheck import replay\n"
@@ -532,4 +539,4 @@ def _minimise(outcome: RunOutcome, runner: CheckRunner) -> Violation:
                      mechanism=runner.mechanism, cores=runner.cores,
                      lines=runner.lines, unsound=runner.unsound,
                      model=runner.model, trace=final.trace,
-                     machine=runner.machine)
+                     machine=runner.machine, max_cycles=runner.max_cycles)

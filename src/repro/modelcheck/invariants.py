@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..common.errors import ReproError, TSOViolationError
 from ..cpu.trace import Trace
 from ..mem.cacheline import State
+from ..sim.progress import delay_edges, wait_cycle
 from .observer import VisibilityObserver
 
 
@@ -231,51 +232,9 @@ def check_wait_graph(ctx: CheckContext) -> Optional[str]:
     for another to publish first — the cross-core livelock Section
     III-C's lex order exists to exclude.
     """
-    system = ctx.system
-    edges: Dict[int, set] = {}
-    detail = {}
-    for trans in system.memsys.inflight:
-        if trans.waiting_on is None:
-            continue
-        delayer = system.cores[trans.waiting_on].mechanism
-        if not delayer.pending_publication(trans.addr):
-            continue   # already published; the re-poll will resolve
-        edges.setdefault(trans.requester, set()).add(trans.waiting_on)
-        detail[(trans.requester, trans.waiting_on)] = trans.addr
-    cycle = _find_cycle(edges)
-    if cycle is None:
+    hops = wait_cycle(delay_edges(ctx.system))
+    if hops is None:
         return None
-    hops = ", ".join(
-        f"core {a} waits for core {b} (line "
-        f"{detail[(a, b)]:#x})"
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    hops = ", ".join(f"core {a} waits for core {b} (line {line:#x})"
+                     for a, b, line in hops)
     return f"delay cycle: {hops}"
-
-
-def _find_cycle(edges: Dict[int, set]) -> Optional[List[int]]:
-    """Return one cycle (as a node list) in a directed graph, or None."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {node: WHITE for node in
-              set(edges) | {n for targets in edges.values() for n in targets}}
-    stack: List[int] = []
-
-    def visit(node: int) -> Optional[List[int]]:
-        colour[node] = GREY
-        stack.append(node)
-        for nxt in sorted(edges.get(node, ())):
-            if colour[nxt] == GREY:
-                return stack[stack.index(nxt):]
-            if colour[nxt] == WHITE:
-                found = visit(nxt)
-                if found is not None:
-                    return found
-        stack.pop()
-        colour[node] = BLACK
-        return None
-
-    for node in sorted(colour):
-        if colour[node] == WHITE:
-            found = visit(node)
-            if found is not None:
-                return found
-    return None

@@ -22,25 +22,66 @@ via ``peek``-equivalent raw structures).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
-def _find_cycle(edges: Dict[int, int]) -> Optional[List[int]]:
-    """Return one cycle in the functional graph ``waiter -> waitee``.
+def delay_edges(system) -> List[Tuple[int, int, int, bool]]:
+    """The delay wait-for edges ``(requester, delayer, line, live)``.
 
-    Same walk the wait-graph invariant uses (each node has at most one
-    outgoing edge, so following successors either leaves the graph or
-    loops); duplicated here because importing :mod:`repro.modelcheck`
-    from the simulator would be circular.
+    One edge per in-flight transaction whose last snoop was answered
+    DELAY.  It is *live* while the delayer's mechanism still holds an
+    unpublished store to the line (see ``pending_publication``); once
+    published, the pending re-poll succeeds and the edge is no longer
+    a dependency.
     """
-    for start in edges:
-        seen = []
-        node = start
-        while node in edges and node not in seen:
-            seen.append(node)
-            node = edges[node]
-        if node in seen:
-            return seen[seen.index(node):]
+    edges = []
+    for trans in system.memsys.inflight:
+        if trans.waiting_on is not None:
+            live = system.cores[trans.waiting_on].mechanism \
+                .pending_publication(trans.addr)
+            edges.append((trans.requester, trans.waiting_on, trans.addr,
+                          live))
+    return edges
+
+
+def wait_cycle(edges) -> Optional[List[Tuple[int, int, int]]]:
+    """One cycle over the *live* ``edges``, as ``(waiter, waitee,
+    line)`` hops, or None.
+
+    A requester may wait on several cores at once, so this is a
+    depth-first search over the full graph (nodes and successors in
+    sorted order, so the cycle found is deterministic).  Where two
+    transactions join the same pair of cores, the hop names the later
+    one's line.  The wait-graph invariant and the deadlock dump both
+    read the graph through here.
+    """
+    graph: Dict[int, Dict[int, int]] = {}
+    for waiter, waitee, line, live in edges:
+        if live:
+            graph.setdefault(waiter, {})[waitee] = line
+    done = set()
+    stack: List[int] = []
+
+    def visit(node: int) -> Optional[List[int]]:
+        stack.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if nxt in stack:
+                return stack[stack.index(nxt):]
+            if nxt not in done:
+                found = visit(nxt)
+                if found is not None:
+                    return found
+        stack.pop()
+        done.add(node)
+        return None
+
+    nodes = set(graph).union(*graph.values())
+    for node in sorted(nodes):
+        if node not in done:
+            cycle = visit(node)
+            if cycle is not None:
+                return [(a, b, graph[a][b])
+                        for a, b in zip(cycle, cycle[1:] + cycle[:1])]
     return None
 
 
@@ -182,21 +223,14 @@ class ProgressDump:
                 "waiting_on": trans.waiting_on}
 
     def _capture_wait_graph(self, system) -> None:
-        """Delay edges requester -> delaying core, as the wait-graph
-        invariant defines them, plus whether each edge is still *live*
-        (the delaying core genuinely has a pending publication)."""
-        edges: Dict[int, int] = {}
-        for trans in system.memsys.inflight:
-            if trans.waiting_on is None:
-                continue
-            target = trans.waiting_on
-            live = system.cores[target].mechanism.pending_publication(
-                trans.addr)
-            self.wait_edges.append(
-                {"from": trans.requester, "to": target,
-                 "line": trans.addr, "live": live})
-            edges[trans.requester] = target
-        self.wait_cycle = _find_cycle(edges)
+        """Every delay edge with its *live* flag, and the cycle the
+        wait-graph invariant would report (live edges only)."""
+        edges = delay_edges(system)
+        self.wait_edges = [
+            {"from": requester, "to": delayer, "line": line, "live": live}
+            for requester, delayer, line, live in edges]
+        hops = wait_cycle(edges)
+        self.wait_cycle = None if hops is None else [a for a, _, _ in hops]
 
     @staticmethod
     def _event_state(events) -> dict:

@@ -124,6 +124,38 @@ class TestDistributed:
             cores=2, lines=2, unsound=True)
         assert merged.violation is not None
 
+    def test_worker_idle_limit_is_per_stretch(self, tmp_path, monkeypatch):
+        # A sibling holds the root record and pushes one child after
+        # every 20 s of idling (1000 sleeps of 0.02 s): 60 s of idle in
+        # total, but never 30 s in a row, so the worker must stay for
+        # all three children.  ``max_depth=1`` makes each child a leaf.
+        import repro.modelcheck.distributed as distributed
+        from repro.modelcheck.explorer import job_meta
+        spool = tmp_path / "spool"
+        sibling = DiskFrontier(spool)
+        sibling.seed(job_meta("overlap", "tus", cores=2, lines=2,
+                              max_depth=1, max_states=100, max_cycles=20_000,
+                              unsound=False, machine=None, model="tso",
+                              por="off"), make_record(()))
+        root = sibling.pop()
+        sleeps, pushed = [0], []
+
+        def fake_sleep(seconds):
+            sleeps[0] += 1
+            assert sleeps[0] < 10_000, "worker never left"
+            if sleeps[0] % 1000:
+                return
+            if len(pushed) < 3:
+                pushed.append((0,) * (len(pushed) + 1))
+                sibling.push(make_record(pushed[-1]))
+            else:
+                sibling.ack(root)
+
+        monkeypatch.setattr(distributed.time, "sleep", fake_sleep)
+        distributed.worker_main(str(spool), 0)
+        assert len(pushed) == 3
+        assert sibling.queue_empty() and sibling.running_empty()
+
 
 class TestDiskFrontierUnit:
     def _seeded(self, tmp_path) -> DiskFrontier:

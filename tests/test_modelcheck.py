@@ -191,6 +191,23 @@ class TestMachineCounterexample:
         assert "machine=" not in violation.as_pytest()
 
 
+class TestCycleBudgetCounterexample:
+    """A violation of the check's own cycle budget replays under that
+    budget: the generated snippet carries ``max_cycles``."""
+
+    def test_generated_snippet_reproduces(self):
+        violation = explore("mixed", "tus", max_cycles=3).violation
+        assert violation.invariant == "deadlock"
+        namespace = {}
+        exec(violation.as_pytest(), namespace)
+        namespace["test_replay_counterexample"]()
+        assert "max_cycles 3" in violation.describe()
+
+    def test_default_budget_is_not_mentioned(self):
+        violation = explore("overlap", "tus", unsound=True).violation
+        assert "max_cycles" not in violation.describe()
+
+
 def _check_every_action(monkeypatch):
     """Test-only: make the checking scheduler evaluate invariants on the
     replayed prefix too, as it did before the prefix skip."""

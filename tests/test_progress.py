@@ -8,6 +8,7 @@ JSON-plain dicts; and rendering never throws on any of them.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.common.config import table_i
 from repro.common.errors import DeadlockError
 from repro.cpu.isa import alu, store
 from repro.cpu.trace import Trace
+from repro.modelcheck.invariants import check_wait_graph
 from repro.modelcheck.scenarios import check_config
 from repro.modelcheck.scheduler import DefaultScheduler
 from repro.sim.progress import ProgressDump
@@ -227,3 +229,51 @@ class TestCaptureIsReadOnly:
         probed = run(20)
         assert probed.cycles == plain.cycles
         assert probed.stats == plain.stats
+
+
+def _delay_system(edges, cores=3):
+    """A stub system whose in-flight transactions are the delay edges
+    ``(requester, delayer, line, live)``, in order; a delayer's
+    ``pending_publication`` answers the edge's live flag."""
+    live = {(delayer, line): flag for _, delayer, line, flag in edges}
+    mechanisms = [SimpleNamespace(pending_publication=(
+        lambda addr, cid=cid: live[(cid, addr)])) for cid in range(cores)]
+    return SimpleNamespace(
+        memsys=SimpleNamespace(inflight=[
+            SimpleNamespace(requester=r, waiting_on=d, addr=line)
+            for r, d, line, _ in edges]),
+        cores=[SimpleNamespace(mechanism=m) for m in mechanisms])
+
+
+class TestOneWaitGraph:
+    """The dump's wait cycle is the wait-graph invariant's: live edges
+    only, every edge of a requester that waits on several cores."""
+
+    @staticmethod
+    def _both(edges):
+        system = _delay_system(edges)
+        dump = ProgressDump(reason="watchdog", cycle=0, workload="stub",
+                            mechanism="stub")
+        dump._capture_wait_graph(system)
+        return dump, check_wait_graph(SimpleNamespace(system=system))
+
+    def test_requester_waiting_on_two_cores(self):
+        # Core 0 waits on core 2 and on core 1; only the first edge
+        # closes the cycle, so keeping one edge per requester misses it.
+        dump, message = self._both([(0, 2, 0x100, True),
+                                    (0, 1, 0x140, True),
+                                    (2, 0, 0x180, True)])
+        assert message == ("delay cycle: core 0 waits for core 2 (line "
+                           "0x100), core 2 waits for core 0 (line 0x180)")
+        assert dump.wait_cycle == [0, 2]
+        assert len(dump.wait_edges) == 3
+
+    def test_dead_edge_closes_no_cycle(self):
+        # Core 1 already published the line core 0 waits on: the edge
+        # is dead and the pair is no cycle, though both edges are listed.
+        dump, message = self._both([(0, 1, 0x100, False),
+                                    (1, 0, 0x140, True)])
+        assert message is None
+        assert dump.wait_cycle is None
+        assert [edge["live"] for edge in dump.wait_edges] == [False, True]
+        assert "WAIT-FOR CYCLE" not in dump.render()

@@ -103,6 +103,18 @@ class TestDrain:
         assert len(groups) == 1
         assert {e.addr for e in groups[0]} == {A, B}
 
+    def test_groups_leave_the_buffers_in_place(self):
+        wcb = WCBFile(3)
+        wcb.insert(A, M0)
+        wcb.insert(B, M0)
+        wcb.insert(A, M1)  # cycle: {A, B}
+        wcb.insert(C, M0)
+        groups = wcb.groups()
+        assert [[e.addr for e in g] for g in groups] == [[A, B], [C]]
+        assert len(wcb) == 3
+        assert [[e.addr for e in g] for g in wcb.drain_groups()] == \
+            [[A, B], [C]]
+
     def test_drain_resets_last_written(self):
         wcb = WCBFile(2)
         wcb.insert(A, M0)
