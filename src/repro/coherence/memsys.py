@@ -51,7 +51,6 @@ from ..mem.prefetcher import StreamPrefetcher
 from ..observe.bus import NULL_PROBE
 from .directory import Directory, ShardedDirectory
 from .msgs import ReqType, SnoopKind, SnoopReply, SnoopResult, Transaction
-from .topology import Topology
 
 #: Cycles between directory re-polls of a core that answered DELAY.
 POLL_INTERVAL = 24
@@ -110,7 +109,7 @@ class MemorySystem:
         self.dram = DRAM(config.memory.dram_latency, config.memory.dram_gap,
                          channels=config.dram_channels,
                          stats=self.stats.child("dram"))
-        self.topology = Topology(config)
+        self.topology = config.interconnect
         #: One bit per core whose port changed (:meth:`CorePort.touch`)
         #: since the run loop last looked at the core.
         self.touched = 0

@@ -25,13 +25,29 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from ..coherence.topology import Topology
 
 
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
+
+
+# Every config class is frozen, so a config object that passed its
+# checks once passes them forever: ``validate`` records the pass on the
+# object and returns at once on the next call (System, MemorySystem and
+# every CacheArray validate the config they are given).
+def _passed(config) -> bool:
+    return "_validated" in config.__dict__
+
+
+def _mark_passed(config) -> None:
+    config.__dict__["_validated"] = True
 
 
 def store_forward_latency(sb_entries: int) -> int:
@@ -76,6 +92,16 @@ class CoreConfig:
         """Store-to-load forwarding latency for this SB size."""
         return store_forward_latency(self.sb_entries)
 
+    @cached_property
+    def exec_latencies(self) -> Tuple[int, ...]:
+        """Execution latency indexed by ``repro.cpu.isa.OpKind`` value:
+        the six ALU/FP classes in declaration order, then one cycle each
+        for LOAD, STORE and FENCE.  Built once per config object (a
+        frozen config cannot change under it)."""
+        return (self.int_alu_latency, self.int_mul_latency,
+                self.int_div_latency, self.fp_add_latency,
+                self.fp_mul_latency, self.fp_div_latency, 1, 1, 1)
+
     def validate(self) -> None:
         if self.sb_entries < 1:
             raise ConfigError("store buffer must have at least one entry")
@@ -106,12 +132,15 @@ class CacheConfig:
         return self.size_bytes // self.line_size
 
     def validate(self) -> None:
+        if _passed(self):
+            return
         if self.size_bytes % (self.line_size * self.assoc) != 0:
             raise ConfigError(f"{self.name}: size not divisible by way size")
         if not _is_pow2(self.num_sets):
             raise ConfigError(f"{self.name}: number of sets must be a power of two")
         if self.assoc < 1 or self.mshrs < 1:
             raise ConfigError(f"{self.name}: assoc and mshrs must be positive")
+        _mark_passed(self)
 
 
 @dataclass(frozen=True)
@@ -274,6 +303,8 @@ class SystemConfig:
     link_latency: int = 1
 
     def validate(self) -> None:
+        if _passed(self):
+            return
         if self.num_cores < 1:
             raise ConfigError("at least one core is required")
         if self.topology not in TOPOLOGIES:
@@ -290,6 +321,15 @@ class SystemConfig:
         self.memory.validate()
         self.tus.validate()
         self.retry.validate()
+        _mark_passed(self)
+
+    @cached_property
+    def interconnect(self) -> Topology:
+        """The hop-latency matrices of this layout
+        (:class:`~repro.coherence.topology.Topology`), built once per
+        config object: every system on the config shares them."""
+        from ..coherence.topology import Topology
+        return Topology(self)
 
     def with_sb_size(self, sb_entries: int) -> "SystemConfig":
         """Return a copy with a different store-buffer size."""

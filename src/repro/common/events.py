@@ -126,10 +126,11 @@ class EventQueue:
     def due_entries(self, cycle: int) -> List["_Entry"]:
         """Live entries scheduled at or before ``cycle``, in the order
         :meth:`run_until` would fire them.  The queue is not modified."""
-        due: List["_Entry"] = []
-        for c in sorted(c for c in self._buckets if c <= cycle):
-            due.extend(e for e in self._buckets[c] if not e.cancelled)
-        return due
+        buckets = self._buckets
+        cycles = [c for c in buckets if c <= cycle]
+        if len(cycles) > 1:
+            cycles.sort()
+        return [e for c in cycles for e in buckets[c] if not e.cancelled]
 
     def fire_entry(self, entry: "_Entry") -> None:
         """Fire one specific live entry out of queue order.

@@ -179,6 +179,52 @@ class StatGroup:
         return "\n".join(lines)
 
 
+class NullStats:
+    """The disabled statistics tree: falsy, and it keeps nothing.
+
+    Every declaration returns a shared sink (one :class:`Counter`, one
+    :class:`Histogram`, and the tree itself for :meth:`child`), so the
+    models bump their counters exactly as they do under a live tree, and
+    :meth:`flatten` returns ``{}``.  A sink's value sums every bump of
+    every system that shares it and means nothing; a system built on
+    :data:`NULL_STATS` is one whose behaviour nothing reads statistics
+    from (the model checker's machines).
+    """
+
+    __slots__ = ()
+    name = ""
+
+    def __bool__(self) -> bool:
+        return False
+
+    def counter(self, name: str, desc: str = "") -> Counter:
+        return _SINK_COUNTER
+
+    def histogram(self, name: str, bucket_width: int = 1,
+                  num_buckets: int = 32, desc: str = "") -> Histogram:
+        return _SINK_HISTOGRAM
+
+    def formula(self, name: str, fn: Callable[[], float],
+                desc: str = "") -> None:
+        """No-op: a formula over sinks would mean nothing."""
+
+    def child(self, name: str) -> "NullStats":
+        return self
+
+    def reset(self) -> None:
+        """No-op: the sinks are shared."""
+
+    def flatten(self, prefix: str = "") -> Dict[str, float]:
+        return {}
+
+
+_SINK_COUNTER = Counter("null")
+_SINK_HISTOGRAM = Histogram("null")
+
+#: The shared disabled statistics tree (see :class:`NullStats`).
+NULL_STATS = NullStats()
+
+
 def geomean(values: List[float]) -> float:
     """Geometric mean, as used for the paper's 'All' aggregates."""
     if not values:

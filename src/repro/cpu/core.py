@@ -35,7 +35,7 @@ from ..common.config import SystemConfig
 from ..common.stats import StatGroup
 from ..coherence.memsys import CorePort
 from ..observe.bus import NULL_PROBE
-from .isa import OpKind, UOp, exec_latency
+from .isa import OpKind, UOp
 from .lsq import LoadQueue
 from .stall import StallAccount, StallReason
 from .storebuffer import StoreBuffer
@@ -89,8 +89,7 @@ class Core:
         self._commit_width = config.core.commit_width
         self._rob_entries = config.core.rob_entries
         #: Execution latency indexed by OpKind (IntEnum) value.
-        self._latency_by_kind = tuple(
-            exec_latency(kind, config.core) for kind in OpKind)
+        self._latency_by_kind = config.core.exec_latencies
         self.sb = StoreBuffer(config.core, stats=stats.child("sb"))
         self.lq = LoadQueue(config.core, stats=stats.child("lq"))
         self.stalls = StallAccount(stats)

@@ -48,17 +48,8 @@ class OpKind(enum.IntEnum):
 
 
 def exec_latency(kind: OpKind, config: CoreConfig) -> int:
-    """Execution latency of a non-memory micro-op (Table I)."""
-    table = {
-        OpKind.INT_ALU: config.int_alu_latency,
-        OpKind.INT_MUL: config.int_mul_latency,
-        OpKind.INT_DIV: config.int_div_latency,
-        OpKind.FP_ADD: config.fp_add_latency,
-        OpKind.FP_MUL: config.fp_mul_latency,
-        OpKind.FP_DIV: config.fp_div_latency,
-        OpKind.FENCE: 1,
-    }
-    return table.get(kind, 1)
+    """Execution latency of a micro-op class (Table I)."""
+    return config.exec_latencies[kind]
 
 
 class UOp:

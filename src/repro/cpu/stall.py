@@ -46,6 +46,10 @@ _LABELS = {
     StallReason.FRONTEND: "frontend",
 }
 
+#: Every reason but NONE, in value order (enum iteration is slow, and
+#: every core of every system builds its account from this).
+_STALLS = tuple(StallReason)[1:]
+
 
 class StallAccount:
     """Per-core stall-cycle bookkeeping."""
@@ -55,11 +59,10 @@ class StallAccount:
         self._counters = {
             reason: group.counter(_LABELS[reason],
                                   f"cycles stalled on {_LABELS[reason]}")
-            for reason in StallReason if reason != StallReason.NONE
+            for reason in _STALLS
         }
         #: Counters indexed by the (Int)reason; NONE maps to None.
-        self._by_index = [self._counters.get(reason)
-                          for reason in StallReason]
+        self._by_index = [None] + list(self._counters.values())
         self._total = stats.counter("stall_cycles", "total stalled cycles")
         self.current: StallReason = StallReason.NONE
         self.probe = NULL_PROBE

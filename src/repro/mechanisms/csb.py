@@ -91,8 +91,9 @@ class CSBMechanism(CoalescingMechanism):
 
     def pending_publication(self, addr: int) -> bool:
         # A delayed line stays buffered until its group's write_hit
-        # burst publishes it and the WCB entry drains.
-        return self.wcb.find(addr) is not None
+        # burst publishes it and the WCB entry drains.  A pure read: the
+        # progress dump and the wait-graph invariant ask it.
+        return self.wcb.holds(addr)
 
     # -- model-checker hooks -----------------------------------------------
     def modelcheck_invariants(self) -> Tuple[str, ...]:

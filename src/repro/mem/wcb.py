@@ -90,6 +90,13 @@ class WCBFile:
                 return entry
         return None
 
+    def holds(self, addr: int) -> bool:
+        """Does a buffer hold ``addr``'s line?  :meth:`find` without the
+        search count, for read-only callers (progress dumps, the model
+        checker's invariants)."""
+        addr = line_addr(addr)
+        return any(entry.addr == addr for entry in self.buffers)
+
     def insert(self, addr: int, mask: int) -> InsertResult:
         """Offer a committed store to the WCBs; see class docstring."""
         addr = line_addr(addr)

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..common.errors import DeadlockError
+from ..common.stats import NULL_STATS
 from ..cpu.trace import Trace
 from ..models import DEFAULT_MODEL, get_model
 from ..sim.system import System
@@ -58,7 +59,7 @@ from .por import POR_MODES, describe_for, sleep_filter
 from .scenarios import check_config, get_scenario, machine_overrides
 from .scheduler import (CheckingScheduler, FrontierReached,
                         ReplayScheduler, render_trace)
-from .state import canonical_key
+from .state import canonical_key, symmetry_permutations
 
 DEFAULT_MAX_CYCLES = 20_000
 
@@ -210,13 +211,17 @@ class CheckRunner:
     """Executes the schedules of one check.
 
     Everything that depends only on the check — the reduced machine's
-    configuration, the scenario's traces and the model-filtered
+    configuration (validated once, with its latency table and topology;
+    see :class:`~repro.common.config.SystemConfig`), the scenario's
+    traces, their symmetry permutations and the model-filtered
     invariant names — is built once here; each execution builds a
-    fresh :class:`System` from it.  Every execution is counted in
-    :attr:`report` (``executions``), which is what the frontier loop's
-    state budget reads.  Calling the runner replays ``schedule``,
-    pausing at the first decision beyond it when ``pause`` is set;
-    :meth:`run` executes under any inner scheduler.
+    fresh :class:`System` from it.  That system keeps no statistics
+    (:data:`~repro.common.stats.NULL_STATS`): no state key, invariant,
+    POR footprint, counterexample or progress dump reads one.  Every
+    execution is counted in :attr:`report` (``executions``), which is
+    what the frontier loop's state budget reads.  Calling the runner
+    replays ``schedule``, pausing at the first decision beyond it when
+    ``pause`` is set; :meth:`run` executes under any inner scheduler.
     """
 
     def __init__(self, scenario_name: str, mechanism: str, *,
@@ -243,12 +248,15 @@ class CheckRunner:
         self.traces = [Trace(f"mc-{scenario.name}-c{cid}", program)
                        for cid, program in
                        enumerate(scenario.build(cores, lines))]
+        self.perms = symmetry_permutations(self.traces,
+                                           self.config.interconnect)
         self.invariant_names: Optional[Sequence[str]] = None
 
     def build(self):
         """A fresh system for one execution: ``(system, observer, ctx)``."""
         system = System(self.config, self.traces,
-                        workload=f"mc-{self.scenario.name}")
+                        workload=f"mc-{self.scenario.name}",
+                        stats=NULL_STATS)
         observer = VisibilityObserver()
         observer.attach(system)
         return system, observer, CheckContext(system, self.traces, observer)
@@ -273,22 +281,23 @@ class CheckRunner:
                 mechanism.modelcheck_invariants())
         sched = CheckingScheduler(inner, ctx, self.invariant_names)
         taken = getattr(inner, "taken", [])
+        perms = self.perms
         try:
             system.run_controlled(sched, max_cycles=self.max_cycles)
         except FrontierReached as frontier:
             return RunOutcome("frontier", branches=frontier.branches,
-                              key=canonical_key(system, observer),
+                              key=canonical_key(system, observer, perms),
                               taken=tuple(taken), actions=frontier.actions)
         except InvariantViolation as violation:
             return RunOutcome("violation", invariant=violation.invariant,
                               message=violation.message, taken=tuple(taken),
                               steps=sched.steps,
-                              key=canonical_key(system, observer))
+                              key=canonical_key(system, observer, perms))
         except DeadlockError as deadlock:
             return RunOutcome("violation", invariant="deadlock",
                               message=str(deadlock), taken=tuple(taken),
                               steps=sched.steps,
-                              key=canonical_key(system, observer))
+                              key=canonical_key(system, observer, perms))
         # A finished run has no scheduling position: neutralise the run
         # loop's intra-cycle bookkeeping so terminal states hash by
         # architectural content alone (two interleavings that end in
@@ -299,7 +308,7 @@ class CheckRunner:
         return RunOutcome("done", taken=tuple(taken), steps=sched.steps,
                           committed=tuple(core.committed
                                           for core in system.cores),
-                          key=canonical_key(system, observer))
+                          key=canonical_key(system, observer, perms))
 
 
 def run_schedule(scenario_name: str, mechanism: str,

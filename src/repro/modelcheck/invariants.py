@@ -30,7 +30,7 @@ Mapping to the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..common.errors import ReproError, TSOViolationError
@@ -51,6 +51,10 @@ class InvariantViolation(ReproError):
         self.trace = trace
 
 
+#: Every tracked line, ascending, with each core's protocol-visible state.
+VisibleStates = List[Tuple[int, Tuple[State, ...]]]
+
+
 @dataclass
 class CheckContext:
     """Everything an invariant may inspect."""
@@ -58,6 +62,22 @@ class CheckContext:
     system: object                    # repro.sim.system.System
     traces: Sequence[Trace]
     observer: VisibilityObserver
+    _visible: Optional[VisibleStates] = field(default=None, repr=False)
+
+    def begin_action(self) -> None:
+        """Forget the last action's derived views (call after every
+        action, before its invariants run)."""
+        self._visible = None
+
+    def visible_states(self) -> VisibleStates:
+        """The current action's tracked lines and visible states, built
+        by the first invariant that reads them and shared by the rest."""
+        if self._visible is None:
+            ports = self.system.memsys.ports
+            self._visible = [
+                (addr, tuple(_visible_state(port, addr) for port in ports))
+                for addr in _tracked_lines(self.system)]
+        return self._visible
 
 
 #: name -> predicate(ctx) returning None or a violation message.
@@ -103,12 +123,9 @@ def _tracked_lines(system) -> List[int]:
 @invariant("swmr")
 def check_swmr(ctx: CheckContext) -> Optional[str]:
     """Single-Writer-Multiple-Reader over protocol-visible copies."""
-    system = ctx.system
-    for addr in _tracked_lines(system):
-        states = [(cid, _visible_state(port, addr))
-                  for cid, port in enumerate(system.memsys.ports)]
-        writers = [cid for cid, st in states if st.writable]
-        readers = [cid for cid, st in states if st.valid]
+    for addr, states in ctx.visible_states():
+        writers = [cid for cid, st in enumerate(states) if st.writable]
+        readers = [cid for cid, st in enumerate(states) if st.valid]
         if len(writers) > 1:
             return (f"line {addr:#x} writable at cores "
                     f"{writers} simultaneously")
@@ -124,11 +141,11 @@ def check_directory_backing(ctx: CheckContext) -> Optional[str]:
     (outside an in-flight transaction) names that core as owner.
     ``peek`` routes to the home shard owning the line, so the check is
     exact on sharded directories too."""
-    system = ctx.system
-    directory = system.memsys.directory
-    for cid, port in enumerate(system.memsys.ports):
-        for addr in _tracked_lines(system):
-            if not _visible_state(port, addr).writable:
+    directory = ctx.system.memsys.directory
+    visible = ctx.visible_states()
+    for cid in range(len(ctx.system.memsys.ports)):
+        for addr, states in visible:
+            if not states[cid].writable:
                 continue
             entry = directory.peek(addr)
             if entry is None:

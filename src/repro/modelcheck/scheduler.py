@@ -164,6 +164,7 @@ class CheckingScheduler:
             if self.inner.decisions < self.replayed:
                 return
             self.replayed = 0
+        self.ctx.begin_action()
         for name, fn in self.invariants:
             message = fn(self.ctx)
             if message is not None:

@@ -36,15 +36,19 @@ from __future__ import annotations
 
 import hashlib
 from itertools import permutations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..coherence.topology import Topology
+from ..cpu.trace import Trace
 from .observer import VisibilityObserver
 
 
-def canonical_key(system, observer: Optional[VisibilityObserver] = None
-                  ) -> str:
-    """Return a short stable hash of the canonicalised system state."""
-    perms = _symmetry_permutations(system)
+def canonical_key(system, observer: Optional[VisibilityObserver],
+                  perms: Sequence[Dict[int, int]]) -> str:
+    """Return a short stable hash of the canonicalised system state.
+
+    ``perms`` are the check's :func:`symmetry_permutations`; they depend
+    only on the check, so its runner computes them once."""
     best = None
     for perm in perms:
         encoded = repr(_encode(system, observer, perm))
@@ -53,7 +57,8 @@ def canonical_key(system, observer: Optional[VisibilityObserver] = None
     return hashlib.sha1(best.encode()).hexdigest()
 
 
-def _symmetry_permutations(system) -> List[Dict[int, int]]:
+def symmetry_permutations(traces: Sequence[Trace],
+                          topology: Topology) -> List[Dict[int, int]]:
     """Core renamings that preserve the per-core trace AND the per-core
     interconnect position (behaviourally legal relabelings; the rest of
     the configuration is shared by construction).
@@ -66,9 +71,8 @@ def _symmetry_permutations(system) -> List[Dict[int, int]]:
     the original reduction exactly.
     """
     signatures = [tuple((uop.kind, uop.addr, uop.size, uop.dep_dist)
-                        for uop in core.trace)
-                  for core in system.cores]
-    topology = getattr(system.memsys, "topology", None)
+                        for uop in trace)
+                  for trace in traces]
     n = len(signatures)
     perms = []
     for order in permutations(range(n)):
@@ -77,7 +81,7 @@ def _symmetry_permutations(system) -> List[Dict[int, int]]:
             continue
         # order[i] is the old core placed at canonical position i.
         perm = {order[i]: i for i in range(n)}
-        if topology is not None and not topology.permutation_ok(perm):
+        if not topology.permutation_ok(perm):
             continue
         perms.append(perm)
     return perms
@@ -166,9 +170,14 @@ def _encode_port(port) -> Tuple:
 def _normalise(value) -> Tuple:
     """Recursively freeze a mechanism snapshot into plain hashable data."""
     if isinstance(value, (list, tuple)):
-        return tuple(_normalise(v) for v in value)
+        return tuple([v if type(v) in _SCALARS else _normalise(v)
+                      for v in value])
     if isinstance(value, (set, frozenset)):
         return tuple(sorted(_normalise(v) for v in value))
     if isinstance(value, dict):
         return tuple(sorted((k, _normalise(v)) for k, v in value.items()))
     return value
+
+
+#: Types :func:`_normalise` returns unchanged, tested before the call.
+_SCALARS = frozenset((int, bool, str, type(None)))

@@ -57,7 +57,8 @@ class System:
     """
 
     def __init__(self, config: SystemConfig, traces: List[Trace],
-                 workload: str = "") -> None:
+                 workload: str = "",
+                 stats: Optional[StatGroup] = None) -> None:
         config.validate()
         if len(traces) != config.num_cores:
             raise ConfigError(
@@ -65,7 +66,10 @@ class System:
         self.config = config
         self.workload = workload or (traces[0].name if traces else "empty")
         self.events = EventQueue()
-        self.stats = StatGroup("system")
+        #: The root of the statistics tree; :data:`~repro.common.stats
+        #: .NULL_STATS` builds a machine that keeps none, whose result
+        #: then carries no stall breakdown and no statistics.
+        self.stats = stats if stats is not None else StatGroup("system")
         self.memsys = MemorySystem(config, self.events,
                                    self.stats.child("mem"))
         self.cores: List[Core] = []
@@ -81,6 +85,9 @@ class System:
         self.cycle = 0
         self._measure_start = 0
         self.probe = NULL_PROBE
+        #: :meth:`run`'s loop bookkeeping when it stopped at
+        #: ``max_cycles`` (None otherwise).
+        self._paused: Optional[tuple] = None
 
     def run(self, max_cycles: Optional[int] = None,
             warmup_committed: int = 0) -> SimResult:
@@ -90,9 +97,12 @@ class System:
         after which all statistics are reset and the measured region
         begins — the equivalent of the paper's cache-warming prefix
         before each simulation point.
+
+        A run stopped at ``max_cycles`` resumes where it stopped when
+        called again: the split run's result equals the unsplit one's,
+        statistic for statistic.
         """
         watchdog = self.config.deadlock_cycles
-        last_progress = 0
         warmup_pending = warmup_committed > 0
         check_warmup = warmup_pending
         cores = self.cores
@@ -109,14 +119,22 @@ class System:
         # that is a charge (else None), and ``base[cid]`` how many event
         # cycles had been counted (``skips``, the last one
         # ``last_skip``) when it was last accounted.
-        n = len(cores)
-        since = [0] * n
-        charges = [None] * n
-        base = [0] * n
-        wakes: List[Tuple[int, int]] = []
-        live = (1 << n) - 1
-        stale = due = 0
-        skips = last_skip = 0
+        # A run that stopped at ``max_cycles`` resumes with this
+        # bookkeeping as it stopped (its stale cores charged up to the
+        # stop), so it steps exactly the cores an unsplit run does.
+        if self._paused is not None:
+            (since, charges, base, wakes, live, stale, due, skips,
+             last_skip, last_progress) = self._paused
+            self._paused = None
+        else:
+            n = len(cores)
+            since = [0] * n
+            charges = [None] * n
+            base = [0] * n
+            wakes: List[Tuple[int, int]] = []
+            live = (1 << n) - 1
+            stale = due = 0
+            skips = last_skip = last_progress = 0
         port_aware = not self.probe
         while live:
             cycle = self.cycle
@@ -130,6 +148,8 @@ class System:
                             last_skip)
                     self._begin_measurement()
             if max_cycles is not None and cycle >= max_cycles:
+                self._paused = (since, charges, base, wakes, live, stale,
+                                due, skips, last_skip, last_progress)
                 break
             fired = run_until(cycle) if (
                 event_cycles and event_cycles[0] <= cycle) else 0
@@ -237,6 +257,7 @@ class System:
         for cid, core in enumerate(cores):
             if stale >> cid & 1:
                 core.charge_skipped(self.cycle - since[cid] - 1, self.cycle)
+                since[cid] = self.cycle - 1     # charged up to here
         return self._result()
 
     def run_controlled(self, scheduler, max_cycles: int = 100_000
@@ -263,12 +284,16 @@ class System:
         """
         watchdog = self.config.deadlock_cycles
         last_progress = 0
-        done = [core.is_done() for core in self.cores]
+        cores = self.cores
+        events = self.events
+        due_entries = events.due_entries
+        done = [core.is_done() for core in cores]
         # Event count at the time each core went stale (None = not stale).
-        stale_at: List[Optional[int]] = [None] * len(self.cores)
+        stale_at: List[Optional[int]] = [None] * len(cores)
         events_fired = 0
         while not all(done):
-            if self.cycle >= max_cycles:
+            cycle = self.cycle
+            if cycle >= max_cycles:
                 raise self._deadlock(
                     "cycle-budget",
                     f"controlled run exceeded {max_cycles} cycles "
@@ -278,14 +303,13 @@ class System:
             core_progress = False
             while True:
                 actions = [("event", handle)
-                           for handle in self.events.due_entries(self.cycle)]
-                for cid, core in enumerate(self.cores):
+                           for handle in due_entries(cycle)]
+                for cid, core in enumerate(cores):
                     if stepped[cid]:
                         continue
-                    if (stale_at[cid] is not None
-                            and events_fired == stale_at[cid]
+                    if (stale_at[cid] == events_fired
                             and (core.wake_cycle is None
-                                 or core.wake_cycle > self.cycle)):
+                                 or core.wake_cycle > cycle)):
                         continue
                     actions.append(("core", cid))
                 if not actions:
@@ -298,43 +322,41 @@ class System:
                 # states.
                 self.sched_position = (
                     tuple(stepped),
-                    tuple(stale_at[cid] is not None
-                          and events_fired == stale_at[cid]
-                          for cid in range(len(self.cores))))
+                    tuple([at == events_fired for at in stale_at]))
                 index = 0 if len(actions) == 1 else \
                     scheduler.choose(self, actions)
                 action = actions[index]
                 kind, target = action
                 if kind == "event":
-                    self.events.fire_entry(target)
+                    events.fire_entry(target)
                     events_fired += 1
                     progress = True
                 else:
-                    core = self.cores[target]
+                    core = cores[target]
                     stepped[target] = True
-                    if core.step(self.cycle):
+                    if core.step(cycle):
                         # Only core steps feed the watchdog (see the
                         # class docstring); events keep the clock going.
                         progress = core_progress = True
                         stale_at[target] = None
                     else:
                         stale_at[target] = events_fired
-                        core.wake_cycle = core.next_wake(self.cycle)
+                        core.wake_cycle = core.next_wake(cycle)
                     if core.is_done():
                         done[target] = True
                 scheduler.after_action(self, action)
             if all(done):
                 break
             if core_progress:
-                last_progress = self.cycle
+                last_progress = cycle
             if progress:
-                self.cycle += 1
+                self.cycle = cycle + 1
             else:
                 target_cycle = self._next_interesting_cycle()
                 if target_cycle is None:
                     raise self._deadlock(
                         "no-progress",
-                        f"no progress possible at cycle {self.cycle} "
+                        f"no progress possible at cycle {cycle} "
                         f"({self.workload}/{self.config.mechanism})")
                 self.cycle = target_cycle
             if self.cycle - last_progress > watchdog:
@@ -372,11 +394,14 @@ class System:
 
     def _result(self) -> SimResult:
         start = self._measure_start
+        live = bool(self.stats)
         cores = [
-            CoreResult(core.core_id, int(core.c_committed.value),
+            CoreResult(core.core_id,
+                       int(core.c_committed.value) if live
+                       else core.committed,
                        (core.finish_cycle if core.finish_cycle is not None
                         else self.cycle) - start,
-                       core.stalls.breakdown())
+                       core.stalls.breakdown() if live else {})
             for core in self.cores
         ]
         return SimResult(self.workload, self.config.mechanism,

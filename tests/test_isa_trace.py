@@ -23,6 +23,10 @@ class TestOpKind:
         assert exec_latency(OpKind.FP_ADD, cfg) == 5
         assert exec_latency(OpKind.FP_MUL, cfg) == 5
         assert exec_latency(OpKind.FP_DIV, cfg) == 12
+        # The table is indexed by OpKind value: one entry per class.
+        assert len(cfg.exec_latencies) == len(OpKind)
+        for kind in (OpKind.LOAD, OpKind.STORE, OpKind.FENCE):
+            assert exec_latency(kind, cfg) == 1
 
 
 class TestUOp:

@@ -9,10 +9,14 @@ deterministically.
 """
 
 import hashlib
+import json
 import os
+import random
+from pathlib import Path
 
 import pytest
 
+import repro.modelcheck.explorer as explorer_module
 import repro.modelcheck.scheduler as scheduler_module
 from repro.common.config import MECHANISMS
 from repro.common.pool import TaskFailure
@@ -23,7 +27,7 @@ from repro.modelcheck import (INVARIANTS, SCENARIOS, MemoryFrontier,
                               distributed_explore, explore, fuzz,
                               get_scenario, replay, run_schedule)
 from repro.modelcheck.explorer import CheckRunner, _minimise
-from repro.modelcheck.state import _symmetry_permutations
+from repro.modelcheck.scheduler import RandomScheduler
 
 
 class TestDefaultSchedules:
@@ -45,14 +49,32 @@ class TestDefaultSchedules:
         assert outcome.invariant == "deadlock"
 
 
+#: Exhaustive ``--por off`` counts of every mechanism on four scenarios
+#: at 2 cores x 2 lines, recorded before the checker's machines went
+#: stats-free: executions, unique/terminal states, distinct terminals
+#: and the terminal fingerprint.
+PINNED_COUNTS = json.loads(
+    (Path(__file__).parent / "data" / "check_counts.json").read_text())
+
+
+def _assert_pinned(scenario, mechanism):
+    pins = PINNED_COUNTS["checks"][f"{scenario}/{mechanism}"]
+    report = explore(scenario, mechanism, cores=PINNED_COUNTS["cores"],
+                     lines=PINNED_COUNTS["lines"], por=PINNED_COUNTS["por"])
+    assert report.passed
+    assert report.complete
+    assert {name: getattr(report, name) for name in pins} == pins
+
+
 class TestExhaustive:
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_overlap_all_mechanisms_pass(self, mechanism):
-        report = explore("overlap", mechanism, cores=2, lines=2)
-        assert report.passed
-        assert report.complete
-        assert report.unique_states > 0
-        assert report.terminal_states > 0
+        _assert_pinned("overlap", mechanism)
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    @pytest.mark.parametrize("scenario", ("sb", "mp", "fence"))
+    def test_pinned_counts(self, scenario, mechanism):
+        _assert_pinned(scenario, mechanism)
 
     def test_pause_exposes_branches(self):
         outcome = run_schedule("overlap", "tus", (), cores=2, lines=2,
@@ -296,8 +318,7 @@ class TestFuzz:
 class TestSymmetry:
     def test_identical_traces_are_interchangeable(self):
         # mp with 3 cores: the two consumers run the same program.
-        system, _, _ = CheckRunner("mp", "baseline", cores=3).build()
-        assert len(_symmetry_permutations(system)) == 2
+        assert len(CheckRunner("mp", "baseline", cores=3).perms) == 2
 
     def test_symmetric_branches_collapse_to_one_state(self):
         # First decision offers [step core0, step core1, step core2];
@@ -407,3 +428,37 @@ class TestControlledRunParity:
         for fast_port, controlled_port in zip(fast.memsys.ports,
                                               controlled.memsys.ports):
             assert _encode_port(fast_port) == _encode_port(controlled_port)
+
+
+class TestStatsFreeMachines:
+    """The checker's machines keep no statistics (``NULL_STATS``): the
+    same schedules on machines that keep them all give the same
+    outcomes, field for field."""
+
+    @staticmethod
+    def _outcomes(scenario, mechanism, unsound):
+        runner = CheckRunner(scenario, mechanism, unsound=unsound)
+        outcomes = []
+        for seed in range(8):
+            walk = RandomScheduler(random.Random(seed))
+            runs = [runner.run(walk)]
+            runs.append(runner(tuple(walk.taken[:len(walk.taken) // 2]),
+                               pause=True))
+            outcomes += [(o.kind, o.key, o.branches, o.taken, o.trace,
+                          o.committed, o.invariant, o.message)
+                         for o in runs]
+        return outcomes
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_full_statistics_change_no_outcome(self, monkeypatch,
+                                               mechanism):
+        cases = [("overlap", False), ("mp", False)]
+        if mechanism == "tus":
+            cases.append(("overlap", True))     # violations too
+        stats_free = [self._outcomes(scenario, mechanism, unsound)
+                      for scenario, unsound in cases]
+        monkeypatch.setattr(explorer_module, "NULL_STATS", None)
+        system, _, _ = CheckRunner("overlap", mechanism).build()
+        assert system.stats.flatten()           # a full statistics tree
+        assert [self._outcomes(scenario, mechanism, unsound)
+                for scenario, unsound in cases] == stats_free

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.common.config import table_i
+from repro.common.config import MECHANISMS
 from repro.common.errors import DeadlockError
 from repro.cpu.isa import alu, store
 from repro.cpu.trace import Trace
@@ -214,21 +214,25 @@ class TestDumpContents:
 
 class TestCaptureIsReadOnly:
     def test_capture_does_not_perturb_the_run(self):
-        def run(probe_at):
+        # The same split run with and without a capture at every cut,
+        # for every mechanism (CSB's and TUS's wait-graph queries
+        # included).
+        def run(mechanism, capture):
             traces = [Trace(f"c{cid}",
                             [store(0x60_0000 + (i % 4) * 64 + cid * 8, 8)
                              for i in range(40)])
                       for cid in range(2)]
-            system = System(check_config(2, "tus"), traces)
-            if probe_at:
-                system.run(max_cycles=probe_at)
-                ProgressDump.capture(system, "watchdog", "probe")
-            result = system.run()
-            return result
-        plain = run(0)
-        probed = run(20)
-        assert probed.cycles == plain.cycles
-        assert probed.stats == plain.stats
+            system = System(check_config(2, mechanism), traces)
+            for cut in (10, 20, 40, 80, 120):
+                system.run(max_cycles=cut)
+                if capture:
+                    ProgressDump.capture(system, "watchdog", "probe")
+            return system.run()
+        for mechanism in MECHANISMS:
+            plain = run(mechanism, capture=False)
+            probed = run(mechanism, capture=True)
+            assert probed.cycles == plain.cycles, mechanism
+            assert probed.stats == plain.stats, mechanism
 
 
 def _delay_system(edges, cores=3):

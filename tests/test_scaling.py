@@ -23,7 +23,6 @@ from repro.harness.checks import CheckJob, run_check
 from repro.mem.dram import DRAM
 from repro.modelcheck.explorer import CheckRunner
 from repro.modelcheck.scenarios import scenario_lines
-from repro.modelcheck.state import _symmetry_permutations
 from repro.sim.progress import ProgressDump
 from repro.sim.system import System
 from repro.workloads import make_parallel_traces
@@ -248,29 +247,28 @@ class TestShardAwareSymmetry:
     def test_p2p_keeps_consumer_swap(self):
         # mp with 3 cores: the two consumers run the same program and
         # p2p gives them identical positions, so the swap is legal.
-        system, _, _ = CheckRunner("mp", "baseline", cores=3).build()
-        assert len(_symmetry_permutations(system)) == 2
+        assert len(CheckRunner("mp", "baseline", cores=3).perms) == 2
 
     def test_ring_with_shards_breaks_consumer_swap(self):
         # Regression: on a 3-core ring with 2 directory homes the two
         # consumers sit at different distances from home 0, so swapping
         # them is *not* a symmetry — the naive trace-only reduction
         # would merge states with different in-flight latencies.
-        system, _, _ = CheckRunner(
+        runner = CheckRunner(
             "mp", "baseline", cores=3,
-            machine={"topology": "ring", "dir_shards": 2}).build()
+            machine={"topology": "ring", "dir_shards": 2})
+        system, _, _ = runner.build()
         topo = system.memsys.topology
         assert topo.core_home[1] != topo.core_home[2]
-        perms = _symmetry_permutations(system)
-        assert perms == [{0: 0, 1: 1, 2: 2}]
+        assert runner.perms == [{0: 0, 1: 1, 2: 2}]
 
     def test_sharding_alone_keeps_symmetric_consumers(self):
         # Positive control: sharding the directory under a p2p (uniform)
         # interconnect distinguishes nothing, so the reduction must keep
         # the consumer swap.
-        system, _, _ = CheckRunner("mp", "baseline", cores=3,
-                                   machine={"dir_shards": 2}).build()
-        assert len(_symmetry_permutations(system)) == 2
+        runner = CheckRunner("mp", "baseline", cores=3,
+                             machine={"dir_shards": 2})
+        assert len(runner.perms) == 2
 
 
 class TestShardedExhaustiveCheck:

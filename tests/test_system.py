@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.common.config import table_i
+from repro.common.config import MECHANISMS, table_i
 from repro.common.errors import ConfigError
+from repro.common.stats import NULL_STATS
 from repro.cpu.isa import alu, load, store
 from repro.cpu.trace import Trace
+from repro.modelcheck.scenarios import check_config
 from repro.sim.results import SimResult
 from repro.sim.system import System, run_single
+from repro.workloads import make_parallel_traces
 
 
 def mixed_trace(name="m", n=600, seed_lines=32):
@@ -56,6 +59,46 @@ class TestRun:
         result = run_single(table_i(), Trace("s", uops))
         stalls = sum(result.cores[0].stalls.values())
         assert stalls > 50   # skipped cycles were charged
+
+
+class TestSplitRuns:
+    """``run(max_cycles=N)`` then ``run()`` is the unsplit run, stat for
+    stat: the resumed loop keeps the stopped one's stale cores, skip
+    counts and wake heap."""
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_split_equals_unsplit(self, mechanism):
+        def contended():
+            return [Trace(f"c{cid}", [store(0x60_0000 + (i % 4) * 64
+                                            + cid * 8, 8)
+                                      for i in range(40)])
+                    for cid in range(2)]
+
+        def canneal():
+            return make_parallel_traces("canneal", 4, 300, seed=3)
+
+        machines = ((check_config(2, mechanism), contended,
+                     (5, 20, 37, 60, 100, 150, 250)),
+                    (table_i().with_cores(4).with_mechanism(mechanism)
+                     .with_sb_size(32), canneal, (50, 333, 1000, 2500)))
+        for config, traces, cuts in machines:
+            plain = System(config, traces()).run().canonical_json()
+            for cut in cuts:
+                system = System(config, traces())
+                system.run(max_cycles=cut)
+                assert system.run().canonical_json() == plain, cut
+
+
+class TestNullStats:
+    def test_stats_free_machine_runs_the_same(self):
+        traces = [mixed_trace(f"m{cid}", n=300) for cid in range(2)]
+        config = table_i().with_cores(2).with_mechanism("tus")
+        full = System(config, traces).run()
+        bare = System(config, traces, stats=NULL_STATS).run()
+        assert bare.stats == {}
+        assert bare.cycles == full.cycles
+        assert ([core.committed for core in bare.cores]
+                == [core.committed for core in full.cores])
 
 
 class TestWarmup:
