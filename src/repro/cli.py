@@ -36,9 +36,6 @@ Commands
              resumed checks bit-identical
 ``submit``   submit one job to a running service (and optionally wait
              for and print its result)
-``loadtest`` drive a running (or freshly booted) service with
-             Locust-style synthetic client traffic and verify
-             throughput, cross-client dedup, and 429 backlog shedding
 
 Examples
 --------
@@ -59,7 +56,6 @@ Examples
     python -m repro faults --mechanism all --manifest faults.json
     python -m repro serve --port 8080 --service-workers 4
     python -m repro submit sweep --spec '{"figure": "fig9"}' --wait
-    python -m repro loadtest --clients 8 --jobs 6
     python -m repro fsck .repro_service --repair
     python -m repro chaos --seeds 2 --manifest chaos.json
 """
@@ -386,9 +382,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import signal
-    import threading
+    import time
 
+    from .common.pool import SignalWatch
     from .service import Service, ServiceConfig
 
     config = ServiceConfig(data_dir=args.data_dir, host=args.host,
@@ -408,10 +404,10 @@ def _cmd_serve(args) -> int:
           f"backlog {args.backlog}")
     print(f"  submit     POST {url}/api/v1/jobs")
     print(f"  metrics    GET  {url}/metrics")
-    done = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda *_: done.set())
-    done.wait()
+    watch = SignalWatch(True)
+    while not watch.triggered:
+        time.sleep(0.2)
+    watch.restore()
     print("draining and shutting down ...")
     service.stop()
     return 0
@@ -502,54 +498,6 @@ def _cmd_submit(args) -> int:
     print(_json.dumps(client.result(job_id)["payload"], indent=1,
                       sort_keys=True))
     return 0
-
-
-def _cmd_loadtest(args) -> int:
-    from .service import (Service, ServiceConfig, demo_scenario,
-                          parse_prometheus_text)
-    from .service.client import ServiceClient
-
-    service = None
-    if args.url:
-        url = args.url
-    else:
-        import tempfile
-        data_dir = args.data_dir or tempfile.mkdtemp(
-            prefix="repro-loadtest-")
-        service = Service(ServiceConfig(
-            data_dir=data_dir, port=0, workers=args.service_workers,
-            max_backlog=args.backlog))
-        url = service.start()
-        print(f"booted service at {url} (data dir {data_dir})")
-    try:
-        verdicts = demo_scenario(
-            url, clients=args.clients, jobs_per_client=args.jobs,
-            duration_ms=args.duration_ms,
-            real_sweep=not args.no_real_sweep,
-            overload_jobs=args.overload, log=print)
-        # The metrics endpoint must stay parseable under load.
-        families = parse_prometheus_text(ServiceClient(url).metrics())
-        required = ("repro_queue_depth", "repro_jobs_inflight",
-                    "repro_worker_utilization", "repro_jobs_total",
-                    "repro_jobs_shed_total", "repro_job_latency_seconds")
-        missing = [name for name in required if name not in families]
-        drained = True
-        if service is not None:
-            drained = service.drain(timeout=30.0)
-        print()
-        for phase in ("throughput", "dedup", "overload"):
-            if phase in verdicts:
-                status = "PASS" if verdicts[phase]["ok"] else "FAIL"
-                print(f"{phase:12} {status}")
-        print(f"{'metrics':12} "
-              + ("PASS" if not missing else f"FAIL (missing {missing})"))
-        print(f"{'drained':12} " + ("PASS" if drained else "FAIL"))
-        ok = verdicts["ok"] and not missing and drained
-        print(f"loadtest {'PASSED' if ok else 'FAILED'}")
-        return 0 if ok else 1
-    finally:
-        if service is not None:
-            service.stop()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -841,36 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="--wait poll budget (seconds)")
     submit_p.set_defaults(fn=_cmd_submit)
 
-    load_p = sub.add_parser(
-        "loadtest",
-        help="synthetic multi-client load test: throughput, dedup, "
-             "and 429 shedding against a bounded backlog")
-    load_p.add_argument("--url", default=None,
-                        help="drive an already-running service instead "
-                             "of booting a private one")
-    load_p.add_argument("--data-dir", default=None,
-                        help="data dir for the private service "
-                             "(default: a fresh temp dir)")
-    load_p.add_argument("--service-workers", type=int, default=2,
-                        metavar="N", help="workers of the private "
-                                          "service")
-    load_p.add_argument("--backlog", type=int, default=8,
-                        help="backlog bound of the private service "
-                             "(small on purpose so the overload phase "
-                             "can shed)")
-    load_p.add_argument("--clients", type=int, default=4,
-                        help="concurrent synthetic clients")
-    load_p.add_argument("--jobs", type=int, default=6,
-                        help="jobs per client in the throughput phase")
-    load_p.add_argument("--duration-ms", type=int, default=20,
-                        help="synthetic job execution time")
-    load_p.add_argument("--overload", type=int, default=6,
-                        help="slow jobs per client in the overload "
-                             "phase (0 disables it)")
-    load_p.add_argument("--no-real-sweep", action="store_true",
-                        help="use synthetic jobs (not a tiny figure "
-                             "sweep) for the dedup phase")
-    load_p.set_defaults(fn=_cmd_loadtest)
     return parser
 
 

@@ -1,22 +1,35 @@
-"""Crash-resilient fan-out of independent tasks across worker processes.
+"""Every worker process of :mod:`repro`: started, watched, stopped here.
 
-The one process pool behind the figure sweeps
-(:func:`repro.harness.parallel.run_points`), the ``repro check`` matrix
-(:func:`repro.harness.checks.run_checks`) and the fault campaigns
-(:func:`repro.faults.campaign.run_campaigns`).  Stdlib-only and outside
-:mod:`repro.harness`, so the campaigns use it without loading the
-harness.
+Two supervisors share one stop routine (:func:`stop_processes`):
+
+* :func:`fan_out` -- the crash-resilient process pool behind the figure
+  sweeps (:func:`repro.harness.parallel.run_points`), the ``repro
+  check`` matrix (:func:`repro.harness.checks.run_checks`) and the
+  fault campaigns (:func:`repro.faults.campaign.run_campaigns`);
+* :class:`Fleet` -- named long-lived ``spawn`` processes: the service's
+  worker fleet and the distributed checker's drain loops.
+
+:class:`SignalWatch` is the one place a signal becomes a stop flag.
+Stdlib-only and outside :mod:`repro.harness`, so the campaigns use it
+without loading the harness.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+
+#: Seconds a SIGTERMed pool worker gets to exit before it is SIGKILLed.
+#: Pool workers keep the default SIGTERM disposition, so they normally
+#: exit at once; the grace only covers a worker still in its start-up.
+POOL_STOP_GRACE = 2.0
 
 
 class SignalWatch:
@@ -50,6 +63,127 @@ class SignalWatch:
             for sig, previous in self._previous.items():
                 signal.signal(sig, previous)
             self.installed = False
+
+
+def stop_processes(procs: Iterable, timeout: float) -> None:
+    """SIGTERM every live process, join them all within ``timeout``
+    seconds, then SIGKILL what is left and reap it.  A straggler that
+    leads its own process group (a :class:`Fleet` process) is SIGKILLed
+    with its whole group, so pool workers it started die with it
+    instead of running on as orphans."""
+    procs = list(procs)
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+    deadline = time.monotonic() + timeout
+    for proc in procs:
+        proc.join(max(0.0, deadline - time.monotonic()))
+    for proc in procs:
+        if proc.is_alive():
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except OSError:
+                proc.kill()   # it leads no group: a pool worker
+            proc.join()
+
+
+def _pool_child_init() -> None:
+    """Run first in every pool worker.  A forked worker inherits the
+    parent's :class:`SignalWatch` handler, which would turn the
+    supervisor's SIGTERM into a flag nobody reads: restore the default
+    (die).  SIGINT is ignored: a terminal's Ctrl-C reaches the whole
+    process group, and the parent turns it into an orderly stop."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _new_pool(size: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=size,
+                               initializer=_pool_child_init)
+
+
+def _retire(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down and stop its workers now: a hung or
+    interrupted task would otherwise hold its process until it ends."""
+    # No public handle on the workers before Python 3.14; shutdown()
+    # drops this one, so take it first.
+    procs = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    stop_processes(procs, POOL_STOP_GRACE)
+
+
+_SPAWN = multiprocessing.get_context("spawn")
+
+
+def _fleet_main(target: Callable, args: tuple) -> None:
+    """A :class:`Fleet` process's first frame: lead a new process group
+    (a terminal's Ctrl-C no longer reaches it, and a SIGKILL of the
+    group takes its own pool workers too), then run ``target``."""
+    os.setpgrp()
+    target(*args)
+
+
+class Fleet:
+    """``size`` named ``spawn`` processes, each running
+    ``target(*args, name)`` for a module-level ``target``.
+
+    ``spawn`` because a fleet's owner may be threaded (the service):
+    each process begins from a clean interpreter, with no lock held by
+    another thread and the default signal dispositions.  Names run
+    ``w001``, ``w002``, ...; a respawned process gets a fresh name.
+    """
+
+    def __init__(self, target: Callable, args: tuple = (),
+                 size: int = 1) -> None:
+        self.target = target
+        self.args = tuple(args)
+        self.size = size
+        self._procs: Dict[str, Any] = {}
+        self._serial = 0
+
+    def _spawn(self) -> str:
+        self._serial += 1
+        name = f"w{self._serial:03d}"
+        proc = _SPAWN.Process(target=_fleet_main,
+                              args=(self.target, self.args + (name,)),
+                              name=f"repro-{name}")
+        proc.start()
+        self._procs[name] = proc
+        return name
+
+    def start(self) -> List[str]:
+        """Start ``size`` processes; returns their names."""
+        return [self._spawn() for _ in range(self.size)]
+
+    def alive(self) -> Dict[str, bool]:
+        """Liveness of every process not yet reaped, by name."""
+        return {name: proc.is_alive() for name, proc in self._procs.items()}
+
+    def reap(self, respawn: bool = True) -> List[str]:
+        """Join the processes that exited and, with ``respawn``, start
+        replacements up to ``size``.  Returns the names reaped."""
+        dead = [name for name, proc in self._procs.items()
+                if not proc.is_alive()]
+        for name in dead:
+            self._procs.pop(name).join()
+        if respawn:
+            while len(self._procs) < self.size:
+                self._spawn()
+        return dead
+
+    def terminate(self, name: str) -> None:
+        """Kill one presumed-hung process and its group at once (no
+        grace: it could still finish the work it was presumed lost
+        on).  The next :meth:`reap` replaces it."""
+        proc = self._procs.pop(name, None)
+        if proc is not None:
+            stop_processes([proc], 0.0)
+
+    def stop(self, timeout: float = 10.0) -> None:
+        """SIGTERM every process, wait up to ``timeout`` seconds for
+        them to exit, then SIGKILL the stragglers with their groups."""
+        stop_processes(self._procs.values(), timeout)
+        self._procs.clear()
 
 
 @dataclass
@@ -126,8 +260,9 @@ def _pooled(fn: Callable, payloads: Sequence, labels: Sequence[str],
       the future, the task is retried in place, and the pool survives.
     * ``timeout`` — the task exceeded its wall-clock deadline.  A hung
       worker occupies its pool slot indefinitely, so the pool is
-      abandoned and rebuilt; the expired task is charged an attempt,
-      the other in-flight tasks are resubmitted uncharged.
+      retired (its workers stopped) and rebuilt; the expired task is
+      charged an attempt, the other in-flight tasks are resubmitted
+      uncharged.
     * ``crash``   — a worker process died (``BrokenProcessPool``, seen
       at submit or at wait).  The breakage surfaces on *every*
       outstanding future, so the culprit is unidentifiable from the
@@ -138,7 +273,7 @@ def _pooled(fn: Callable, payloads: Sequence, labels: Sequence[str],
     """
     max_failures = 1 + max(0, retries)
     size = min(workers, len(payloads))
-    pool = ProcessPoolExecutor(max_workers=size)
+    pool = _new_pool(size)
     solo = False            # the pool has one worker, for the suspects
     pending: Dict[object, _Attempt] = {}
     # Only `size` tasks are ever in flight; the rest wait here.  That
@@ -158,14 +293,14 @@ def _pooled(fn: Callable, payloads: Sequence, labels: Sequence[str],
             backlog.append(attempt)
 
     def rebuild() -> None:
-        """Abandon the pool (orphaned workers die when they finish or
-        the interpreter exits) for a new one: one worker while suspects
-        wait, else ``size``."""
+        """Retire the pool (its workers are stopped, not left to run
+        out) for a new one: one worker while suspects wait, else
+        ``size``."""
         nonlocal pool, solo
         pending.clear()
-        pool.shutdown(wait=False, cancel_futures=True)
+        _retire(pool)
         solo = bool(suspects)
-        pool = ProcessPoolExecutor(max_workers=1 if solo else size)
+        pool = _new_pool(1 if solo else size)
 
     def broke(lost: List[_Attempt]) -> None:
         """The pool broke.  Alone in a one-worker pool, the task that
@@ -241,9 +376,9 @@ def _pooled(fn: Callable, payloads: Sequence, labels: Sequence[str],
                        if now >= a.deadline and not f.done()}
             if not expired:
                 continue
-            # Hung workers hold their slots until the process exits, so
-            # the whole pool is rebuilt; the non-expired in-flight tasks
-            # go back to the backlog with no failure attributed.
+            # A hung worker holds its slot until it is stopped, so the
+            # whole pool is rebuilt; the non-expired in-flight tasks go
+            # back to the backlog with no failure attributed.
             survivors = [a for f, a in pending.items() if f not in expired]
             rebuild()
             for attempt in expired.values():
@@ -251,4 +386,4 @@ def _pooled(fn: Callable, payloads: Sequence, labels: Sequence[str],
                        f"exceeded {timeout:.1f}s wall-clock")
             backlog.extend(survivors)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        _retire(pool)

@@ -19,19 +19,20 @@ check out is just *starting more drain loops on the same spool*:
   spool's file count.
 
 The driver (:func:`distributed_explore`) seeds the spool, runs the
-fleet, then *locally* drains whatever a crashed worker may have left
-running and minimises the violation if one was found — so its report
-is exactly an :func:`~repro.modelcheck.explorer.explore` report, just
-computed by many hands.
+fleet (a :class:`~repro.common.pool.Fleet` of :func:`worker_main`
+processes), then *locally* drains whatever a crashed worker may have
+left running and minimises the violation if one was found — so its
+report is exactly an :func:`~repro.modelcheck.explorer.explore` report,
+just computed by many hands.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import time
 from typing import Optional
 
+from ..common.pool import Fleet
 from ..models import DEFAULT_MODEL
 from .explorer import (DEFAULT_MAX_CYCLES, CheckReport, CheckRunner, _shape,
                        drain_frontier, explore, job_meta, make_record)
@@ -42,7 +43,7 @@ from .scenarios import get_scenario
 COMPACT_EVERY = 200
 
 
-def worker_main(spool: str, worker_id: int) -> None:
+def worker_main(spool: str, worker_id: str) -> None:
     """Drain one spool until the check is finished (worker entry
     point; every parameter of the check comes from the spool's
     ``meta.json``)."""
@@ -90,7 +91,7 @@ def worker_main(spool: str, worker_id: int) -> None:
                    max_states=meta["max_states"],
                    on_violation=record_violation, wait=wait)
     store.compact_visited()
-    store.add_stats(f"w{worker_id}-{os.getpid()}", report.executions)
+    store.add_stats(f"{worker_id}-{os.getpid()}", report.executions)
 
 
 def distributed_explore(scenario_name: str, mechanism: str, *,
@@ -113,15 +114,14 @@ def distributed_explore(scenario_name: str, mechanism: str, *,
                         max_cycles=max_cycles, unsound=unsound,
                         machine=machine, model=model, por=por),
                make_record(()))
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
-                         else "spawn")
-    fleet = [ctx.Process(target=worker_main, args=(str(spool), wid),
-                         daemon=True)
-             for wid in range(max(1, workers))]
-    for proc in fleet:
-        proc.start()
-    for proc in fleet:
-        proc.join()
+    fleet = Fleet(worker_main, (str(spool),), size=max(1, workers))
+    fleet.start()
+    try:
+        while fleet.alive():
+            time.sleep(0.02)
+            fleet.reap(respawn=False)
+    finally:
+        fleet.stop()
     # A killed worker leaves records in running/; the final in-process
     # explore() recovers and drains them (a completed spool drains to
     # nothing instantly), reconstructs the violation if one was found,

@@ -14,7 +14,6 @@ exposes the whole pipeline in Prometheus text format.  See
 from .client import ServiceClient, ServiceClientError
 from .jobs import (JOB_KINDS, JobRecord, JobStore, JobValidationError,
                    job_id, validate_spec)
-from .loadgen import LoadConfig, LoadReport, demo_scenario, run_load
 from .metrics import parse_prometheus_text
 from .queue import DiskQueue, QueueFull
 from .service import Service, ServiceConfig
@@ -23,8 +22,7 @@ from .worker import Worker, WorkerFleet
 
 __all__ = [
     "ArtifactStore", "DiskQueue", "JobRecord", "JobStore",
-    "JobValidationError", "JOB_KINDS", "LoadConfig", "LoadReport",
-    "QueueFull", "Service", "ServiceClient", "ServiceClientError",
-    "ServiceConfig", "Worker", "WorkerFleet", "demo_scenario",
-    "job_id", "parse_prometheus_text", "run_load", "validate_spec",
+    "JobValidationError", "JOB_KINDS", "QueueFull", "Service",
+    "ServiceClient", "ServiceClientError", "ServiceConfig", "Worker",
+    "WorkerFleet", "job_id", "parse_prometheus_text", "validate_spec",
 ]

@@ -1,6 +1,6 @@
 """Minimal stdlib HTTP client for the service API.
 
-Used by ``repro submit``, the load generator, and the tests; speaks
+Used by ``repro submit``, the tests and CI; speaks
 exactly the JSON protocol of :mod:`repro.service.api` over
 ``urllib`` — no dependencies, no connection pooling, no magic.
 """

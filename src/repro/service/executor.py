@@ -129,7 +129,8 @@ def _run_faults(record: JobRecord, store: ArtifactStore,
 
 def _run_synthetic(record: JobRecord, store: ArtifactStore,
                    scratch: Path) -> Dict[str, Any]:
-    """Load-generator placeholder work: bounded, cheap, controllable.
+    """Placeholder work for tests and drills: bounded, cheap,
+    controllable.
 
     ``fail`` forces the two failure paths the service must surface —
     a plain exception and a :class:`DeadlockError` carrying a

@@ -1,8 +1,8 @@
 """Job model for the simulation service: specs, records, content ids.
 
 A *job* is one unit of service work — a figure sweep, a model-check
-matrix cell, a fault campaign, or a synthetic load-generator
-placeholder.  Submissions are validated against a per-kind schema
+matrix cell, a fault campaign, or a synthetic placeholder (tests,
+drills).  Submissions are validated against a per-kind schema
 (stdlib-only, hand-rolled: required fields, types, choices, bounds)
 and *normalised* — every optional field is filled with its default —
 before anything else looks at them.

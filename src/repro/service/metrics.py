@@ -11,7 +11,7 @@ Exposition format is the Prometheus text format 0.0.4 (``# HELP`` /
 ``# TYPE`` headers, ``name{label="value"} sample`` lines, histogram
 ``_bucket``/``_sum``/``_count`` triples with cumulative ``le``
 buckets).  :func:`parse_prometheus_text` is the matching stdlib-only
-parser — the load generator, the tests, and CI use it to assert the
+parser — the tests and CI use it to assert the
 endpoint stays well-formed.
 """
 
@@ -124,7 +124,7 @@ def render_histogram(name: str, help_text: str,
 
 
 # ----------------------------------------------------------------------
-# Parsing (for the load generator, tests, and CI smoke)
+# Parsing (for the tests and the CI smoke)
 # ----------------------------------------------------------------------
 
 def parse_prometheus_text(text: str) -> Dict[str, Dict[str, float]]:

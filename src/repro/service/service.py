@@ -7,10 +7,11 @@
   service process itself is stateless modulo a few monotonic counters,
   so killing and restarting it recovers every accepted job;
 * a :class:`~repro.service.worker.WorkerFleet` of processes drains the
-  queue (their loop is the PR 5 ``run_points`` machinery);
+  queue (their loop is the ``run_points`` machinery);
 * a **monitor** thread reaps dead workers, respawns replacements, and
   requeues the jobs the dead were running — a SIGKILLed worker costs
-  its job one attempt, never the job itself;
+  its job one attempt, never the job itself — and kills a worker whose
+  lease expired before requeueing its job;
 * a :class:`~repro.service.api.ServiceAPI` thread serves submissions,
   status polls, results, and ``/metrics``.
 
@@ -44,14 +45,13 @@ class ServiceConfig:
 
     data_dir: str
     host: str = "127.0.0.1"
-    port: int = 0                    # 0 = ephemeral (tests, loadtest)
+    port: int = 0                    # 0 = ephemeral (tests)
     workers: int = 2
     max_backlog: int = 64
     max_attempts: int = 3
     poll_interval: float = 0.05      # worker queue poll
     monitor_interval: float = 0.25   # fleet reap / requeue cadence
-    lease_seconds: float = 600.0     # hung-worker requeue backstop
-    restart_workers: bool = True
+    lease_seconds: float = 600.0     # hung-worker kill + requeue
     fsync: bool = False              # fsync durable records + dirs
     tmp_sweep_age: float = 60.0      # orphaned-tmp reclaim age gate
     entry_repair_age: float = 2.0    # lost-entry / fresh-claim grace
@@ -235,9 +235,8 @@ class Service:
     # ------------------------------------------------------------------
     def _worker_alive(self, record: JobRecord) -> bool:
         """Is the worker named on a job record still running?"""
-        if record.worker in self.fleet.alive():
-            return self.fleet.is_alive(record.worker)
-        return _pid_alive(record.pid)
+        alive = self.fleet.alive().get(record.worker)
+        return _pid_alive(record.pid) if alive is None else alive
 
     def _repair_running(self) -> int:
         """Requeue running entries whose worker is gone (or fail them
@@ -264,8 +263,15 @@ class Service:
                 and age > self.config.lease_seconds
             if alive and not expired:
                 continue
-            reason = "lease-expired" if (alive and expired) \
-                else "worker-lost"
+            reason = "worker-lost"
+            if alive:
+                # Presumed hung: stop it first, or it could still finish
+                # the job and ack the next claimer's entry.
+                reason = "lease-expired"
+                self.fleet.terminate(record.worker)
+                record = self.jobs.load(entry.job)
+                if record is None or not record.active:
+                    continue      # it finished before the kill landed
             repaired += 1
             if record.attempts >= record.max_attempts:
                 record.status = "failed"
@@ -325,8 +331,7 @@ class Service:
         while not self._stop.wait(self.config.monitor_interval):
             try:
                 if self.config.workers:
-                    self.fleet.reap(respawn=self.config.restart_workers
-                                    and not self._stop.is_set())
+                    self.fleet.reap(respawn=not self._stop.is_set())
                 self._repair_running()
                 self._repair_lost_entries()
             except Exception:    # noqa: BLE001 - monitor must survive

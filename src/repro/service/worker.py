@@ -26,22 +26,22 @@ the status API to serve.
 
 Shutdown is graceful: SIGTERM/SIGINT asks the loop to stop after the
 current job, and a SIGTERM that lands *inside* ``run_points`` surfaces
-as :class:`~repro.harness.parallel.SweepInterrupted` — the sweep's
-manifest and cache checkpoint are already flushed, so the worker
-requeues the job uncharged and a later worker resumes it from the
-checkpoint (completed points replay as cache hits).
+as :class:`~repro.harness.parallel.SweepInterrupted` — the sweep's pool
+workers are stopped, its manifest and cache checkpoint are already
+flushed, so the worker requeues the job uncharged and a later worker
+resumes it from the checkpoint (completed points replay as cache hits).
+The processes themselves are a :class:`~repro.common.pool.Fleet`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import signal
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from ..common.errors import DeadlockError, ModelError
+from ..common.pool import Fleet, SignalWatch
 from ..harness.parallel import SweepInterrupted
 from .executor import execute_job
 from .jobs import (JobRecord, JobStore, JobValidationError, read_json,
@@ -101,14 +101,6 @@ class Worker:
             "busy_seconds": self.busy_seconds,
             "jobs_done": self.jobs_done,
         }, schema="heartbeat")
-
-    # -- signals -------------------------------------------------------------
-    def _handle_signal(self, signum, frame) -> None:
-        self.stop = True
-
-    def install_signals(self) -> None:
-        signal.signal(signal.SIGTERM, self._handle_signal)
-        signal.signal(signal.SIGINT, self._handle_signal)
 
     # -- record transitions --------------------------------------------------
     def _load_record(self, entry: Entry) -> Optional[JobRecord]:
@@ -196,115 +188,50 @@ class Worker:
             self.heartbeat(IDLE)
 
     def run(self, max_jobs: Optional[int] = None) -> int:
-        """Drain the queue until stopped; returns jobs completed."""
+        """Drain the queue until stopped (or, on the main thread, until
+        SIGTERM/SIGINT, after the current job); returns jobs
+        completed."""
         self.heartbeat(IDLE)
         done_at_start = self.jobs_done
-        while not self.stop:
-            if max_jobs is not None \
-                    and self.jobs_done - done_at_start >= max_jobs:
-                break
-            entry = self.queue.claim()
-            if entry is None:
-                self.heartbeat(IDLE)
-                if max_jobs is not None:
+        watch = SignalWatch(True)
+        try:
+            while not (self.stop or watch.triggered):
+                if max_jobs is not None \
+                        and self.jobs_done - done_at_start >= max_jobs:
                     break
-                time.sleep(self.poll_interval)
-                continue
-            self.run_one(entry)
+                entry = self.queue.claim()
+                if entry is None:
+                    self.heartbeat(IDLE)
+                    if max_jobs is not None:
+                        break
+                    time.sleep(self.poll_interval)
+                    continue
+                self.run_one(entry)
+        finally:
+            watch.restore()
         self.heartbeat("stopped")
         return self.jobs_done - done_at_start
 
 
-def worker_main(data_dir: str, worker_id: str,
-                poll_interval: float = 0.05,
-                fsync: bool = False) -> None:
+def worker_main(data_dir: str, poll_interval: float, fsync: bool,
+                worker_id: str) -> None:
     """Entry point of one fleet process (spawn-safe: module level,
     plain arguments)."""
-    worker = Worker(Path(data_dir), worker_id,
-                    poll_interval=poll_interval, fsync=fsync)
-    worker.install_signals()
-    worker.run()
+    Worker(Path(data_dir), worker_id, poll_interval=poll_interval,
+           fsync=fsync).run()
 
 
-class WorkerFleet:
-    """Spawns, watches, and stops the worker processes.
-
-    Processes are started with the ``spawn`` method so the (threaded)
-    service process never forks: each worker begins from a clean
-    interpreter, which also means the monitor may restart workers at
-    any time without inheriting stale state.
-    """
+class WorkerFleet(Fleet):
+    """The service's worker processes: a :class:`Fleet` of
+    :func:`worker_main`, plus the heartbeats they write."""
 
     def __init__(self, data_dir: Path, size: int = 2,
                  poll_interval: float = 0.05,
                  fsync: bool = False) -> None:
+        super().__init__(worker_main, (str(data_dir), poll_interval, fsync),
+                         size=size)
         self.data_dir = Path(data_dir)
-        self.size = size
-        self.poll_interval = poll_interval
-        self.fsync = fsync
-        self._ctx = multiprocessing.get_context("spawn")
-        self._procs: Dict[str, multiprocessing.Process] = {}
-        self._serial = 0
 
-    def _spawn_one(self) -> str:
-        self._serial += 1
-        worker_id = f"w{self._serial:03d}"
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(str(self.data_dir), worker_id, self.poll_interval,
-                  self.fsync),
-            name=f"repro-service-{worker_id}")
-        proc.start()
-        self._procs[worker_id] = proc
-        return worker_id
-
-    def start(self) -> List[str]:
-        return [self._spawn_one() for _ in range(self.size)]
-
-    # -- liveness ------------------------------------------------------------
-    def alive(self) -> Dict[str, bool]:
-        return {wid: proc.is_alive()
-                for wid, proc in self._procs.items()}
-
-    def is_alive(self, worker_id: str) -> bool:
-        proc = self._procs.get(worker_id)
-        return proc.is_alive() if proc is not None else False
-
-    def pid_of(self, worker_id: str) -> Optional[int]:
-        proc = self._procs.get(worker_id)
-        return proc.pid if proc is not None else None
-
-    def reap(self, respawn: bool = True) -> List[str]:
-        """Join dead workers; optionally respawn to maintain size.
-
-        Returns the ids of workers found dead this pass.
-        """
-        dead = [wid for wid, proc in self._procs.items()
-                if not proc.is_alive()]
-        for wid in dead:
-            self._procs[wid].join(timeout=0.1)
-            del self._procs[wid]
-        if respawn:
-            while len(self._procs) < self.size:
-                self._spawn_one()
-        return dead
-
-    # -- shutdown ------------------------------------------------------------
-    def stop(self, timeout: float = 10.0) -> None:
-        """Graceful SIGTERM, bounded join, SIGKILL stragglers."""
-        for proc in self._procs.values():
-            if proc.is_alive():
-                proc.terminate()     # SIGTERM: finish current job
-        deadline = time.time() + timeout
-        for proc in self._procs.values():
-            proc.join(timeout=max(0.1, deadline - time.time()))
-        for proc in self._procs.values():
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=2.0)
-        self._procs.clear()
-
-    # -- heartbeats ----------------------------------------------------------
     def heartbeats(self) -> List[dict]:
         beats = []
         workers_dir = service_paths(self.data_dir)["workers"]

@@ -13,3 +13,12 @@ def max_examples(default: int) -> int:
     """
     cap = os.environ.get("REPRO_HYPOTHESIS_MAX_EXAMPLES")
     return min(default, int(cap)) if cap else default
+
+
+def process_gone(pid: int) -> bool:
+    """No such process, or only its unreaped zombie (Linux ``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True

@@ -6,10 +6,15 @@ path), a warm cache simulates nothing, and the telemetry accounts for
 every point.
 """
 
+import json
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -198,8 +203,29 @@ class InterruptingRunner(Runner):
 
 
 def sleepy_worker(payload):
-    time.sleep(1.0)
+    sys.stdout.write("started\n")      # one write: workers share the pipe
+    sys.stdout.flush()
+    time.sleep(60.0)
     return _simulate_payload(payload)
+
+
+def sigint_sweep(cache_dir):
+    """Subprocess body of the Ctrl-C test: a pooled sweep of stuck
+    points that reports the failure kinds it recorded."""
+    try:
+        run_points(small_runner(cache_dir), small_points(), workers=2,
+                   worker_fn=sleepy_worker)
+    except SweepInterrupted as exc:
+        print(json.dumps([f.kind for f in exc.telemetry.failures]),
+              flush=True)
+
+
+def no_children_within(seconds):
+    deadline = time.monotonic() + seconds
+    while multiprocessing.active_children() \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not multiprocessing.active_children()
 
 
 class TestGracefulShutdown:
@@ -252,6 +278,35 @@ class TestGracefulShutdown:
         assert len(interrupted) == len(telemetry.failures)
         assert interrupted
         assert telemetry.simulated + len(interrupted) == len(points)
+        # The stuck workers are stopped, not left to sleep out.
+        assert no_children_within(2.0)
+
+    def test_sigint_to_the_group_records_interrupted(self, tmp_path):
+        # A terminal's Ctrl-C: SIGINT reaches the sweep and its pool
+        # workers at once.  The sweep stops cleanly (nothing is a
+        # crash) and leaves no process of its group behind.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root)]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from tests.test_parallel import "
+             f"sigint_sweep; sigint_sweep({str(tmp_path)!r})"],
+            env=env, cwd=root, stdout=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            assert proc.stdout.readline().strip() == "started"
+            os.killpg(proc.pid, signal.SIGINT)
+            out, _ = proc.communicate(timeout=20)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        kinds = json.loads(out.strip().splitlines()[-1])
+        assert kinds == ["interrupted"] * len(small_points())
 
     def test_non_main_thread_runs_unwatched(self, tmp_path):
         runner = small_runner(tmp_path)

@@ -19,6 +19,8 @@ from repro.harness import (Point, Runner, SweepFailed, run_points,
 from repro.harness.parallel import FailureManifest, PointFailure
 from repro.harness.runner import _simulate_payload
 
+from .support import process_gone
+
 POISON = ("synth.burst", "tus")
 
 
@@ -180,6 +182,24 @@ class TestHangingWorker:
         for pt in points:
             if not _is_poison(pt):
                 assert runner.cached(pt) is not None, pt.label()
+
+
+def pid_then_hang(path):
+    with open(path, "w") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(120)
+
+
+class TestTimedOutWorker:
+    def test_worker_is_gone_when_fan_out_returns(self, tmp_path):
+        paths = [str(tmp_path / f"task{i}.pid") for i in range(2)]
+        outcomes = {}
+        pool.fan_out(pid_then_hang, paths, ["a", "b"], workers=2,
+                     emit=outcomes.__setitem__, timeout=1.0)
+        assert [outcomes[i].kind for i in range(2)] == ["timeout"] * 2
+        for path in paths:
+            with open(path) as handle:
+                assert process_gone(int(handle.read()))
 
 
 class TestFailureManifest:

@@ -32,6 +32,8 @@ from repro.service.jobs import JobRecord, JobStore, submit_record
 from repro.service.metrics import Counter, render_histogram
 from repro.service.worker import Worker, service_paths
 
+from .support import process_gone
+
 
 # ----------------------------------------------------------------------
 # Spec validation and content-addressed ids
@@ -428,8 +430,52 @@ class TestServiceHTTP:
             stats = client.stats()
             assert stats["jobs"]["by_status"]["done"] >= 1
             families = parse_prometheus_text(client.metrics())
-            assert "repro_queue_depth" in families
-            assert "repro_job_latency_seconds" in families
+            for name in ("repro_queue_depth", "repro_jobs_inflight",
+                         "repro_worker_utilization", "repro_jobs_total",
+                         "repro_jobs_shed_total",
+                         "repro_job_latency_seconds"):
+                assert name in families, name
+        finally:
+            service.stop(timeout=5.0)
+
+    def test_concurrent_clients_dedup_and_drain(self, tmp_path):
+        service = make_service(tmp_path, workers=2)
+        clients, barrier = 4, threading.Barrier(4)
+        submissions = []        # (spec payload, status, body)
+
+        def client_loop(index):
+            client = ServiceClient(service.url)
+            barrier.wait()
+            for payload in (f"c{index}-a", "shared", f"c{index}-b"):
+                status, body = client.submit(
+                    "synthetic", {"duration_ms": 100, "payload": payload})
+                submissions.append((payload, status, body))
+
+        try:
+            threads = [threading.Thread(target=client_loop, args=(i,))
+                       for i in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert all(status in (200, 202)
+                       for _, status, _ in submissions)
+            shared = [body for payload, _, body in submissions
+                      if payload == "shared"]
+            unique = {body["id"] for payload, _, body in submissions
+                      if payload != "shared"}
+            assert len(shared) == clients
+            assert len({body["id"] for body in shared}) == 1
+            assert sum(body["created"] for body in shared) == 1
+            assert len(unique) == 2 * clients
+            client = ServiceClient(service.url)
+            for jid in unique | {shared[0]["id"]}:
+                assert client.wait(jid, timeout=30.0)["status"] == "done"
+            record = client.job(shared[0]["id"])
+            assert record["attempts"] == 1          # ran once
+            assert record["resubmits"] == clients - 1
+            assert service.drain(timeout=5.0)
         finally:
             service.stop(timeout=5.0)
 
@@ -528,6 +574,27 @@ class TestServiceHTTP:
             families = parse_prometheus_text(client.metrics())
             requeues = sum(families["repro_jobs_requeued_total"].values())
             assert requeues >= 1
+        finally:
+            service.stop(timeout=5.0)
+
+    def test_lease_expiry_kills_the_hung_worker(self, tmp_path):
+        service = make_service(tmp_path, workers=2, lease_seconds=0.5)
+        client = ServiceClient(service.url)
+        try:
+            status, body = client.submit(
+                "synthetic", {"duration_ms": 3000, "payload": "hung"})
+            assert status == 202
+            first = wait_for(
+                lambda: (lambda r: r if r["status"] == "running"
+                         and r["pid"] else None)(client.job(body["id"])))
+            # The monitor kills the presumed-hung worker before it
+            # requeues the job; the next run gets a real lease.
+            wait_for(lambda: process_gone(first["pid"]), timeout=10.0)
+            service.config.lease_seconds = 60.0
+            done = client.wait(body["id"], timeout=30.0)
+            assert done["status"] == "done"
+            assert done["attempts"] == 2
+            assert done["worker"] != first["worker"]
         finally:
             service.stop(timeout=5.0)
 
