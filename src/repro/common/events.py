@@ -26,7 +26,7 @@ normal FIFO loop would never produce become reachable.
 from __future__ import annotations
 
 import itertools
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 
@@ -147,21 +147,6 @@ class EventQueue:
         """All live entries (no particular order); for state hashing."""
         return [e for bucket in self._buckets.values()
                 for e in bucket if not e.cancelled]
-
-    def _drop_cancelled(self) -> None:
-        """Compact every bucket, dropping tombstones eagerly (tests and
-        diagnostics; the hot paths drop tombstones lazily)."""
-        buckets = self._buckets
-        for cycle in list(buckets):
-            bucket = [e for e in buckets[cycle] if not e.cancelled]
-            self._live -= len(buckets[cycle]) - len(bucket)
-            if bucket:
-                buckets[cycle] = bucket
-            else:
-                del buckets[cycle]
-        # In-place: System.run holds an alias to this list.
-        self._cycles[:] = buckets
-        heapify(self._cycles)
 
 
 class _Entry:

@@ -124,7 +124,7 @@ def _crash_mid_claim(seed: int, workdir: Path) -> ChaosResult:
                 and mid.attempts == 1,
                 f"status={getattr(mid, 'status', None)}")
     time.sleep(0.01)          # let the zero-lease age past zero
-    service._repair_running()
+    service._repair()
     requeued = service.job(record.id)
     drill.check("monitor-requeued",
                 requeued.status == "queued" and requeued.attempts == 1,
@@ -215,8 +215,7 @@ def _enospc_artifact(seed: int, workdir: Path) -> ChaosResult:
         ops=("enospc",), sites=("artifact",), site_budget=1))
     worker = _worker(service)
     worker.store.fs = shim
-    entry = worker.queue.claim()
-    worker.run_one(entry)     # executes, then ENOSPC on the put
+    worker.run_one(*worker.ledger.claim())  # executes, then ENOSPC
     mid = service.job(record.id)
     drill.check("enospc-charged-one-attempt",
                 mid.status == "queued" and mid.attempts == 1,
@@ -228,8 +227,7 @@ def _enospc_artifact(seed: int, workdir: Path) -> ChaosResult:
     drill.check("fsck-repairs", repaired.clean,
                 "; ".join(f"{f.kind}:{f.path}"
                           for f in repaired.unrepaired))
-    entry = worker.queue.claim()
-    worker.run_one(entry)     # fault budget spent: retry succeeds
+    worker.run_one(*worker.ledger.claim())  # budget spent: succeeds
     done = service.job(record.id)
     drill.check("job-not-lost", done.status == "done")
     drill.check("attempt-not-double-charged", done.attempts == 2,

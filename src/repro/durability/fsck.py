@@ -4,8 +4,11 @@ The scanner is layout-aware: pointed at a service data dir, a
 ``--spool`` frontier, or a bare point-cache/record directory, it walks
 the layout it recognises and classifies what it finds.  The service
 queue and the frontier are both a :class:`~.spool.Spool`, so one scan
-(:func:`_fsck_spool`) covers their pending/running entries; each
-layout adds only a per-entry disposition and its own side records.
+(:func:`_fsck_spool`) validates their pending/running entries.  The
+service then settles its entries against its job records with the
+repair pass its own monitor runs
+(:meth:`~repro.service.ledger.JobLedger.repair`), offline: no worker
+alive, no grace period.
 
 =====================  =================================================
 finding kind           meaning / repair
@@ -18,23 +21,28 @@ finding kind           meaning / repair
                        filename and is rebuilt in place.  A spool's
                        records quarantine into ``<spool>/quarantine/``
 ``dangling-running``   a claimed entry with no live claimant (stopped
-                       service / killed checker); renamed back to
-                       pending so the work reruns
+                       service / killed checker); requeued so the work
+                       reruns — a job as ``queued`` with no worker, or
+                       failed ``WorkerLost`` once its attempts are spent
+                       — or removed when the work is already done
 ``orphan-entry``       a queue entry whose job record is gone — nothing
                        says what to execute; removed
 ``lost-entry``         an active job record with no queue entry (the
-                       inverse crash window); a fresh entry is enqueued
+                       inverse crash window); reset to ``queued`` and
+                       a fresh entry enqueued
 ``quarantined``        informational: evidence already moved aside by a
                        previous reader or fsck run
 =====================  =================================================
 
 Repairs are only applied with ``repair=True`` and only when they are
 safe offline; run repair against a *stopped* service or checker (a
-live monitor performs the running-entry repairs itself).
+live service's monitor runs the same service repairs itself, with its
+workers' liveness and age gates).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -237,42 +245,28 @@ def _scan_records(directory: Path, report: FsckReport, repair: bool,
 
 def _fsck_spool(spool: Spool, report: FsckReport, repair: bool,
                 tmp_age: float, schema: str,
-                dispose: Callable[[str, bool], Optional[tuple]],
                 rebuild: Optional[Callable[[str], Optional[dict]]] = None
-                ) -> None:
+                ) -> List[str]:
     """The one scan of a spool's pending/ and running/ entries.
 
     Each entry is validated against ``schema``; a corrupt one is
     rebuilt in place from ``rebuild(name)`` when the client can, else
-    quarantined and skipped.  ``dispose(name, running)`` then judges
-    it: ``None`` when healthy, else ``(finding kind, detail, requeue)``
-    — repaired by a requeue to pending/ or by removing the entry.
+    quarantined.  Returns the running entries that read clean or
+    were rebuilt, for the layout to judge.
     """
     for directory in (spool.root, spool.pending_dir, spool.running_dir):
         _scan_tmp(directory, report, repair, tmp_age)
     _scan_quarantine(spool.root, report)
-    for running, directory, names in (
-            (False, spool.pending_dir, spool.pending()),
-            (True, spool.running_dir, spool.running())):
+    running = []
+    for directory, names in ((spool.pending_dir, spool.pending()),
+                             (spool.running_dir, spool.running())):
         for name in names:
-            path = directory / name
             fresh = rebuild(name) if rebuild is not None else None
-            if not _check_record(path, report, repair, schema,
-                                 rebuild=fresh, root=spool.root) \
-                    and fresh is None:
-                continue
-            verdict = dispose(name, running)
-            if verdict is None:
-                continue
-            kind, detail, requeue = verdict
-            finding = report.add(kind, path, detail)
-            if not repair:
-                continue
-            if requeue:
-                finding.repaired = spool.requeue(name)
-                finding.action = "requeued"
-            else:
-                _remove(finding, path)
+            valid = _check_record(directory / name, report, repair, schema,
+                                  rebuild=fresh, root=spool.root)
+            if directory == spool.running_dir and (valid or fresh):
+                running.append(name)
+    return running
 
 
 # ----------------------------------------------------------------------
@@ -281,50 +275,20 @@ def _fsck_spool(spool: Spool, report: FsckReport, repair: bool,
 
 def _fsck_service(root: Path, report: FsckReport, repair: bool,
                   tmp_age: float) -> None:
-    from ..service.jobs import JobStore
-    from ..service.queue import DiskQueue, Entry, entry_rebuild
-    jobs_dir = root / "jobs"
+    from ..service.ledger import JobLedger
+    from ..service.queue import DiskQueue, entry_rebuild
     store_dir = root / "store"
 
-    # Job records first: entry repairs below consult them.
-    _scan_records(jobs_dir, report, repair, tmp_age, "job-record")
-    jobs = JobStore(jobs_dir) if jobs_dir.is_dir() else None
-
-    def dispose(name: str, running: bool) -> Optional[tuple]:
-        entry = Entry.parse(name)
-        record = jobs.load(entry.job) \
-            if jobs is not None and entry is not None else None
-        if record is None:
-            return "orphan-entry", "queue entry with no job record", False
-        if not running:
-            return None
-        # An active job reruns; a terminal one only lost its ack.
-        return ("dangling-running", f"claimed entry for job {record.id} "
-                f"(status {record.status})", record.active)
-
-    queue = Spool(root / "queue")
-    _fsck_spool(queue, report, repair, tmp_age, DiskQueue.SCHEMA,
-                dispose, rebuild=entry_rebuild)
-
-    # The inverse crash window: an active record with no queue entry.
-    if jobs is not None:
-        entries = {entry.job for entry
-                   in Entry.parse_all(queue.pending() + queue.running())}
-        for record in jobs.all():
-            if not record.active or record.id in entries:
-                continue
-            finding = report.add(
-                "lost-entry", jobs.path(record.id),
-                f"{record.status} job {record.id} has no queue entry")
-            if repair:
-                record.status = "queued"
-                record.worker = None
-                record.pid = None
-                jobs.save(record)
-                DiskQueue(queue.root, max_backlog=1 << 30).submit(
-                    record.id, record.priority)
-                finding.repaired = True
-                finding.action = "re-enqueued"
+    # Records and entries are validated (rebuilt, quarantined) first;
+    # then the service's own crash-repair pass settles the entries
+    # against the records, offline: no worker alive, no grace period.
+    _scan_records(root / "jobs", report, repair, tmp_age, "job-record")
+    _fsck_spool(Spool(root / "queue"), report, repair, tmp_age,
+                DiskQueue.SCHEMA, rebuild=entry_rebuild)
+    # No tmp sweep on open (the scans above report tmp files) and no
+    # backlog bound (a repair never sheds an accepted job).
+    ledger = JobLedger.open(root, max_backlog=1 << 30, sweep_age=math.inf)
+    report.findings += ledger.repair(apply=repair)
 
     # Artifacts, point cache, heartbeats.
     _scan_records(store_dir / "artifacts", report, repair, tmp_age,
@@ -356,17 +320,19 @@ def _fsck_frontier(root: Path, report: FsckReport, repair: bool,
                    tmp_age: float) -> None:
     from ..modelcheck.frontier import load_done
     done = load_done(root)
-
-    def dispose(name: str, running: bool) -> Optional[tuple]:
-        if not running:
-            return None
-        if name[:-5] in done:
-            return ("dangling-running", "claimed frontier record "
-                    "(already done)", False)
-        return "dangling-running", "claimed frontier record", True
-
-    _fsck_spool(Spool(root), report, repair, tmp_age, "frontier-record",
-                dispose)
+    spool = Spool(root)
+    for name in _fsck_spool(spool, report, repair, tmp_age,
+                            "frontier-record"):
+        # A claimed record reruns, unless it is already done.
+        redo = name[:-5] not in done
+        finding = report.add("dangling-running", spool.running_dir / name,
+                             "claimed frontier record"
+                             + ("" if redo else " (already done)"))
+        if repair and redo:
+            finding.repaired = spool.requeue(name)
+            finding.action = "requeued"
+        elif repair:
+            _remove(finding, spool.running_dir / name)
     _scan_records(root / "visited", report, repair, tmp_age,
                   "frontier-claim", root=root)
     _scan_records(root / "terminals", report, repair, tmp_age,

@@ -12,10 +12,12 @@ discipline in one place:
   and an opt-in fsync policy (tmp file before the rename, parent
   directory after).
 * :func:`read_record` validates on every read: a parse failure, a
-  checksum mismatch, or a wrong schema tag raises
-  :class:`CorruptRecord` instead of leaking a half-written document to
-  the caller.  Pre-envelope documents (no ``v``/``sha256`` keys) are
-  returned as-is so existing spools and caches stay readable.
+  document that is not an envelope, a checksum mismatch, or a wrong
+  schema tag raises :class:`CorruptRecord` instead of leaking a
+  half-written document to the caller.  Every store writes envelopes
+  (point-cache names hash the source fingerprint, so no older cache
+  entry is ever looked up), so a bare document is damage: one renamed
+  envelope key must not turn the whole file into trusted data.
 * :func:`quarantine` moves a corrupt file aside — into
   ``<root>/quarantine/`` — so the evidence survives for ``repro fsck``
   and the owning store can requeue or recompute the lost work.
@@ -70,12 +72,13 @@ def is_envelope(doc: Any) -> bool:
 
 
 def unwrap(doc: Any, path: Path, schema: Optional[str] = None) -> Any:
-    """Validate an envelope (or pass a legacy document through).
+    """Validate an envelope and return its body.
 
-    Raises :class:`CorruptRecord` on checksum or schema mismatch.
+    Raises :class:`CorruptRecord` when ``doc`` is not an envelope, or
+    on a version, schema or checksum mismatch.
     """
     if not is_envelope(doc):
-        return doc
+        raise CorruptRecord(path, "not a record envelope")
     if doc["v"] != RECORD_VERSION:
         raise CorruptRecord(path, f"unknown record version {doc['v']!r}")
     if schema is not None and doc["schema"] != schema:
@@ -153,10 +156,9 @@ def _fsync_dir(directory: Path) -> None:
 def read_record(path: Path, schema: Optional[str] = None) -> Any:
     """Read and validate the record at ``path``.
 
-    Returns the body (or a legacy document as-is), None when the file
-    does not exist, and raises :class:`CorruptRecord` when it exists
-    but cannot be trusted — including the zero-byte file a torn write
-    leaves behind.
+    Returns the body, None when the file does not exist, and raises
+    :class:`CorruptRecord` when it exists but cannot be trusted —
+    including the zero-byte file a torn write leaves behind.
     """
     path = Path(path)
     try:

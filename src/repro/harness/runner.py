@@ -257,8 +257,7 @@ class Runner:
             return None
         path = self._cache_path(key)
         try:
-            # Envelope-validated; pre-envelope entries (a bare result
-            # dict) pass through read_record unchanged.
+            # Envelope-validated: a bare or damaged document is corrupt.
             doc = read_record(path, self.CACHE_SCHEMA)
         except CorruptRecord:
             # A torn or bit-rotted cache entry must never feed a

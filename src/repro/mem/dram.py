@@ -74,13 +74,3 @@ class DRAM:
     @property
     def accesses(self) -> int:
         return self._accesses.value
-
-    # Backwards compatibility: tests and the model checker's state
-    # encoder historically read/wrote the single bandwidth cursor.
-    @property
-    def _next_free(self) -> int:
-        return self._free_at[0]
-
-    @_next_free.setter
-    def _next_free(self, value: int) -> None:
-        self._free_at[0] = value

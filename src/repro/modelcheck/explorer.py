@@ -54,7 +54,7 @@ from ..models import DEFAULT_MODEL, get_model
 from ..sim.system import System
 from .frontier import MemoryFrontier, make_record
 from .invariants import CheckContext, InvariantViolation
-from .observer import VisibilityObserver
+from .observer import VisibilityObserver, store_order_pairs
 from .por import POR_MODES, describe_for, sleep_filter
 from .scenarios import check_config, get_scenario, machine_overrides
 from .scheduler import (CheckingScheduler, FrontierReached,
@@ -213,9 +213,10 @@ class CheckRunner:
     Everything that depends only on the check — the reduced machine's
     configuration (validated once, with its latency table and topology;
     see :class:`~repro.common.config.SystemConfig`), the scenario's
-    traces, their symmetry permutations and the model-filtered
-    invariant names — is built once here; each execution builds a
-    fresh :class:`System` from it.  That system keeps no statistics
+    traces, their symmetry permutations, the line pairs their store
+    order constrains and the model-filtered invariant names — is built
+    once here; each execution builds a fresh :class:`System` from it.
+    That system keeps no statistics
     (:data:`~repro.common.stats.NULL_STATS`): no state key, invariant,
     POR footprint, counterexample or progress dump reads one.  Every
     execution is counted in :attr:`report` (``executions``), which is
@@ -250,6 +251,7 @@ class CheckRunner:
                        enumerate(scenario.build(cores, lines))]
         self.perms = symmetry_permutations(self.traces,
                                            self.config.interconnect)
+        self.store_pairs = [store_order_pairs(t) for t in self.traces]
         self.invariant_names: Optional[Sequence[str]] = None
 
     def build(self):
@@ -259,7 +261,8 @@ class CheckRunner:
                         stats=NULL_STATS)
         observer = VisibilityObserver()
         observer.attach(system)
-        return system, observer, CheckContext(system, self.traces, observer)
+        return system, observer, CheckContext(system, self.traces, observer,
+                                              self.store_pairs)
 
     def __call__(self, schedule: Tuple[int, ...],
                  pause: bool) -> RunOutcome:

@@ -37,7 +37,7 @@ from ..common.errors import ReproError, TSOViolationError
 from ..cpu.trace import Trace
 from ..mem.cacheline import State
 from ..sim.progress import delay_edges, wait_cycle
-from .observer import VisibilityObserver
+from .observer import StorePairs, VisibilityObserver, store_order_pairs
 
 
 class InvariantViolation(ReproError):
@@ -62,6 +62,8 @@ class CheckContext:
     system: object                    # repro.sim.system.System
     traces: Sequence[Trace]
     observer: VisibilityObserver
+    #: Per core, :func:`store_order_pairs` of its trace (one per check).
+    store_pairs: Optional[List[StorePairs]] = None
     _visible: Optional[VisibleStates] = field(default=None, repr=False)
 
     def begin_action(self) -> None:
@@ -229,9 +231,12 @@ def check_tus_sync(ctx: CheckContext) -> Optional[str]:
 @invariant("store-order")
 def check_store_order(ctx: CheckContext) -> Optional[str]:
     """Store->Store order over the publications recorded so far."""
+    if ctx.store_pairs is None:
+        ctx.store_pairs = [store_order_pairs(t) for t in ctx.traces]
     for cid, trace in enumerate(ctx.traces):
         try:
-            ctx.observer.check_store_store_order(cid, trace)
+            ctx.observer.check_store_store_order(cid, trace,
+                                                 ctx.store_pairs[cid])
         except TSOViolationError as exc:
             return str(exc)
     return None

@@ -18,7 +18,7 @@ only published atomically, so no constraint applies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.addr import line_addr
 from ..common.errors import TSOViolationError
@@ -60,31 +60,18 @@ class VisibilityObserver:
                 first[line] = (cycle, seq)
         return first
 
-    def check_store_store_order(self, core_id: int,
-                                trace: Trace) -> int:
-        """Verify Store->Store order for one core; returns the number of
-        line pairs actually constrained (for test introspection).
-
-        Raises :class:`TSOViolationError` on any inversion.
-        """
-        program_order: Dict[int, List[int]] = {}
-        position = 0
-        for uop in trace:
-            if uop.kind.is_store:
-                program_order.setdefault(
-                    line_addr(uop.addr), []).append(position)
-                position += 1
+    def check_store_store_order(self, core_id: int, trace: Trace,
+                                pairs: Optional[StorePairs] = None) -> int:
+        """Verify Store->Store order for one core over ``pairs``
+        (:func:`store_order_pairs` of ``trace`` unless given); returns
+        the number of line pairs actually constrained.  Raises
+        :class:`TSOViolationError` on any inversion."""
+        if pairs is None:
+            pairs = store_order_pairs(trace)
         visible = self.first_visibility(core_id)
-        lines = [line for line in program_order if line in visible]
         checked = 0
-        for i, a in enumerate(lines):
-            for b in lines[i + 1:]:
-                if program_order[a][-1] < program_order[b][0]:
-                    earlier, later = a, b
-                elif program_order[b][-1] < program_order[a][0]:
-                    earlier, later = b, a
-                else:
-                    continue   # interleaved: atomic-group territory
+        for earlier, later in pairs:
+            if earlier in visible and later in visible:
                 checked += 1
                 if visible[earlier][1] > visible[later][1]:
                     raise TSOViolationError(
@@ -92,3 +79,30 @@ class VisibilityObserver:
                         f"before {earlier:#x}, violating Store->Store "
                         f"order")
         return checked
+
+
+#: ``(earlier, later)`` line pairs one core's store order constrains.
+StorePairs = List[Tuple[int, int]]
+
+
+def store_order_pairs(trace: Trace) -> StorePairs:
+    """Every line pair ``(a, b)`` such that all of ``trace``'s stores to
+    ``a`` precede all of its stores to ``b``; lines whose stores
+    interleave form no pair.  Pairs come in the lines' first-store
+    order, which fixes the first inversion reported."""
+    program_order: Dict[int, List[int]] = {}
+    position = 0
+    for uop in trace:
+        if uop.kind.is_store:
+            program_order.setdefault(
+                line_addr(uop.addr), []).append(position)
+            position += 1
+    lines = list(program_order)
+    pairs: StorePairs = []
+    for i, a in enumerate(lines):
+        for b in lines[i + 1:]:
+            if program_order[a][-1] < program_order[b][0]:
+                pairs.append((a, b))
+            elif program_order[b][-1] < program_order[a][0]:
+                pairs.append((b, a))
+    return pairs

@@ -121,10 +121,6 @@ class _Storage:
         for seen in self.seen:
             seen |= observed
 
-    def fully_propagated(self) -> bool:
-        total = len(self.batches)
-        return all(len(seen) == total for seen in self.seen)
-
     def memory(self, addresses) -> Dict[int, int]:
         """Final memory: the coherence-last write per address."""
         image: Dict[int, int] = {}

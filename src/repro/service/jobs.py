@@ -17,7 +17,8 @@ digest: it changes when the work runs, not what the work is.
 :class:`JobRecord` is the durable per-job state machine
 (``queued -> running -> done | failed``), persisted as one JSON file
 per job with atomic replace, so any process (API, worker, monitor)
-can transition a job without a coordinator.
+can transition a job without a coordinator; every transition is a
+method of :class:`~repro.service.ledger.JobLedger`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import dataclasses
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -243,35 +244,6 @@ def job_id(kind: str, spec: Dict[str, Any]) -> str:
 # Durable job records
 # ----------------------------------------------------------------------
 
-def write_json_atomic(path: Path, payload: Dict[str, Any],
-                      schema: str = "generic", fs=NULL_FS,
-                      fsync: bool = False) -> None:
-    """Crash-safe JSON write: checksummed envelope, tmp file + atomic
-    replace.
-
-    Concurrent writers each write their own tmp (pid-suffixed) and the
-    last replace wins whole — a reader never observes a torn file; the
-    envelope means a reader also never *trusts* one the storage tore
-    behind our back.  ``fs`` routes the write through a fault shim
-    (chaos drills), ``fsync`` buys power-loss durability at the cost
-    of two syncs per record.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_record(path, schema, payload, fs=fs, fsync=fsync)
-
-
-def read_json(path: Path,
-              schema: Optional[str] = None) -> Optional[Dict[str, Any]]:
-    """Read a JSON file written by :func:`write_json_atomic`; ``None``
-    when missing.  A file that exists but fails validation (torn,
-    truncated, bit-rotted, wrong schema) is *quarantined* — moved into
-    a ``quarantine/`` sibling directory — and also reads as ``None``,
-    so the caller's missing-record recovery path handles it instead of
-    an exception unwinding a worker or monitor loop."""
-    return read_or_quarantine(path, schema)
-
-
 @dataclass
 class JobRecord:
     """Durable state of one job; JSON-plain, one file per job."""
@@ -321,23 +293,10 @@ class JobRecord:
         return max(0.0, self.finished_ts - self.started_ts)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "id": self.id, "kind": self.kind, "spec": self.spec,
-            "priority": self.priority, "status": self.status,
-            "attempts": self.attempts, "max_attempts": self.max_attempts,
-            "submitted_ts": self.submitted_ts,
-            "started_ts": self.started_ts,
-            "finished_ts": self.finished_ts,
-            "worker": self.worker, "pid": self.pid,
-            "cache_hit": self.cache_hit, "resubmits": self.resubmits,
-            "error": self.error,
-            "points_total": self.points_total,
-            "point_cache_hits": self.point_cache_hits,
-            "points_simulated": self.points_simulated,
-            # Derived, read-only: dropped again by ``from_dict``.
-            "latency": self.latency,
-            "run_seconds": self.run_seconds,
-        }
+        # The derived, read-only fields ride along; ``from_dict`` drops
+        # them again.
+        return {**vars(self), "latency": self.latency,
+                "run_seconds": self.run_seconds}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":
@@ -364,21 +323,19 @@ class JobStore:
         return self.root / f"{job}.json"
 
     def load(self, job: str) -> Optional[JobRecord]:
-        data = read_json(self.path(job), self.SCHEMA)
+        """``None`` when missing or corrupt (then quarantined)."""
+        data = read_or_quarantine(self.path(job), self.SCHEMA)
         return JobRecord.from_dict(data) if data else None
 
     def save(self, record: JobRecord) -> None:
-        write_json_atomic(self.path(record.id), record.to_dict(),
-                          schema=self.SCHEMA, fs=self.fs,
-                          fsync=self.fsync)
+        """Enveloped, tmp file + atomic replace: never torn, on read."""
+        write_record(self.path(record.id), self.SCHEMA, record.to_dict(),
+                     fs=self.fs, fsync=self.fsync)
 
     def all(self) -> List[JobRecord]:
-        records = []
-        for path in sorted(self.root.glob("*.json")):
-            data = read_json(path, self.SCHEMA)
-            if data:
-                records.append(JobRecord.from_dict(data))
-        return records
+        docs = (read_or_quarantine(path, self.SCHEMA)
+                for path in sorted(self.root.glob("*.json")))
+        return [JobRecord.from_dict(doc) for doc in docs if doc]
 
     def quarantined(self) -> int:
         """Corrupt records moved aside so far (derived from disk)."""

@@ -172,7 +172,3 @@ class DiskQueue:
     def quarantined(self) -> int:
         """Corrupt entries moved aside so far (derived from disk)."""
         return self.spool.quarantined()
-
-    def running_age(self, entry_name: str) -> Optional[float]:
-        """Seconds since the entry was claimed; ``None`` if gone."""
-        return self.spool.running_age(entry_name)

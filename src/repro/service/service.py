@@ -5,13 +5,15 @@
 * the :class:`~repro.service.queue.DiskQueue` and
   :class:`~repro.service.jobs.JobStore` hold all durable state — the
   service process itself is stateless modulo a few monotonic counters,
-  so killing and restarting it recovers every accepted job;
+  so killing and restarting it recovers every accepted job — and only
+  their :class:`~repro.service.ledger.JobLedger` changes it;
 * a :class:`~repro.service.worker.WorkerFleet` of processes drains the
   queue (their loop is the ``run_points`` machinery);
 * a **monitor** thread reaps dead workers, respawns replacements, and
-  requeues the jobs the dead were running — a SIGKILLed worker costs
-  its job one attempt, never the job itself — and kills a worker whose
-  lease expired before requeueing its job;
+  runs the ledger's crash-repair pass (as ``Service.stop`` and ``repro
+  fsck --repair`` do): a SIGKILLed worker costs its job one attempt,
+  never the job itself, and a worker whose lease expired is killed
+  before its job is requeued;
 * a :class:`~repro.service.api.ServiceAPI` thread serves submissions,
   status polls, results, and ``/metrics``.
 
@@ -30,13 +32,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..durability.fsck import Finding
 from .api import ServiceAPI
-from .jobs import (JobRecord, JobStore, submit_record)
+from .jobs import JobRecord, submit_record
+from .ledger import JobLedger, service_paths
 from .metrics import (Counter, LATENCY_BUCKETS, render_counter_snapshot,
                       render_gauge, render_histogram)
-from .queue import DiskQueue, QueueFull
+from .queue import QueueFull
 from .store import ArtifactStore
-from .worker import BUSY, WorkerFleet, service_paths
+from .worker import BUSY, WorkerFleet
 
 
 @dataclass
@@ -76,12 +80,12 @@ class Service:
         for path in paths.values():
             path.mkdir(parents=True, exist_ok=True)
         self.paths = paths
-        self.queue = DiskQueue(paths["queue"],
-                               max_backlog=config.max_backlog,
-                               fsync=config.fsync,
-                               sweep_age=config.tmp_sweep_age)
-        self.jobs = JobStore(paths["jobs"], fsync=config.fsync,
-                             sweep_age=config.tmp_sweep_age)
+        self.ledger = JobLedger.open(paths["data"],
+                                     max_backlog=config.max_backlog,
+                                     fsync=config.fsync,
+                                     sweep_age=config.tmp_sweep_age)
+        self.queue = self.ledger.queue
+        self.jobs = self.ledger.jobs
         self.store = ArtifactStore(paths["store"], fsync=config.fsync,
                                    sweep_age=config.tmp_sweep_age)
         self.fleet = WorkerFleet(paths["data"], size=config.workers,
@@ -98,9 +102,6 @@ class Service:
         self.metrics_submissions = Counter(
             "repro_job_submissions_total",
             "Job submissions received, by outcome.")
-        self.metrics_requeues = Counter(
-            "repro_jobs_requeued_total",
-            "Jobs returned to the queue, by reason.")
         self._submit_lock = threading.Lock()
         self._stop = threading.Event()
         self._monitor_thread: Optional[threading.Thread] = None
@@ -141,8 +142,7 @@ class Service:
         self.fleet.stop(timeout=timeout)
         # One final repair pass so jobs of terminated workers are not
         # stranded in running/ (or left entry-less) across a restart.
-        self._repair_running()
-        self._repair_lost_entries()
+        self._repair()
 
     def drain(self, timeout: float = 60.0,
               poll: float = 0.05) -> bool:
@@ -169,44 +169,29 @@ class Service:
                                    max_attempts=self.config.max_attempts)
         with self._submit_lock:
             existing = self.jobs.load(jid)
-            if existing is not None and existing.active:
+            # An active job coalesces; a finished one answers only while
+            # its artifact still validates (``has`` quarantines a rotted
+            # one), otherwise it falls through and re-executes.
+            if existing is not None and (existing.active or (
+                    existing.status == "done" and self.store.has(jid))):
                 existing.resubmits += 1
                 self.jobs.save(existing)
-                self.metrics_submissions.inc(outcome="dedup_active")
-                return existing, False
-            if existing is not None and existing.status == "done" \
-                    and self.store.has(jid):
-                # Answer from the finished record only while its
-                # artifact still validates (``has`` quarantines a
-                # rotted one); otherwise fall through and re-execute.
-                existing.resubmits += 1
-                self.jobs.save(existing)
-                self.metrics_submissions.inc(outcome="dedup_done")
+                self.metrics_submissions.inc(
+                    outcome="dedup_active" if existing.active
+                    else "dedup_done")
                 return existing, False
             if self.store.has(jid):
                 # The artifact outlived its record (service restarted,
                 # or another client's run): answer without executing.
-                fresh.status = "done"
-                fresh.cache_hit = True
-                fresh.finished_ts = fresh.submitted_ts
-                self.jobs.save(fresh)
+                self.ledger.answered(fresh)
                 self.metrics_submissions.inc(outcome="dedup_artifact")
                 return fresh, True
-            # Fresh work (or a retry of a failed job): record first so
-            # a claiming worker always finds it, then the queue entry.
-            self.jobs.save(fresh)
+            # Fresh work (or a retry of a failed job).  A shed
+            # submission leaves no record behind (restoring a prior
+            # failed record when overwritten).
             try:
-                self.queue.submit(jid, priority)
+                self.ledger.enqueue(fresh, previous=existing)
             except QueueFull:
-                # Undo: a shed submission leaves no record behind
-                # (restoring a prior failed record when overwritten).
-                if existing is not None:
-                    self.jobs.save(existing)
-                else:
-                    try:
-                        os.unlink(self.jobs.path(jid))
-                    except OSError:
-                        pass
                 self.metrics_sheds.inc()
                 self.metrics_submissions.inc(outcome="shed")
                 raise
@@ -238,102 +223,20 @@ class Service:
         alive = self.fleet.alive().get(record.worker)
         return _pid_alive(record.pid) if alive is None else alive
 
-    def _repair_running(self) -> int:
-        """Requeue running entries whose worker is gone (or fail them
-        once their attempt budget is spent).  Returns entries touched."""
-        repaired = 0
-        for entry in self.queue.running():
-            record = self.jobs.load(entry.job)
-            if record is None:
-                self.queue.ack(entry.name)
-                continue
-            if not record.active:
-                # Terminal record with a leftover entry: the worker
-                # died between its final record save and the ack.
-                self.queue.ack(entry.name)
-                continue
-            age = self.queue.running_age(entry.name)
-            if record.status == "queued" and age is not None \
-                    and age < self.config.entry_repair_age:
-                # Just claimed: its worker has not saved the record as
-                # running yet, so the record names no worker to judge.
-                continue
-            alive = self._worker_alive(record)
-            expired = age is not None \
-                and age > self.config.lease_seconds
-            if alive and not expired:
-                continue
-            reason = "worker-lost"
-            if alive:
-                # Presumed hung: stop it first, or it could still finish
-                # the job and ack the next claimer's entry.
-                reason = "lease-expired"
-                self.fleet.terminate(record.worker)
-                record = self.jobs.load(entry.job)
-                if record is None or not record.active:
-                    continue      # it finished before the kill landed
-            repaired += 1
-            if record.attempts >= record.max_attempts:
-                record.status = "failed"
-                record.finished_ts = time.time()
-                record.error = {"type": "WorkerLost",
-                                "message": f"{reason}: worker "
-                                           f"{record.worker} "
-                                           f"(pid {record.pid})"}
-                self.jobs.save(record)
-                self.queue.ack(entry.name)
-                self.metrics_requeues.inc(reason=f"{reason}-failed")
-            else:
-                record.status = "queued"
-                record.worker = None
-                record.pid = None
-                self.jobs.save(record)
-                self.queue.requeue(entry.name)
-                self.metrics_requeues.inc(reason=reason)
-        return repaired
-
-    def _repair_lost_entries(self) -> int:
-        """Re-enqueue active records that lost their queue entry — a
-        crash between the record save and the entry write, or a
-        corrupt entry that a reader quarantined.  Age-gated on the
-        record file so an in-flight submission isn't raced; a running
-        record additionally needs its worker dead (a live worker holds
-        the entry name in memory and will finish the job without it).
-        Returns entries recreated."""
-        entries = {entry.job for entry in self.queue.pending()}
-        entries.update(entry.job for entry in self.queue.running())
-        now = time.time()
-        repaired = 0
-        for record in self.jobs.all():
-            if not record.active or record.id in entries:
-                continue
-            if record.status == "running" and self._worker_alive(record):
-                continue
-            try:
-                age = now - self.jobs.path(record.id).stat().st_mtime
-            except OSError:
-                continue
-            if age < self.config.entry_repair_age:
-                continue
-            record.status = "queued"
-            record.worker = None
-            record.pid = None
-            self.jobs.save(record)
-            try:
-                self.queue.submit(record.id, record.priority)
-            except QueueFull:
-                continue      # stays queued; retried next pass
-            repaired += 1
-            self.metrics_requeues.inc(reason="entry-lost")
-        return repaired
+    def _repair(self) -> List[Finding]:
+        """The ledger's crash repair with this fleet's liveness, grace
+        and lease."""
+        return self.ledger.repair(
+            apply=True, alive=self._worker_alive,
+            grace=self.config.entry_repair_age,
+            lease=self.config.lease_seconds, terminate=self.fleet.terminate)
 
     def _monitor_loop(self) -> None:
         while not self._stop.wait(self.config.monitor_interval):
             try:
                 if self.config.workers:
                     self.fleet.reap(respawn=not self._stop.is_set())
-                self._repair_running()
-                self._repair_lost_entries()
+                self._repair()
             except Exception:    # noqa: BLE001 - monitor must survive
                 continue
 
@@ -476,7 +379,7 @@ class Service:
 
         lines += self.metrics_sheds.render()
         lines += self.metrics_submissions.render()
-        lines += self.metrics_requeues.render()
+        lines += self.ledger.requeues.render()
         lines += self.metrics_http_requests.render()
 
         lines += render_histogram(

@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..durability.faultyfs import NULL_FS
-from ..durability.records import quarantine_count, sweep_tmp
-from .jobs import read_json, write_json_atomic
+from ..durability.records import (quarantine_count, read_or_quarantine,
+                                  sweep_tmp, write_record)
 
 
 class ArtifactStore:
@@ -66,15 +66,14 @@ class ArtifactStore:
     def put(self, job: str, payload: Dict[str, Any]) -> Path:
         """Store one job's result payload (atomic, idempotent)."""
         path = self.path(job)
-        write_json_atomic(path, {"job": job, "stored_ts": time.time(),
-                                 "payload": payload},
-                          schema=self.SCHEMA, fs=self.fs,
-                          fsync=self.fsync)
+        write_record(path, self.SCHEMA, {"job": job, "stored_ts": time.time(),
+                                         "payload": payload},
+                     fs=self.fs, fsync=self.fsync)
         return path
 
     def get(self, job: str) -> Optional[Dict[str, Any]]:
         """The stored payload, or ``None`` when absent/quarantined."""
-        doc = read_json(self.path(job), self.SCHEMA)
+        doc = read_or_quarantine(self.path(job), self.SCHEMA)
         if doc is None:
             return None
         return doc.get("payload")

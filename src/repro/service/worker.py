@@ -1,18 +1,20 @@
 """Worker fleet: long-lived processes draining the disk queue.
 
-Each worker is an OS process whose loop is *claim -> execute -> ack*:
+Each worker is an OS process whose loop is *claim -> execute -> ack*,
+every step a transition of :class:`~repro.service.ledger.JobLedger`:
 
 * **claim** — an atomic rename in :class:`~repro.service.queue
-  .DiskQueue` (race-free against the rest of the fleet);
+  .DiskQueue` (race-free against the rest of the fleet); an entry
+  whose record is gone is dropped;
 * **execute** — :func:`~repro.service.executor.execute_job`, i.e. the
   repo's existing harness entry points; sweep jobs run the
   crash-resilient :func:`~repro.harness.parallel.run_points`
   deadline/retry/checkpoint loop against the shared point cache;
 * **ack** — artifact stored *first*, then the record marked done, then
   the queue entry dropped, in that order: a worker that dies between
-  any two steps leaves a state the monitor (or the next claimer, which
-  checks the artifact store before executing) repairs without
-  re-simulating.
+  any two steps leaves a state the ledger's repair pass (or the next
+  claimer, which checks the artifact store before executing) repairs
+  without re-simulating.
 
 Failure bookkeeping: a job that raises is retried up to its record's
 ``max_attempts`` (the entry goes back to pending); a
@@ -42,28 +44,16 @@ from typing import Callable, Dict, List, Optional
 
 from ..common.errors import DeadlockError, ModelError
 from ..common.pool import Fleet, SignalWatch
+from ..durability.records import read_or_quarantine, write_record
 from ..harness.parallel import SweepInterrupted
 from .executor import execute_job
-from .jobs import (JobRecord, JobStore, JobValidationError, read_json,
-                   write_json_atomic)
-from .queue import DiskQueue, Entry
+from .jobs import JobRecord, JobValidationError
+from .ledger import JobLedger, service_paths
+from .queue import Entry
 from .store import ArtifactStore
 
 #: Worker heartbeat states.
 IDLE, BUSY = "idle", "busy"
-
-
-def service_paths(data_dir: Path) -> Dict[str, Path]:
-    """The service's on-disk layout, shared by every component."""
-    data_dir = Path(data_dir)
-    return {
-        "data": data_dir,
-        "queue": data_dir / "queue",
-        "jobs": data_dir / "jobs",
-        "store": data_dir / "store",
-        "workers": data_dir / "workers",
-        "scratch": data_dir / "scratch",
-    }
 
 
 class Worker:
@@ -76,10 +66,10 @@ class Worker:
                  fsync: bool = False) -> None:
         paths = service_paths(data_dir)
         self.worker_id = worker_id
-        self.fsync = fsync
-        self.queue = DiskQueue(paths["queue"], max_backlog=max_backlog,
-                               fsync=fsync)
-        self.jobs = JobStore(paths["jobs"], fsync=fsync)
+        self.ledger = JobLedger.open(data_dir, max_backlog=max_backlog,
+                                     fsync=fsync)
+        self.queue = self.ledger.queue
+        self.jobs = self.ledger.jobs
         self.store = ArtifactStore(paths["store"], fsync=fsync)
         self.scratch = paths["scratch"]
         self.scratch.mkdir(parents=True, exist_ok=True)
@@ -94,62 +84,25 @@ class Worker:
 
     # -- heartbeat -----------------------------------------------------------
     def heartbeat(self, state: str, job: Optional[str] = None) -> None:
-        write_json_atomic(self.workers_dir / f"{self.worker_id}.json", {
-            "worker": self.worker_id, "pid": os.getpid(),
-            "state": state, "job": job, "ts": time.time(),
-            "started_ts": self.started_ts,
-            "busy_seconds": self.busy_seconds,
-            "jobs_done": self.jobs_done,
-        }, schema="heartbeat")
-
-    # -- record transitions --------------------------------------------------
-    def _load_record(self, entry: Entry) -> Optional[JobRecord]:
-        # The submitter writes the record before the queue entry, but
-        # tolerate a beat of lag from foreign submitters.
-        for _ in range(3):
-            record = self.jobs.load(entry.job)
-            if record is not None:
-                return record
-            time.sleep(0.02)
-        return None
-
-    def _finish(self, record: JobRecord, entry: Entry,
-                status: str, error: Optional[dict] = None) -> None:
-        record.status = status
-        record.error = error
-        record.finished_ts = time.time()
-        self.jobs.save(record)
-        self.queue.ack(entry.name)
-
-    def _requeue(self, record: JobRecord, entry: Entry,
-                 charge: bool) -> None:
-        if not charge:
-            record.attempts = max(0, record.attempts - 1)
-        record.status = "queued"
-        record.worker = None
-        record.pid = None
-        self.jobs.save(record)
-        self.queue.requeue(entry.name)
+        write_record(self.workers_dir / f"{self.worker_id}.json",
+                     "heartbeat", {
+                         "worker": self.worker_id, "pid": os.getpid(),
+                         "state": state, "job": job, "ts": time.time(),
+                         "started_ts": self.started_ts,
+                         "busy_seconds": self.busy_seconds,
+                         "jobs_done": self.jobs_done})
 
     # -- the loop ------------------------------------------------------------
-    def run_one(self, entry: Entry) -> None:
-        record = self._load_record(entry)
-        if record is None:
-            # Orphan entry (no record): nothing to execute or report.
-            self.queue.ack(entry.name)
-            return
+    def run_one(self, entry: Entry, record: JobRecord) -> None:
+        """Execute one claimed job (see :meth:`JobLedger.claim`)."""
+        ledger = self.ledger
         if self.store.has(record.id):
             # A previous attempt finished the work but died before its
             # ack; complete the job without executing anything.
             record.cache_hit = True
-            self._finish(record, entry, "done")
+            ledger.finish(record, entry)
             return
-        record.status = "running"
-        record.worker = self.worker_id
-        record.pid = os.getpid()
-        record.started_ts = time.time()
-        record.attempts += 1
-        self.jobs.save(record)
+        ledger.start(record, self.worker_id, os.getpid())
         self.heartbeat(BUSY, record.id)
         started = time.time()
         try:
@@ -162,26 +115,23 @@ class Worker:
         except SweepInterrupted:
             # Service drain: the sweep already flushed its manifest and
             # cache checkpoint; hand the job back uncharged and stop.
-            self._requeue(record, entry, charge=False)
+            ledger.requeue(record, entry, charge=False)
             self.stop = True
         except DeadlockError as exc:
             dump = exc.dump.to_dict() if exc.dump is not None else None
-            self._finish(record, entry, "failed", {
+            ledger.fail(record, entry, {
                 "type": "DeadlockError", "message": str(exc),
                 "progress_dump": dump})
         except (ModelError, JobValidationError) as exc:
             # Deterministic model bug or unknown job kind: retrying can
             # never succeed.
-            self._finish(record, entry, "failed", {
+            ledger.fail(record, entry, {
                 "type": type(exc).__name__, "message": str(exc)})
         except Exception as exc:  # noqa: BLE001 - per-job bookkeeping
-            error = {"type": type(exc).__name__, "message": str(exc)}
-            if record.attempts >= record.max_attempts:
-                self._finish(record, entry, "failed", error)
-            else:
-                self._requeue(record, entry, charge=True)
+            ledger.retry(record, entry, {
+                "type": type(exc).__name__, "message": str(exc)})
         else:
-            self._finish(record, entry, "done")
+            ledger.finish(record, entry)
             self.jobs_done += 1
         finally:
             self.busy_seconds += time.time() - started
@@ -199,14 +149,14 @@ class Worker:
                 if max_jobs is not None \
                         and self.jobs_done - done_at_start >= max_jobs:
                     break
-                entry = self.queue.claim()
-                if entry is None:
+                claimed = self.ledger.claim()
+                if claimed is None:
                     self.heartbeat(IDLE)
                     if max_jobs is not None:
                         break
                     time.sleep(self.poll_interval)
                     continue
-                self.run_one(entry)
+                self.run_one(*claimed)
         finally:
             watch.restore()
         self.heartbeat("stopped")
@@ -233,12 +183,6 @@ class WorkerFleet(Fleet):
         self.data_dir = Path(data_dir)
 
     def heartbeats(self) -> List[dict]:
-        beats = []
         workers_dir = service_paths(self.data_dir)["workers"]
-        if not workers_dir.exists():
-            return beats
-        for path in sorted(workers_dir.glob("*.json")):
-            beat = read_json(path)
-            if beat:
-                beats.append(beat)
-        return beats
+        beats = map(read_or_quarantine, sorted(workers_dir.glob("*.json")))
+        return [beat for beat in beats if beat]

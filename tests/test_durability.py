@@ -7,8 +7,8 @@ The contracts under test, bottom-up:
   :data:`NULL_FS` singleton is falsy so production code pays nothing;
 * every durable record rides in a checksummed envelope: any torn write,
   truncation, bit flip, or stray bytes reads as :class:`CorruptRecord`,
-  never as silently-wrong data, and pre-envelope documents stay
-  readable;
+  never as silently-wrong data, and neither does a document that is
+  not an envelope;
 * ``repro fsck`` detects every class of injected crash debris across
   the service, frontier, and flat-record layouts, and a repair pass
   leaves the directory clean without losing accepted work;
@@ -139,10 +139,17 @@ class TestRecords:
         assert is_envelope(doc)
         assert doc["schema"] == "generic"
 
-    def test_legacy_document_passes_through(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"cycles": 7}))
-        assert read_record(path, "point-cache") == {"cycles": 7}
+    def test_document_without_envelope_is_corrupt(self, tmp_path):
+        # One renamed key (a one-byte change) turns an envelope into
+        # plain JSON; it must not be trusted as the record's body.
+        path = tmp_path / "r.json"
+        write_record(path, "job-record", {"id": "j"})
+        path.write_text(path.read_text().replace('"sha256"', '"sha257"'))
+        with pytest.raises(CorruptRecord) as err:
+            read_record(path, "job-record")
+        assert "envelope" in err.value.reason
+        assert read_or_quarantine(path, "job-record") is None
+        assert quarantine_count(tmp_path) == 1
 
     def test_missing_file_reads_as_none(self, tmp_path):
         assert read_record(tmp_path / "nope.json") is None
@@ -288,6 +295,43 @@ class TestFsck:
         Worker(data, "after").run(max_jobs=3)
         for record in (kept, lost, dangling):
             assert service.job(record.id).status == "done"
+
+    @pytest.mark.parametrize("attempts", [1, 2])
+    def test_service_repair_keeps_the_attempt_budget(self, tmp_path,
+                                                     attempts):
+        # A worker died during attempt ``attempts`` of 2: offline repair
+        # judges the claim as the monitor does, so the last attempt
+        # fails the job and an earlier one requeues it without a worker.
+        from repro.service.service import Service, ServiceConfig
+        from repro.service.worker import Worker
+        service = Service(ServiceConfig(
+            data_dir=str(tmp_path / "svc"), workers=0, max_attempts=2))
+        data = service.paths["data"]
+        record, _ = service.submit("synthetic", {"payload": "budget"})
+        entry = service.queue.claim()
+        record.status, record.worker, record.pid = "running", "gone", None
+        record.attempts = attempts
+        service.jobs.save(record)
+
+        detect = fsck(data, repair=False, tmp_age=0.0)
+        assert detect.counts().get("dangling-running") == 1
+        assert service.job(record.id).status == "running"
+        assert fsck(data, repair=True, tmp_age=0.0).clean
+        assert fsck(data, repair=False, tmp_age=0.0).clean
+        after = service.job(record.id)
+        if attempts == 2:
+            assert after.status == "failed"
+            assert after.error["type"] == "WorkerLost"
+            assert service.queue.depth() == 0
+        else:
+            assert (after.status, after.worker, after.pid) \
+                == ("queued", None, None)
+            assert [e.name for e in service.queue.pending()] \
+                == [entry.name]
+            Worker(data, "after").run(max_jobs=1)
+            done = service.job(record.id)
+            assert done.status == "done" and done.attempts == 2
+        assert service.queue.inflight() == 0
 
     def test_frontier_layout_round_trip(self, tmp_path):
         from repro.modelcheck import explore

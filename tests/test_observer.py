@@ -84,3 +84,25 @@ def test_multicore_observer():
     system.run()
     for core_id in range(2):
         observer.check_store_store_order(core_id, traces[core_id])
+
+
+def test_check_walks_each_trace_once(monkeypatch):
+    """A check derives each core's store order from its trace once; the
+    store-order invariant, run after every action of every execution,
+    never walks a trace again."""
+    from repro.modelcheck.explorer import CheckRunner
+    runner = CheckRunner("fence", "tus", cores=2, lines=2)
+    assert runner((), pause=False).kind == "done"
+    walks = []
+    walk = Trace.__iter__
+    monkeypatch.setattr(Trace, "__iter__",
+                        lambda self: walks.append(self.name) or walk(self))
+    checked = []
+    check = VisibilityObserver.check_store_store_order
+    monkeypatch.setattr(
+        VisibilityObserver, "check_store_store_order",
+        lambda self, *args: checked.append(check(self, *args))
+        or checked[-1])
+    assert runner((), pause=False).kind == "done"
+    assert sum(checked) > 0       # the invariant ran and constrained
+    assert walks == []

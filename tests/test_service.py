@@ -367,7 +367,7 @@ class TestWorkerInline:
             try:
                 wait_for(lambda: service.job(record.id).status
                          == "running")
-                assert service._repair_running() == 0
+                assert service._repair() == []
                 assert (service.queue.running_dir / entry.name).exists()
                 assert service.queue.depth() == 0
             finally:
@@ -389,11 +389,11 @@ class TestWorkerInline:
             service.submit("synthetic", {"duration_ms": 0,
                                          "payload": "claimed"})
             entry = service.queue.claim()
-            assert service._repair_running() == 0
+            assert service._repair() == []
             assert (service.queue.running_dir / entry.name).exists()
             aged = time.time() - 3600.0
             os.utime(service.queue.running_dir / entry.name, (aged, aged))
-            assert service._repair_running() == 1
+            assert len(service._repair()) == 1
             assert [e.name for e in service.queue.pending()] == [entry.name]
         finally:
             service.stop(timeout=2.0)
@@ -657,7 +657,7 @@ class TestDurableRecords:
             # The entry file moved aside; the record is now entry-less.
             # The monitor's lost-entry repair re-enqueues it.
             assert service.queue.depth() == 0
-            service._repair_lost_entries()
+            service._repair()
             assert service.queue.depth() == 1
             inline_worker(service).run(max_jobs=1)
             assert service.job(record.id).status == "done"
@@ -674,8 +674,7 @@ class TestDurableRecords:
             # The worker sees an orphan entry and retires it; the
             # monitor loop and snapshot survive untroubled.
             inline_worker(service).run(max_jobs=1)
-            service._repair_running()
-            service._repair_lost_entries()
+            service._repair()
             snapshot = service.snapshot()
             assert snapshot["durability"]["quarantined_jobs"] == 1
         finally:
