@@ -43,31 +43,41 @@ from .scenarios import get_scenario
 COMPACT_EVERY = 200
 
 
+class _WorkerFrontier(DiskFrontier):
+    """A worker's view of the spool: each record it claims ends its
+    idle stretch and counts toward the next visited-set compaction."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.idle = 0.0
+        self.since_compact = 0
+
+    def pop(self):
+        record = super().pop()
+        if record is not None:
+            self.idle = 0.0
+            self.since_compact += 1
+            if self.since_compact >= COMPACT_EVERY:
+                self.since_compact = 0
+                self.compact_visited()
+        return record
+
+
 def worker_main(spool: str, worker_id: str) -> None:
     """Drain one spool until the check is finished (worker entry
     point; every parameter of the check comes from the spool's
     ``meta.json``)."""
-    store = DiskFrontier(spool)
+    store = _WorkerFrontier(spool)
     meta = store.meta()
     if meta is None:
         return
-    base_runner = CheckRunner(meta["scenario"], meta["mechanism"],
-                              cores=meta["cores"], lines=meta["lines"],
-                              unsound=meta["unsound"],
-                              max_cycles=meta["max_cycles"],
-                              machine=meta["machine"], model=meta["model"],
-                              por=meta["por"])
-    report = base_runner.report
-    since_compact = [0]
-    idle = [0.0]
-
-    def runner(schedule, pause: bool):
-        idle[0] = 0.0   # claimed a record: the idle stretch is over
-        since_compact[0] += 1
-        if since_compact[0] >= COMPACT_EVERY:
-            since_compact[0] = 0
-            store.compact_visited()
-        return base_runner(schedule, pause)
+    runner = CheckRunner(meta["scenario"], meta["mechanism"],
+                         cores=meta["cores"], lines=meta["lines"],
+                         unsound=meta["unsound"],
+                         max_cycles=meta["max_cycles"],
+                         machine=meta["machine"], model=meta["model"],
+                         por=meta["por"])
+    report = runner.report
 
     def record_violation(outcome) -> None:
         store.set_violation({"invariant": outcome.invariant,
@@ -80,10 +90,10 @@ def worker_main(spool: str, worker_id: str) -> None:
         # timeout (30 s with no record claimed) so a dead sibling
         # cannot wedge the fleet (the driver recovers its running
         # records afterwards).
-        if idle[0] > 30.0:
+        if store.idle > 30.0:
             return False
         time.sleep(0.02)
-        idle[0] += 0.02
+        store.idle += 0.02
         return True
 
     drain_frontier(store, runner, report, por=meta["por"],

@@ -1,22 +1,29 @@
 """Frontier BFS over schedule prefixes with counterexample minimisation.
 
 The checker is *stateless* in the model-checking sense: a state is
-identified with the schedule prefix that reaches it, and expanding a
-state means re-executing the whole prefix from a fresh system.  That
-avoids deep-copying a live simulator (event closures capture real
-objects), costs O(depth) per expansion, and guarantees every explored
-state is genuinely reachable by the production code.
+identified with the schedule prefix that reaches it, and a state is
+reached by executing its prefix on a fresh system.  That avoids
+deep-copying a live simulator (event closures capture real objects)
+and guarantees every explored state is genuinely reachable by the
+production code.  Replaying a prefix costs O(depth), so a run does not
+stop at its record's pause: it settles the record there and goes on
+into the first child it pushed, whose outcome is kept until the BFS
+pops that child — one replay serves two records.
 
 Exploration loop:
 
-1. pop a prefix from the frontier queue;
-2. replay it with a pausing :class:`ReplayScheduler` under the checking
-   wrapper.  Invariants run only on the actions past the prefix: the
-   run that pushed the record already checked every action before its
-   pause, and replay is deterministic
+1. pop a record from the frontier queue; if an earlier run continued
+   into it, take its kept outcome (counted in ``resumed``) and go to 3;
+2. replay its prefix with a pausing :class:`ReplayScheduler` under the
+   checking wrapper.  Invariants run only on the actions past the
+   prefix: the run that pushed the record already checked every
+   action before its pause, and replay is deterministic
    (:func:`~repro.modelcheck.scheduler.replayed_decisions`);
-3. on :class:`FrontierReached`, hash the paused state; if unseen,
-   enqueue one child prefix per branch (subject to depth/state budget);
+3. settle the outcome (:func:`drain_frontier`): at a pause, hash the
+   paused state; if unseen, enqueue one child prefix per branch
+   (subject to depth/state budget) — and a live run then takes the
+   first child's branch and stops at that child's own pause,
+   completion or violation, keeping that outcome for step 1;
 4. on an invariant violation or deadlock, minimise the schedule
    (shortest prefix under default continuation, then greedy zeroing)
    and stop;
@@ -44,8 +51,8 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..common.errors import DeadlockError
 from ..common.stats import NULL_STATS
@@ -57,8 +64,7 @@ from .invariants import CheckContext, InvariantViolation
 from .observer import VisibilityObserver, store_order_pairs
 from .por import POR_MODES, describe_for, sleep_filter
 from .scenarios import check_config, get_scenario, machine_overrides
-from .scheduler import (CheckingScheduler, FrontierReached,
-                        ReplayScheduler, render_trace)
+from .scheduler import CheckingScheduler, ReplayScheduler, render_trace
 from .state import canonical_key, symmetry_permutations
 
 DEFAULT_MAX_CYCLES = 20_000
@@ -173,6 +179,9 @@ class CheckReport:
     #: Order-independent hash over the distinct terminal state keys —
     #: what the differential suite compares between POR modes.
     terminal_fingerprint: str = ""
+    #: Of ``executions``, the records whose outcome came from their
+    #: parent's run continuing into them rather than from a replay.
+    resumed: int = 0
 
     @property
     def passed(self) -> bool:
@@ -201,6 +210,14 @@ class CheckReport:
                 f"{self.wall_seconds:.1f}s")
 
 
+class _Paused(Exception):
+    """Stops a :meth:`CheckRunner.run` at a pause with its outcome."""
+
+    def __init__(self, outcome: RunOutcome) -> None:
+        super().__init__(outcome.key)
+        self.outcome = outcome
+
+
 def _shape(scenario, cores: int, lines: int) -> Tuple[int, int]:
     """Litmus-bridge scenarios carry a fixed shape; honour it."""
     return (getattr(scenario, "fixed_cores", None) or cores,
@@ -222,7 +239,8 @@ class CheckRunner:
     execution is counted in :attr:`report` (``executions``), which is
     what the frontier loop's state budget reads.  Calling the runner
     replays ``schedule``, pausing at the first decision beyond it when
-    ``pause`` is set; :meth:`run` executes under any inner scheduler.
+    ``pause`` is set (``settle``: see :meth:`run`); :meth:`run`
+    executes under any inner scheduler.
     """
 
     def __init__(self, scenario_name: str, mechanism: str, *,
@@ -264,14 +282,23 @@ class CheckRunner:
         return system, observer, CheckContext(system, self.traces, observer,
                                               self.store_pairs)
 
-    def __call__(self, schedule: Tuple[int, ...],
-                 pause: bool) -> RunOutcome:
+    def __call__(self, schedule: Tuple[int, ...], pause: bool,
+                 settle=None) -> RunOutcome:
         return self.run(ReplayScheduler(
             schedule, pause=pause,
-            describe=self.describe if pause else None))
+            describe=self.describe if pause else None), settle)
 
-    def run(self, inner) -> RunOutcome:
-        """Execute once under ``inner`` with invariant checking."""
+    def run(self, inner, settle=None) -> RunOutcome:
+        """Execute once under ``inner`` with invariant checking.
+
+        Under a pausing :class:`ReplayScheduler` the run stops at the
+        pause with its ``"frontier"`` outcome.  ``settle``, when given,
+        is handed that outcome first; if it returns a branch index, the
+        same live run takes that branch and the outcome returned is the
+        one at the next pause (or completion, or violation) instead —
+        exactly what a fresh run of the extended prefix returns, since
+        its invariants would see the same actions from the same state.
+        """
         self.report.executions += 1
         system, observer, ctx = self.build()
         if self.invariant_names is None:
@@ -285,12 +312,25 @@ class CheckRunner:
         sched = CheckingScheduler(inner, ctx, self.invariant_names)
         taken = getattr(inner, "taken", [])
         perms = self.perms
+
+        if getattr(inner, "pause", False):
+            def on_pause(system, actions, described) -> int:
+                nonlocal settle
+                outcome = RunOutcome(
+                    "frontier", branches=len(actions),
+                    key=canonical_key(system, observer, perms),
+                    taken=tuple(taken), actions=described)
+                branch = None if settle is None else settle(outcome)
+                settle = None       # only the first pause is settled
+                if branch is None:
+                    raise _Paused(outcome)
+                return branch
+
+            inner.on_pause = on_pause
         try:
             system.run_controlled(sched, max_cycles=self.max_cycles)
-        except FrontierReached as frontier:
-            return RunOutcome("frontier", branches=frontier.branches,
-                              key=canonical_key(system, observer, perms),
-                              taken=tuple(taken), actions=frontier.actions)
+        except _Paused as paused:
+            return paused.outcome
         except InvariantViolation as violation:
             return RunOutcome("violation", invariant=violation.invariant,
                               message=violation.message, taken=tuple(taken),
@@ -350,6 +390,16 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
     """The BFS loop over a frontier store — shared by the in-process
     explorer and the distributed workers.
 
+    A popped record is evaluated by running its prefix, and settled
+    (``settle``: claim, child pushes, proviso, ack) at the run's pause,
+    from ``runner``'s ``settle`` hook.  When that pushes a child the
+    state budget will reach, the live run continues into the first
+    child pushed and its outcome is kept until the child is popped,
+    which then needs no run (``report.resumed``).  A kept outcome holds
+    no trace (``steps`` reach the whole system); on a spool it is
+    dropped once the BFS has moved past its depth — a sibling worker
+    popped it.
+
     With ``por="off"`` and a :class:`MemoryFrontier` this is
     operation-for-operation the pre-POR explorer loop (pop order,
     execution accounting, seen-check placement), which is what keeps
@@ -357,6 +407,68 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
     idle while siblings still hold running records that may push more
     work; without it an empty queue ends the drain.
     """
+    kept: Dict[str, Tuple[int, RunOutcome]] = {}
+    depth = 0
+
+    def settle(record: dict, outcome: RunOutcome) -> Optional[dict]:
+        """Settle one evaluated record; returns the first child record
+        the store actually took, if any."""
+        prefix = record["prefix"]
+        if outcome.kind == "violation":
+            on_violation(outcome)
+            store.ack(record)
+            return None
+        if outcome.kind == "done":
+            store.terminal(record["id"], outcome.key)
+            _resolve_child(store, record, fresh=True)
+            store.ack(record)
+            return None
+        sleep = frozenset(record["sleep"])
+        status = store.claim(outcome.key, record["id"], sleep)
+        if status == "seen" and not record["full"]:
+            stored = None if por == "off" else store.get_sleep(outcome.key)
+            if por == "off" or stored is not None and stored <= sleep:
+                # Everything we would newly explore was already
+                # explored from this state — prune (covering check).
+                _resolve_child(store, record, fresh=False)
+                store.ack(record)
+                return None
+            # Visited before, but with a larger sleep set: re-expand
+            # under the intersection so the union of both visits
+            # covers every non-slept branch.
+            sleep = sleep & stored if stored is not None else sleep
+            store.set_sleep(outcome.key, sleep)
+        if len(prefix) >= max_depth:
+            report.truncated = True
+            _resolve_child(store, record, fresh=True)
+            store.ack(record)
+            return None
+        if por == "off":
+            children = [make_record(prefix + (branch,))
+                        for branch in range(outcome.branches)]
+        else:
+            infos, keep = outcome.actions
+            if record["full"]:
+                explored = list(range(outcome.branches))
+                child_sleeps = [frozenset()] * outcome.branches
+            else:
+                explored, child_sleeps = sleep_filter(sleep, infos, keep)
+            reduced = 0 < len(explored) < outcome.branches
+            parent_key = outcome.key if reduced else None
+            if reduced:
+                store.proviso_open(outcome.key, len(explored), prefix)
+            children = [make_record(prefix + (index,), child_sleep,
+                                    parent_key)
+                        for index, child_sleep in zip(explored,
+                                                      child_sleeps)]
+        first = None
+        for child in children:
+            if store.push(child) and first is None:
+                first = child
+        _resolve_child(store, record, fresh=True)
+        store.ack(record)
+        return first
+
     while True:
         if store.get_violation() is not None:
             break
@@ -371,61 +483,37 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
         record = store.pop()
         if record is None:
             continue            # lost a claim race to another worker
-        prefix = record["prefix"]
-        outcome = runner(prefix, pause=True)
-        if outcome.kind == "violation":
-            on_violation(outcome)
-            store.ack(record)
-            break
-        if outcome.kind == "done":
-            store.terminal(record["id"], outcome.key)
-            _resolve_child(store, record, fresh=True)
-            store.ack(record)
+        if store.durable and len(record["prefix"]) > depth:
+            # A spool pops in depth order and may be shared, so a kept
+            # child shallower than this record went to a sibling.  An
+            # in-memory queue has one consumer and pops every child.
+            depth = len(record["prefix"])
+            kept = {rid: entry for rid, entry in kept.items()
+                    if entry[0] >= depth}
+        entry = kept.pop(record["id"], None)
+        if entry is not None:
+            report.executions += 1
+            report.resumed += 1
+            settle(record, entry[1])
             continue
-        sleep = frozenset(record["sleep"])
-        status = store.claim(outcome.key, record["id"], sleep)
-        if status == "seen" and not record["full"]:
-            if por == "off":
-                _resolve_child(store, record, fresh=False)
-                store.ack(record)
-                continue
-            stored = store.get_sleep(outcome.key)
-            if stored is not None and stored <= sleep:
-                # Everything we would newly explore was already
-                # explored from this state — prune (covering check).
-                _resolve_child(store, record, fresh=False)
-                store.ack(record)
-                continue
-            # Visited before, but with a larger sleep set: re-expand
-            # under the intersection so the union of both visits
-            # covers every non-slept branch.
-            sleep = sleep & stored if stored is not None else sleep
-            store.set_sleep(outcome.key, sleep)
-        if len(prefix) >= max_depth:
-            report.truncated = True
-            _resolve_child(store, record, fresh=True)
-            store.ack(record)
-            continue
-        if por == "off":
-            for branch in range(outcome.branches):
-                store.push(make_record(prefix + (branch,)))
-            store.ack(record)
-            continue
-        infos, keep = outcome.actions
-        if record["full"]:
-            explored = list(range(outcome.branches))
-            child_sleeps = [frozenset()] * outcome.branches
-        else:
-            explored, child_sleeps = sleep_filter(sleep, infos, keep)
-        reduced = 0 < len(explored) < outcome.branches
-        parent_key = outcome.key if reduced else None
-        if reduced:
-            store.proviso_open(outcome.key, len(explored), prefix)
-        for index, child_sleep in zip(explored, child_sleeps):
-            store.push(make_record(prefix + (index,), child_sleep,
-                                   parent_key))
-        _resolve_child(store, record, fresh=True)
-        store.ack(record)
+        settled = []
+
+        def settle_here(outcome: RunOutcome) -> Optional[int]:
+            ahead = store.backlog()
+            child = settle(record, outcome)
+            settled.append(child)
+            if child is None or report.executions + ahead >= max_states:
+                return None     # nothing pushed, or the budget ends first
+            return child["prefix"][-1]
+
+        outcome = runner(record["prefix"], True, settle_here)
+        if not settled:         # completed or violated before a pause
+            settle(record, outcome)
+        elif len(outcome.taken) > len(record["prefix"]):
+            # The run went on into the child: keep its outcome.
+            child = settled[0]
+            kept[child["id"]] = (len(child["prefix"]),
+                                 replace(outcome, steps=()))
 
 
 def finalise_report(report: CheckReport, store, start: float) -> None:
@@ -516,18 +604,23 @@ def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
 def _minimise(outcome: RunOutcome, runner: CheckRunner) -> Violation:
     """Shrink a violating schedule while preserving the violated
     invariant: shortest prefix under default continuation, then greedy
-    zeroing of individual choices, then trailing-zero stripping."""
+    zeroing of individual choices, then trailing-zero stripping.  The
+    counterexample's message and trace come from the last run that
+    reproduced the violation — a run of ``best`` itself."""
     invariant = outcome.invariant
+    final: Optional[RunOutcome] = None
 
-    def reproduces(schedule: Tuple[int, ...]) -> Optional[RunOutcome]:
+    def reproduces(schedule: Tuple[int, ...]) -> bool:
+        nonlocal final
         result = runner(schedule, False)
         if result.kind == "violation" and result.invariant == invariant:
-            return result
-        return None
+            final = result
+            return True
+        return False
 
     best = tuple(outcome.taken)
     for k in range(len(best) + 1):
-        if reproduces(best[:k]) is not None:
+        if reproduces(best[:k]):
             best = best[:k]
             break
     changed = True
@@ -537,12 +630,11 @@ def _minimise(outcome: RunOutcome, runner: CheckRunner) -> Violation:
             if choice == 0:
                 continue
             candidate = best[:i] + (0,) + best[i + 1:]
-            if reproduces(candidate) is not None:
+            if reproduces(candidate):
                 best = candidate
                 changed = True
-    while best and best[-1] == 0 and reproduces(best[:-1]) is not None:
+    while best and best[-1] == 0 and reproduces(best[:-1]):
         best = best[:-1]
-    final = reproduces(best)
     if final is None:   # pragma: no cover - minimisation is conservative
         final = runner(tuple(outcome.taken), False)
         best = tuple(outcome.taken)

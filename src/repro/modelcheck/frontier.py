@@ -101,11 +101,16 @@ class MemoryFrontier:
     def queue_empty(self) -> bool:
         return not self._queue
 
+    def backlog(self) -> int:
+        """Records a push now would queue behind (pop order is FIFO)."""
+        return len(self._queue)
+
     def running_empty(self) -> bool:
         return True
 
-    def push(self, record: dict) -> None:
+    def push(self, record: dict) -> bool:
         self._queue.append(record)
+        return True
 
     def pop(self) -> Optional[dict]:
         return self._queue.popleft() if self._queue else None
@@ -226,20 +231,29 @@ class DiskFrontier:
     def queue_empty(self) -> bool:
         return not self.spool.pending()
 
+    def backlog(self) -> int:
+        """Pending records: roughly how many pop before one pushed now
+        (pending drains in name order, so deeper records wait for the
+        shallower ones queued after them)."""
+        return len(self.spool.pending())
+
     def running_empty(self) -> bool:
         return not self.spool.running()
 
-    def push(self, record: dict) -> None:
+    def push(self, record: dict) -> bool:
+        """Queue ``record``; False when it is already queued, claimed or
+        done (a crash redo, or a sibling worker's push)."""
         name = record["id"] + ".json"
         if (record["id"] in self._done
                 or (self.spool.pending_dir / name).exists()
                 or (self.spool.running_dir / name).exists()):
-            return
+            return False
         payload = dict(record)
         payload["prefix"] = list(record["prefix"])
         payload["sleep"] = [list(s) for s in record["sleep"]]
         self.spool.write(self.spool.pending_dir / name, "frontier-record",
                          payload)
+        return True
 
     def pop(self) -> Optional[dict]:
         for name in self.spool.pending():

@@ -60,6 +60,13 @@ class ReplayScheduler:
     at the pause and its result travels on the raised
     :class:`FrontierReached` — how the POR layer captures action
     footprints without the explorer holding the (dying) system.
+
+    ``on_pause``, when set, replaces that raise: it is called as
+    ``on_pause(system, actions, described)`` at every decision beyond
+    the prefix and either raises to stop the run or returns the choice
+    to take there, so the same live run goes on to the next decision
+    (how the explorer settles a record at its pause and continues into
+    one child; see :meth:`~repro.modelcheck.explorer.CheckRunner.run`).
     """
 
     def __init__(self, choices: Sequence[int], pause: bool = False,
@@ -67,6 +74,7 @@ class ReplayScheduler:
         self.choices = list(choices)
         self.pause = pause
         self.describe = describe
+        self.on_pause = None
         self.taken: List[int] = []
         self.decisions = 0
 
@@ -78,7 +86,9 @@ class ReplayScheduler:
         elif self.pause:
             described = (None if self.describe is None
                          else self.describe(system, actions))
-            raise FrontierReached(len(actions), index, described)
+            if self.on_pause is None:
+                raise FrontierReached(len(actions), index, described)
+            choice = self.on_pause(system, actions, described)
         else:
             choice = 0
         self.taken.append(choice)

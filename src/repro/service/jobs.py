@@ -33,7 +33,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..common.errors import ReproError
 from ..durability.faultyfs import NULL_FS
-from ..durability.records import (quarantine_count, read_or_quarantine,
+from ..durability.records import (CorruptRecord, quarantine_count,
+                                  read_or_quarantine, read_record,
                                   sweep_tmp, write_record)
 
 #: Everything the service knows how to execute, in doc order.
@@ -332,10 +333,20 @@ class JobStore:
         write_record(self.path(record.id), self.SCHEMA, record.to_dict(),
                      fs=self.fs, fsync=self.fsync)
 
-    def all(self) -> List[JobRecord]:
-        docs = (read_or_quarantine(path, self.SCHEMA)
+    def all(self, quarantine: bool = True) -> List[JobRecord]:
+        """Every readable record; a corrupt one is skipped, and moved
+        aside only with ``quarantine`` (a read-only scan leaves it)."""
+        docs = (self._read(path, quarantine)
                 for path in sorted(self.root.glob("*.json")))
         return [JobRecord.from_dict(doc) for doc in docs if doc]
+
+    def _read(self, path: Path, quarantine: bool):
+        if quarantine:
+            return read_or_quarantine(path, self.SCHEMA)
+        try:
+            return read_record(path, self.SCHEMA)
+        except CorruptRecord:
+            return None
 
     def quarantined(self) -> int:
         """Corrupt records moved aside so far (derived from disk)."""

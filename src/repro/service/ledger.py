@@ -150,7 +150,8 @@ class JobLedger:
         # Read after the listing: a record saved since may look
         # entry-less (the grace covers it), a listed entry never looks
         # record-less.
-        records = {record.id: record for record in self.jobs.all()}
+        records = {record.id: record
+                   for record in self.jobs.all(quarantine=apply)}
         repairs: List[Finding] = []
         for directory, name in listed:
             entry = Entry.parse(name)

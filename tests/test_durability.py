@@ -333,6 +333,27 @@ class TestFsck:
             assert done.status == "done" and done.attempts == 2
         assert service.queue.inflight() == 0
 
+    def test_read_only_scan_leaves_a_corrupt_job_record(self, tmp_path):
+        # Judging the queue entries reads every job record; without
+        # --repair that read must not quarantine the corrupt one.
+        from repro.service.service import Service, ServiceConfig
+        service = Service(ServiceConfig(
+            data_dir=str(tmp_path / "svc"), workers=0))
+        data = service.paths["data"]
+        record, _ = service.submit("synthetic", {"payload": "half"})
+        path = service.jobs.path(record.id)
+        path.write_text("{half")
+
+        detect = fsck(data, repair=False, tmp_age=0.0)
+        assert [f.path for f in detect.findings if f.kind == "corrupt"] \
+            == [str(path)]
+        assert path.read_text() == "{half"
+        assert service.jobs.quarantined() == 0
+
+        fsck(data, repair=True, tmp_age=0.0)
+        assert not path.exists()
+        assert service.jobs.quarantined() == 1
+
     def test_frontier_layout_round_trip(self, tmp_path):
         from repro.modelcheck import explore
         spool = tmp_path / "spool"

@@ -93,6 +93,18 @@ class TestKillResume:
         assert disk.unique_states == memory.unique_states
         assert disk.terminal_fingerprint == memory.terminal_fingerprint
 
+    def test_disk_run_resumes_like_memory_run(self, tmp_path):
+        # Both stores serve records by resumption, and with POR off
+        # their different pop orders still evaluate the same records.
+        memory = explore("sb", "tus", cores=2, lines=2)
+        disk = explore("sb", "tus", cores=2, lines=2,
+                       spool=tmp_path / "spool")
+        assert disk.resumed > 0 and memory.resumed > 0
+        assert (disk.executions, disk.unique_states, disk.terminal_states,
+                disk.terminal_fingerprint) == \
+            (memory.executions, memory.unique_states,
+             memory.terminal_states, memory.terminal_fingerprint)
+
     def test_resuming_a_finished_spool_is_a_noop(self, tmp_path):
         spool = tmp_path / "spool"
         first = explore("overlap", "tus", cores=2, lines=2, spool=spool)
@@ -180,6 +192,23 @@ class TestDiskFrontierUnit:
         # A duplicate push of a finished record is dropped.
         store.push(make_record(()))
         assert store.queue_empty()
+
+    def test_push_reports_whether_it_queued(self, tmp_path):
+        # The explorer continues a run only into a child the store
+        # took, so a refused duplicate must read as refused.
+        store = self._seeded(tmp_path)
+        child = make_record((1,))
+        assert store.push(child) is True
+        assert store.push(child) is False            # already pending
+        assert store.backlog() == 2
+        store.pop()                                  # the root
+        claimed = store.pop()
+        assert store.backlog() == 0
+        assert store.push(child) is False            # claimed
+        store.ack(claimed)
+        assert store.push(child) is False            # done
+        memory = MemoryFrontier()
+        assert memory.push(child) is True and memory.backlog() == 1
 
     def test_recover_requeues_running_claims(self, tmp_path):
         store = self._seeded(tmp_path)

@@ -293,6 +293,120 @@ class TestPrefixSkipSoundness:
         assert counts() == skipped
 
 
+#: The fields a kept outcome shares with a fresh run of its prefix
+#: (``steps``, the raw trace, is dropped from a kept outcome).
+OUTCOME_FIELDS = ("kind", "branches", "key", "taken", "actions",
+                  "invariant", "message", "committed")
+
+
+def _spy_on_settles(monkeypatch, resume=True):
+    """Record each outcome a settled run continued into, with the
+    child prefix it belongs to; with ``resume=False`` no run continues,
+    so every record is replayed (the loop before resumption)."""
+    continued = []
+    call = CheckRunner.__call__
+
+    def spy(self, schedule, pause, settle=None):
+        if settle is None:
+            return call(self, schedule, pause)
+        branches = []
+
+        def settle_spy(outcome):
+            branches.append(settle(outcome))
+            return branches[0] if resume else None
+
+        outcome = call(self, schedule, pause, settle_spy)
+        if resume and branches and branches[0] is not None:
+            continued.append((tuple(schedule) + (branches[0],), outcome))
+        return outcome
+
+    monkeypatch.setattr(CheckRunner, "__call__", spy)
+    return continued
+
+
+def _report_fields(report):
+    return (report.executions, report.unique_states, report.terminal_states,
+            report.distinct_terminals, report.terminal_fingerprint,
+            report.complete, report.truncated,
+            report.violation and report.violation.describe())
+
+
+class TestResumption:
+    """A run that settles its record at the pause goes on into the
+    first child it pushed.  That child's kept outcome equals a fresh
+    replay of its prefix field by field, and the check's counts equal
+    those of a drain that replays every record."""
+
+    @staticmethod
+    def _compare(monkeypatch, scenario, mechanism, por, unsound=False):
+        with monkeypatch.context() as patch:
+            _spy_on_settles(patch, resume=False)
+            replayed = explore(scenario, mechanism, por=por,
+                               unsound=unsound)
+        with monkeypatch.context() as patch:
+            continued = _spy_on_settles(patch)
+            resumed = explore(scenario, mechanism, por=por,
+                              unsound=unsound)
+        assert replayed.resumed == 0
+        assert 0 < resumed.resumed <= len(continued)
+        assert _report_fields(resumed) == _report_fields(replayed)
+        runner = CheckRunner(scenario, mechanism, unsound=unsound, por=por)
+        for prefix, outcome in continued:
+            fresh = runner(prefix, True)
+            assert [getattr(outcome, name) for name in OUTCOME_FIELDS] \
+                == [getattr(fresh, name) for name in OUTCOME_FIELDS], prefix
+        return resumed, len(continued)
+
+    @pytest.mark.parametrize("por", ["off", "sleep", "persistent"])
+    @pytest.mark.parametrize("scenario", ["overlap", "sb", "mp", "fence"])
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_resumed_outcomes_equal_fresh_replays(self, monkeypatch,
+                                                  mechanism, scenario, por):
+        report, continued = self._compare(monkeypatch, scenario, mechanism,
+                                          por)
+        # An in-memory queue pops every child a run continued into.
+        assert report.resumed == continued
+        if por == "off":
+            pins = PINNED_COUNTS["checks"][f"{scenario}/{mechanism}"]
+            assert report.executions == pins["executions"]
+
+    def test_unsound_counterexample(self, monkeypatch):
+        report, _ = self._compare(monkeypatch, "overlap", "tus", "off",
+                                  unsound=True)
+        assert report.violation.invariant == "wait-graph"
+
+    def test_budget_reaches_every_continued_child(self, monkeypatch):
+        # Under a binding state budget a run continues only into a
+        # child the budget will still pop: no continuation is wasted.
+        continued = _spy_on_settles(monkeypatch)
+        report = explore("overlap", "tus", max_states=300)
+        assert report.truncated and report.executions == 300
+        assert len(continued) == report.resumed > 0
+
+    def test_kept_outcomes_hold_no_system(self, monkeypatch):
+        # A done or violating outcome's trace reaches its machine
+        # (event closures hold the memory system); kept outcomes drop
+        # it, so while the drain runs at most the last run's machine
+        # (the loop's current outcome) is still reachable.
+        import gc
+        import weakref
+        alive = weakref.WeakSet()
+        build = CheckRunner.build
+        most = [0]
+
+        def tracked(self):
+            gc.collect()
+            most[0] = max(most[0], len(alive))
+            built = build(self)
+            alive.add(built[0].memsys)
+            return built
+
+        monkeypatch.setattr(CheckRunner, "build", tracked)
+        report = explore("sb", "tus")
+        assert report.resumed > 0 and report.terminal_states > 0
+        assert most[0] <= 1
+
+
 class TestFuzz:
     def test_sound_swarm_passes(self):
         report = fuzz("overlap", "tus", cores=2, lines=2, runs=20, seed=3)
