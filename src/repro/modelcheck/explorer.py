@@ -64,7 +64,8 @@ from .invariants import CheckContext, InvariantViolation
 from .observer import VisibilityObserver, store_order_pairs
 from .por import POR_MODES, describe_for, sleep_filter
 from .scenarios import check_config, get_scenario, machine_overrides
-from .scheduler import CheckingScheduler, ReplayScheduler, render_trace
+from .scheduler import (CheckingScheduler, FrontierReached, ReplayScheduler,
+                        render_trace)
 from .state import canonical_key, symmetry_permutations
 
 DEFAULT_MAX_CYCLES = 20_000
@@ -210,14 +211,6 @@ class CheckReport:
                 f"{self.wall_seconds:.1f}s")
 
 
-class _Paused(Exception):
-    """Stops a :meth:`CheckRunner.run` at a pause with its outcome."""
-
-    def __init__(self, outcome: RunOutcome) -> None:
-        super().__init__(outcome.key)
-        self.outcome = outcome
-
-
 def _shape(scenario, cores: int, lines: int) -> Tuple[int, int]:
     """Litmus-bridge scenarios carry a fixed shape; honour it."""
     return (getattr(scenario, "fixed_cores", None) or cores,
@@ -238,9 +231,8 @@ class CheckRunner:
     POR footprint, counterexample or progress dump reads one.  Every
     execution is counted in :attr:`report` (``executions``), which is
     what the frontier loop's state budget reads.  Calling the runner
-    replays ``schedule``, pausing at the first decision beyond it when
-    ``pause`` is set (``settle``: see :meth:`run`); :meth:`run`
-    executes under any inner scheduler.
+    replays ``schedule`` (see :meth:`__call__`); :meth:`run` executes
+    under any inner scheduler.
     """
 
     def __init__(self, scenario_name: str, mechanism: str, *,
@@ -284,23 +276,44 @@ class CheckRunner:
 
     def __call__(self, schedule: Tuple[int, ...], pause: bool,
                  settle=None) -> RunOutcome:
-        return self.run(ReplayScheduler(
-            schedule, pause=pause,
-            describe=self.describe if pause else None), settle)
+        """Replay ``schedule`` once, then continue in the default order
+        or, with ``pause`` set, stop at the first decision beyond it
+        with a ``"frontier"`` outcome.
 
-    def run(self, inner, settle=None) -> RunOutcome:
-        """Execute once under ``inner`` with invariant checking.
-
-        Under a pausing :class:`ReplayScheduler` the run stops at the
-        pause with its ``"frontier"`` outcome.  ``settle``, when given,
-        is handed that outcome first; if it returns a branch index, the
-        same live run takes that branch and the outcome returned is the
-        one at the next pause (or completion, or violation) instead —
-        exactly what a fresh run of the extended prefix returns, since
-        its invariants would see the same actions from the same state.
+        ``settle``, when given, is handed that frontier outcome first;
+        if it returns a branch index, the same live run takes that
+        branch and the outcome returned is the one at the next pause
+        (or completion, or violation) instead — exactly what a fresh
+        run of the extended prefix returns, since its invariants would
+        see the same actions from the same state.
         """
+        if not pause:
+            return self.run(ReplayScheduler(schedule))
+        built = self.build()
+        observer = built[1]
+
+        def on_pause(system, actions) -> int:
+            nonlocal settle
+            described = (None if self.describe is None
+                         else self.describe(system, actions))
+            outcome = RunOutcome(
+                "frontier", branches=len(actions),
+                key=canonical_key(system, observer, self.perms),
+                taken=tuple(inner.taken), actions=described)
+            branch = None if settle is None else settle(outcome)
+            settle = None           # only the first pause is settled
+            if branch is None:
+                raise FrontierReached(outcome)
+            return branch
+
+        inner = ReplayScheduler(schedule, on_pause)
+        return self.run(inner, built)
+
+    def run(self, inner, built=None) -> RunOutcome:
+        """Execute once under ``inner`` with invariant checking, on
+        ``built`` (from :meth:`build`) or a fresh system."""
         self.report.executions += 1
-        system, observer, ctx = self.build()
+        system, observer, ctx = built if built is not None else self.build()
         if self.invariant_names is None:
             # Invariants that assume orderings the base model does not
             # guarantee (e.g. store-order under the relaxed model) are
@@ -312,24 +325,9 @@ class CheckRunner:
         sched = CheckingScheduler(inner, ctx, self.invariant_names)
         taken = getattr(inner, "taken", [])
         perms = self.perms
-
-        if getattr(inner, "pause", False):
-            def on_pause(system, actions, described) -> int:
-                nonlocal settle
-                outcome = RunOutcome(
-                    "frontier", branches=len(actions),
-                    key=canonical_key(system, observer, perms),
-                    taken=tuple(taken), actions=described)
-                branch = None if settle is None else settle(outcome)
-                settle = None       # only the first pause is settled
-                if branch is None:
-                    raise _Paused(outcome)
-                return branch
-
-            inner.on_pause = on_pause
         try:
             system.run_controlled(sched, max_cycles=self.max_cycles)
-        except _Paused as paused:
+        except FrontierReached as paused:
             return paused.outcome
         except InvariantViolation as violation:
             return RunOutcome("violation", invariant=violation.invariant,
@@ -495,6 +493,8 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
             report.executions += 1
             report.resumed += 1
             settle(record, entry[1])
+            if entry[1].kind == "violation":
+                break
             continue
         settled = []
 
@@ -509,6 +509,8 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
         outcome = runner(record["prefix"], True, settle_here)
         if not settled:         # completed or violated before a pause
             settle(record, outcome)
+            if outcome.kind == "violation":
+                break
         elif len(outcome.taken) > len(record["prefix"]):
             # The run went on into the child: keep its outcome.
             child = settled[0]

@@ -203,6 +203,7 @@ class DiskFrontier:
             self.tmp_swept += sweep_tmp(directory, max_age=sweep_age)
         self._done = load_done(self.root)
         self._done_log = self.root / f"done-{os.getpid()}.log"
+        self._backlog = 0
 
     def quarantined(self) -> int:
         """Corrupt records moved aside so far (counted from disk)."""
@@ -234,8 +235,11 @@ class DiskFrontier:
     def backlog(self) -> int:
         """Pending records: roughly how many pop before one pushed now
         (pending drains in name order, so deeper records wait for the
-        shallower ones queued after them)."""
-        return len(self.spool.pending())
+        shallower ones queued after them).  Counted from the listing
+        the last :meth:`pop` made plus this store's pushes since, so it
+        costs no listing of its own; a sibling worker's pushes and pops
+        since then are not seen."""
+        return self._backlog
 
     def running_empty(self) -> bool:
         return not self.spool.running()
@@ -253,10 +257,13 @@ class DiskFrontier:
         payload["sleep"] = [list(s) for s in record["sleep"]]
         self.spool.write(self.spool.pending_dir / name, "frontier-record",
                          payload)
+        self._backlog += 1
         return True
 
     def pop(self) -> Optional[dict]:
-        for name in self.spool.pending():
+        names = self.spool.pending()
+        self._backlog = 0
+        for index, name in enumerate(names):
             if not self.spool.claim(name):
                 continue      # another worker won the claim
             payload = self.spool.read(self.spool.running_dir / name,
@@ -267,6 +274,7 @@ class DiskFrontier:
                 # (kept for fsck rather than silently unlinked).
                 self.spool.ack(name)
                 continue
+            self._backlog = len(names) - index - 1
             return _load_record(payload)
         return None
 

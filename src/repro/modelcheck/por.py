@@ -178,11 +178,13 @@ def describe_actions(system, actions: Sequence[Tuple]) -> Tuple[ActionInfo, ...]
 
 
 def describe_for(mode: str):
-    """The :class:`~repro.modelcheck.scheduler.ReplayScheduler`
-    ``describe`` hook for a POR mode: captures action infos (and, for
-    persistent mode, the reduced index set) while the paused system is
-    still alive.  Returns ``None`` for mode ``off`` — no capture, no
-    overhead, bit-identical exploration."""
+    """How the explorer describes a pause's enabled actions under a
+    POR mode, called as ``describe(system, actions)`` from the pause
+    hook of :meth:`~repro.modelcheck.explorer.CheckRunner.__call__`:
+    captures action infos (and, for persistent mode, the reduced index
+    set) while the paused system is still alive.  Returns ``None`` for
+    mode ``off`` — no capture, no overhead, bit-identical
+    exploration."""
     if mode == "off":
         return None
     if mode not in POR_MODES:

@@ -15,23 +15,21 @@ the prefix already checked (see :func:`replayed_decisions`).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .invariants import INVARIANTS, CheckContext, InvariantViolation
 
 
 class FrontierReached(Exception):
-    """A :class:`ReplayScheduler` in pause mode ran out of recorded
-    choices at a decision point.  Carries the branch count so the
-    explorer can enqueue one child prefix per alternative, plus
-    whatever the scheduler's ``describe`` hook captured about the
-    enabled actions (the POR footprints; ``None`` when POR is off)."""
+    """Stops a run at a pause.  Raised by a pausing
+    :class:`ReplayScheduler`'s ``on_pause`` hook; carries whatever the
+    hook captured there (the explorer's frontier
+    :class:`~repro.modelcheck.explorer.RunOutcome`), since the paused
+    system dies with the unwound run."""
 
-    def __init__(self, branches: int, depth: int, actions=None) -> None:
-        super().__init__(f"frontier at decision {depth}: {branches} branches")
-        self.branches = branches
-        self.depth = depth
-        self.actions = actions
+    def __init__(self, outcome) -> None:
+        super().__init__("frontier reached")
+        self.outcome = outcome
 
 
 class DefaultScheduler:
@@ -48,47 +46,37 @@ class DefaultScheduler:
 class ReplayScheduler:
     """Replays a recorded choice sequence, then pauses or defaults.
 
-    With ``pause=True`` the scheduler raises :class:`FrontierReached`
-    at the first decision point beyond the recorded prefix — the
-    explorer's probe mode.  With ``pause=False`` it continues with
-    choice 0 (the default order), which is how minimised prefixes are
-    run to completion.  Out-of-range recorded choices are clamped, so a
-    schedule is always applicable.  Every choice actually taken is
-    appended to :attr:`taken`.
-
-    ``describe``, when given, is called as ``describe(system, actions)``
-    at the pause and its result travels on the raised
-    :class:`FrontierReached` — how the POR layer captures action
-    footprints without the explorer holding the (dying) system.
-
-    ``on_pause``, when set, replaces that raise: it is called as
-    ``on_pause(system, actions, described)`` at every decision beyond
-    the prefix and either raises to stop the run or returns the choice
-    to take there, so the same live run goes on to the next decision
-    (how the explorer settles a record at its pause and continues into
-    one child; see :meth:`~repro.modelcheck.explorer.CheckRunner.run`).
+    With an ``on_pause`` hook the scheduler *pauses* (:attr:`pause`)
+    at every decision point beyond the recorded prefix — the
+    explorer's probe mode: it calls ``on_pause(system, actions)``,
+    which either raises (:class:`FrontierReached`) to stop the run or
+    returns the choice to take there, so the same live run goes on to
+    the next decision (how the explorer settles a record at its pause
+    and continues into one child; see
+    :meth:`~repro.modelcheck.explorer.CheckRunner.__call__`).  Without
+    one it continues with choice 0 (the default order), which is how
+    minimised prefixes are run to completion.  Out-of-range recorded
+    choices are clamped, so a schedule is always applicable.  Every
+    choice actually taken is appended to :attr:`taken`.
     """
 
-    def __init__(self, choices: Sequence[int], pause: bool = False,
-                 describe=None) -> None:
+    def __init__(self, choices: Sequence[int], on_pause=None) -> None:
         self.choices = list(choices)
-        self.pause = pause
-        self.describe = describe
-        self.on_pause = None
+        self.on_pause = on_pause
         self.taken: List[int] = []
         self.decisions = 0
+
+    @property
+    def pause(self) -> bool:
+        return self.on_pause is not None
 
     def choose(self, system, actions: Sequence[Tuple]) -> int:
         index = self.decisions
         self.decisions += 1
         if index < len(self.choices):
             choice = min(self.choices[index], len(actions) - 1)
-        elif self.pause:
-            described = (None if self.describe is None
-                         else self.describe(system, actions))
-            if self.on_pause is None:
-                raise FrontierReached(len(actions), index, described)
-            choice = self.on_pause(system, actions, described)
+        elif self.on_pause is not None:
+            choice = self.on_pause(system, actions)
         else:
             choice = 0
         self.taken.append(choice)

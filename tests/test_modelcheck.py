@@ -383,6 +383,28 @@ class TestResumption:
         assert report.truncated and report.executions == 300
         assert len(continued) == report.resumed > 0
 
+    @pytest.mark.parametrize("resume", [True, False])
+    def test_a_violation_stops_the_drain(self, monkeypatch, resume):
+        # The drain stops on the violating outcome itself, not on
+        # reading the violation back from the store (a spool's
+        # violation.json may read as corrupt and be quarantined).
+        class Unreadable(MemoryFrontier):
+            pops_after = 0
+
+            def pop(self):
+                if self._violation is not None:
+                    self.pops_after += 1
+                return super().pop()
+
+            def get_violation(self):
+                return None
+
+        _spy_on_settles(monkeypatch, resume=resume)
+        store = Unreadable()
+        report = explore("overlap", "tus", unsound=True, store=store)
+        assert report.violation.invariant == "wait-graph"
+        assert store.pops_after == 0
+
     def test_kept_outcomes_hold_no_system(self, monkeypatch):
         # A done or violating outcome's trace reaches its machine
         # (event closures hold the memory system); kept outcomes drop
