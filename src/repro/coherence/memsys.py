@@ -34,7 +34,8 @@ TUS integration points (used by ``repro.core``):
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from itertools import chain, islice, repeat
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.addr import LINE_MASK
 from ..common.config import RetryConfig, SystemConfig
@@ -57,6 +58,10 @@ POLL_INTERVAL = 24
 #: Retry delay when the directory entry is busy or unallocatable
 #: (the ``fixed`` retry policy; see :class:`RetryPolicy`).
 BUSY_RETRY = 16
+
+
+def _ignore(cycle: int) -> None:
+    """The callback of a demand write parked without one."""
 
 
 class RetryPolicy:
@@ -409,11 +414,17 @@ class CorePort:
             "l1d_unauthorized_forwards",
             "loads served from unauthorized L1D data (optional feature)")
         #: Requests parked because the MSHR file was full, retried on
-        #: every fill completion; parked writes counted per line, and
-        #: parked reads in all.
+        #: every fill completion, oldest first, as ``[line, is_write,
+        #: on_done, count]`` runs: consecutive callback-free parks of one
+        #: line are one run of ``count`` requests (each still modelled
+        #: and retried; see :meth:`parked`), every other park a run of 1.
+        #: Parked writes are counted per line, and parked reads in all.
         self._pending: deque = deque()
         self._pending_writes: Dict[int, int] = {}
         self._pending_reads = 0
+        #: The last run of the retry pass in progress: parks made during
+        #: the pass queue behind it, so they never merge into it.
+        self._pass_end: Optional[list] = None
         #: Parked-write lines a fill has reached (see _live_lines).
         self._filled_parked: set = set()
         #: Bumped by every fill, snoop and MSHR allocation or retirement
@@ -495,7 +506,7 @@ class CorePort:
         if entry is None:
             # MSHR file full: park the request; it is retried whenever a
             # fill frees an entry (no polling).
-            self._pending.append((addr, is_write, on_done))
+            self._pending.append([addr, is_write, on_done, 1])
             self._pending_reads += 1
             return
         fresh = not entry.waiters and not entry.meta.get("launched")
@@ -505,74 +516,140 @@ class CorePort:
             entry.meta["write"] = is_write
             self._launch(addr, is_write, cycle)
 
+    def parked(self) -> Tuple[Tuple[int, bool], ...]:
+        """The parked requests, oldest first, as ``(line, is_write)``; a
+        run of ``k`` parked writes is its line ``k`` times."""
+        if not self._pending:
+            return ()
+        return tuple(chain.from_iterable(
+            repeat((addr, is_write), count)
+            for addr, is_write, _on_done, count in self._pending))
+
+    def _park_write(self, addr: int,
+                    on_done: Optional[Callable[[int], None]]) -> None:
+        """Park a demand write (its line already masked)."""
+        self._pending_writes[addr] = self._pending_writes.get(addr, 0) + 1
+        self._queue([addr, True, _ignore if on_done is None else on_done, 1])
+
+    def _queue(self, run: list) -> None:
+        """Append a run to the parked queue.  A callback-free run of
+        writes joins the last run if that is one of the same line, and
+        not the last run of the retry pass in progress."""
+        pending = self._pending
+        if run[2] is _ignore and pending:
+            tail = pending[-1]
+            if tail[0] == run[0] and tail[2] is _ignore \
+                    and tail is not self._pass_end:
+                tail[3] += run[3]
+                return
+        pending.append(run)
+
     def _retry_pending(self, cycle: int) -> None:
         """Drain parked requests into freed MSHRs (oldest first).
 
-        Each parked entry is retried once.  A parked write to line X
+        Each parked request is retried once; parks made during the pass
+        queue behind the last run it retries.  A parked write to line X
         can only progress if X is writable, X already has an MSHR, or
         the file has a free entry; only a fill makes a line writable or
         frees an MSHR, and none happens during the pass.  So once the
-        file is full, a write to any other line is refused without
-        being re-run: it rotates to the back exactly as a re-parked
-        retry would, and its refusal is bookkept by the MSHR file.
-        Past the last parked read and the last write that can still
-        progress, the rest of the pass is one rotation.
+        file is full, a run of writes to any other line is refused
+        without being re-run: it goes to the back exactly as its
+        re-parked retries would, and each refusal is bookkept by the
+        MSHR file.  Past the last parked read and the last write that
+        can still progress, the rest of the pass is one rotation.  So a
+        pass costs O(runs), however many requests a run holds.
         """
         pending = self._pending
+        if not pending:
+            return
+        self._pass_end = last = pending[-1]
+        try:
+            self._retry_runs(pending, last, cycle)
+        finally:
+            self._pass_end = None
+
+    def _retry_runs(self, pending: deque, last: list, cycle: int) -> None:
         mshrs = self.mshrs
-        budget = len(pending)   # each parked entry retried once
         live = None             # lines that can progress on a full file
         live_writes = 0         # parked writes to them, not yet retried
-        while pending and budget > 0:
+        runs = len(pending)     # runs not yet retried, ``last`` included
+        units = self._pending_reads + sum(self._pending_writes.values())
+        while True:
             if live is None and mshrs.full:
                 live = self._live_lines()
                 live_writes = sum(self._pending_writes[line]
                                   for line in live)
             if live is not None and not live_writes \
                     and not self._pending_reads:
-                mshrs.refuse_all((addr for addr, _, _ in pending), budget,
-                                 cycle)
-                pending.rotate(-budget)
+                mshrs.refuse_all(
+                    chain.from_iterable(repeat(run[0], run[3])
+                                        for run in islice(pending, runs)),
+                    units, cycle)
+                pending.rotate(-runs)
                 return
-            budget -= 1
-            addr, is_write, on_done = pending[0]
+            runs -= 1
+            run = pending.popleft()
+            addr, is_write, on_done, count = run
+            units -= count
             if is_write:
                 if live is not None:
                     if addr not in live:
-                        pending.rotate(-1)
-                        mshrs.refuse(addr, cycle)
+                        self._queue(run)
+                        mshrs.refuse_all(repeat(addr, count), count, cycle)
+                        if run is last:
+                            return
                         continue
-                    live_writes -= 1
-                pending.popleft()
-                count = self._pending_writes.get(addr, 1) - 1
-                if count:
-                    self._pending_writes[addr] = count
+                    live_writes -= count
+                self._retry_writes(addr, on_done, count, cycle)
+            else:
+                line = self.l1d.probe(addr)
+                if (line is not None
+                        and (not line.not_visible or line.ready)):
+                    # The line arrived while the request was parked.
+                    self._pending_reads -= 1
+                    self.l1d.record_read()
+                    on_done(cycle + self.system.config.memory.l1d.latency)
                 else:
-                    self._pending_writes.pop(addr, None)
-                # Re-enters through request_write so read-in-flight
-                # chaining and the writable fast path apply.
-                self.request_write(addr, cycle, on_done)
-                continue
-            line = self.l1d.probe(addr)
-            if (line is not None
-                    and (not line.not_visible or line.ready)):
-                # The line arrived while the request was parked.
-                pending.popleft()
-                self._pending_reads -= 1
-                self.l1d.record_read()
-                on_done(cycle + self.system.config.memory.l1d.latency)
-                continue
-            entry = mshrs.allocate(addr, is_write, cycle)
-            if entry is None:
+                    entry = mshrs.allocate(addr, is_write, cycle)
+                    if entry is None:
+                        pending.appendleft(run)
+                        return
+                    self._pending_reads -= 1
+                    fresh = not entry.meta.get("launched")
+                    entry.waiters.append(on_done)
+                    if fresh:
+                        entry.meta["launched"] = True
+                        entry.meta["write"] = is_write
+                        self._launch(addr, is_write, cycle)
+            if run is last:
                 return
-            pending.popleft()
-            self._pending_reads -= 1
-            fresh = not entry.meta.get("launched")
-            entry.waiters.append(on_done)
-            if fresh:
-                entry.meta["launched"] = True
-                entry.meta["write"] = is_write
-                self._launch(addr, is_write, cycle)
+
+    def _retry_writes(self, addr: int, on_done: Callable[[int], None],
+                      count: int, cycle: int) -> None:
+        """Retry a run of ``count`` parked writes to ``addr``, in order.
+
+        Each re-enters through :meth:`request_write`, so read-in-flight
+        chaining and the writable fast path apply.  Once one finds the
+        line writable or merges into its write MSHR, so would every
+        later one of the run (nothing changes in between): those only
+        run their no-op callbacks, or are counted as merges and wait on
+        the MSHR.
+        """
+        writes = self._pending_writes
+        rest = writes[addr] - count
+        if rest:
+            writes[addr] = rest
+        else:
+            del writes[addr]
+        for left in range(count - 1, -1, -1):
+            self.request_write(addr, cycle, on_done)
+            if not left or self.is_writable(addr):
+                return
+            entry = self.mshrs.get(addr)
+            if entry is not None and entry.meta.get("write"):
+                self.mshrs.count_merges(left)
+                entry.waiters.extend(repeat(on_done, left))
+                return
 
     def _live_lines(self) -> set:
         """Parked-write lines that can progress on a full MSHR file:
@@ -615,12 +692,7 @@ class CorePort:
             if prefetch:
                 return False   # hints are droppable
             # Demand write requests park until an MSHR frees up.
-            addr &= LINE_MASK
-            self._pending.append(
-                (addr, True, on_done if on_done is not None
-                 else (lambda c: None)))
-            self._pending_writes[addr] = \
-                self._pending_writes.get(addr, 0) + 1
+            self._park_write(addr & LINE_MASK, on_done)
             return True
         fresh = not entry.meta.get("launched")
         if on_done is not None:

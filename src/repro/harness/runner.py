@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..common.config import SystemConfig, table_i
+from ..cpu.trace import Trace
 from ..durability.faultyfs import NULL_FS
 from ..durability.records import (CorruptRecord, quarantine,
                                   read_record, sweep_tmp, write_record)
@@ -115,6 +116,11 @@ class Runner:
             if use_disk_cache else 0
         self.cache_quarantined = 0
         self._memory: Dict[Tuple, SimResult] = {}
+        #: The traces :meth:`simulate` generated last, keyed by (bench,
+        #: cores, length, seed): the next point of the same workload,
+        #: such as another mechanism, reuses them (nothing mutates a
+        #: trace once generated).
+        self._traces: Tuple[Tuple, List[Trace]] = ((), [])
 
     def params(self) -> Dict:
         """Constructor kwargs that reproduce this runner's trace and
@@ -170,15 +176,17 @@ class Runner:
         parallel = profile(pt.bench).suite == "parsec"
         seed = self.point_seed(pt)
         config = pt.config if pt.config is not None else table_i()
+        cores = self.num_cores_parallel if parallel else 1
+        length = self.par_length if parallel else self.st_length
         config = config.with_mechanism(pt.mechanism) \
-            .with_sb_size(pt.sb_entries)
-        if parallel:
-            config = config.with_cores(self.num_cores_parallel)
-            traces = make_parallel_traces(
-                pt.bench, self.num_cores_parallel, self.par_length, seed)
-        else:
-            config = config.with_cores(1)
-            traces = [make_trace(pt.bench, self.st_length, seed)]
+            .with_sb_size(pt.sb_entries).with_cores(cores)
+        workload = (pt.bench, cores, length, seed)
+        if self._traces[0] != workload:
+            self._traces = ((), [])   # not held while the next are made
+            self._traces = (workload, (
+                make_parallel_traces(pt.bench, cores, length, seed)
+                if parallel else [make_trace(pt.bench, length, seed)]))
+        traces = self._traces[1]
         system = System(config, traces, workload=pt.bench)
         total_uops = sum(len(t) for t in traces)
         result = system.run(

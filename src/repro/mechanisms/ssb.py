@@ -14,11 +14,20 @@ are an upper bound on SSB performance.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
+from operator import itemgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..common.addr import line_addr
 from .base import COMMON_INVARIANTS, PrefetchAtCommit
 from .registry import register
+
+#: A window line's kept prefetch answer, unless it is the line's MSHR
+#: entry (see SSBMechanism._prefetch_ahead).
+_WRITABLE = "writable"
+_REFUSE = "refuse"
+#: The line of a TSOB entry.
+_LINE = itemgetter(0)
 
 
 @register("ssb")
@@ -36,10 +45,12 @@ class SSBMechanism(PrefetchAtCommit):
         #: The first DRAIN_AHEAD_LINES distinct TSOB lines; None once a
         #: drain or append may have changed them.
         self._ahead: Optional[List[int]] = None
-        #: The last prefetch walk over ``_ahead``, replayable while its
-        #: stamp (port epoch, MSHR version) holds: the lines it
-        #: requested and the lines among them the MSHR file refused.
-        self._ahead_plan: Optional[Tuple] = None
+        #: Each window line's last prefetch answer: ``_WRITABLE``,
+        #: ``_REFUSE`` or the line's MSHR entry (see _prefetch_ahead).
+        self._ahead_answers: Dict[int, object] = {}
+        #: The port stamp (port epoch, MSHR version) every answer holds
+        #: at.
+        self._ahead_stamp: Optional[Tuple[int, int]] = None
         self._occupancy = stats.histogram(
             "tsob_occupancy", bucket_width=64, num_buckets=17)
         self._c_l1_writes = stats.counter("tsob_drains",
@@ -62,50 +73,90 @@ class SSBMechanism(PrefetchAtCommit):
     def _prefetch_ahead(self, cycle: int) -> None:
         """Request write permission for the head window's lines.
 
-        While neither the window nor the port's caches or MSHRs have
-        changed, a walk would find the same lines without permission
-        and get the same answers, so the last walk's answers are
-        replayed without re-issuing the requests: merges into existing
-        MSHRs and refusals are only counted (a chain onto an in-flight
-        read adds a waiter, so those lines are requested again)."""
+        Each window line keeps the answer its last request got, and the
+        walk replays it without re-issuing the request: a line found
+        writable is skipped, a merge into the line's write MSHR and a
+        refusal by a file with no prefetch room are only counted (the
+        refusals still one by one, in window order, when faults or a
+        probe need them), and a chain onto the line's in-flight read is
+        requested again (it adds a waiter).  While the port stamp holds
+        (``CorePort.epoch``, ``MSHRFile.version``: the port's caches and
+        MSHRs are unchanged) every answer holds.  Once it moved, an
+        answer is replayed only if what it rests on is still true: the
+        line is writable; the line still has the same MSHR entry (only
+        a fill of the line, which retires that entry, can make it
+        writable); or the line has no entry, the file no prefetch room,
+        and the line no permission.  Any other line is asked, as are
+        lines that just entered the window.  One walk's own allocation
+        only adds that line's entry: no other answer moves (a refusal
+        cannot stand beside a file with room)."""
         port = self.port
         mshrs = port.mshrs
-        stamp = (port.epoch, mshrs.version)
-        plan = self._ahead_plan
-        if plan is not None and plan[0] == stamp:
-            _, chained, merged, refused = plan
-            for line in chained:
-                port.request_write(line, cycle, prefetch=True)
-            if merged:
-                mshrs.count_merges(merged)
+        held = self._ahead_stamp == (port.epoch, mshrs.version)
+        answers = self._ahead_answers
+        if self._ahead is None:
+            self._ahead = self._window()
+            # Answers outside the window are not kept up to date.
+            answers = self._ahead_answers = {
+                line: answers[line] for line in self._ahead
+                if line in answers}
+        merged, refused = 0, []
+        for line in self._ahead:
+            answer = answers.get(line)
+            if answer is _WRITABLE:
+                if held or port.is_writable_private(line):
+                    continue
+            elif answer is _REFUSE:
+                if held or (mshrs.get(line) is None
+                            and not mshrs.has_room(prefetch=True)
+                            and not port.is_writable_private(line)):
+                    refused.append(line)
+                    continue
+            elif answer is not None:
+                if held or mshrs.get(line) is answer:
+                    if answer.meta.get("write"):
+                        merged += 1
+                    else:
+                        port.request_write(line, cycle, prefetch=True)
+                    continue
             if refused:
                 mshrs.refuse_all(refused, len(refused), cycle)
+                refused = []
+            self._ask(line, cycle)
+        if merged:
+            mshrs.count_merges(merged)
+        if refused:
+            mshrs.refuse_all(refused, len(refused), cycle)
+        self._ahead_stamp = (port.epoch, mshrs.version)
+
+    def _window(self) -> List[int]:
+        """The first DRAIN_AHEAD_LINES distinct lines of the TSOB, in
+        order, read from as short a prefix of it as will do."""
+        want = self.DRAIN_AHEAD_LINES
+        tsob = self._tsob
+        scan = 8 * want
+        while True:
+            lines = dict.fromkeys(map(_LINE, islice(tsob, scan)))
+            if len(lines) >= want or scan >= len(tsob):
+                return list(islice(lines, want))
+            scan *= 4
+
+    def _ask(self, line: int, cycle: int) -> None:
+        """Request write permission for one window line and keep the
+        answer, unless an injected fault refused it (a replay would
+        have to draw the fault again)."""
+        port = self.port
+        mshrs = port.mshrs
+        if port.is_writable_private(line):
+            answer = _WRITABLE
+        elif port.request_write(line, cycle, prefetch=True):
+            answer = mshrs.get(line)   # merged into, chained or allocated
+        elif not mshrs.has_room(prefetch=True):
+            answer = _REFUSE
+        else:
+            self._ahead_answers.pop(line, None)
             return
-        if self._ahead is None:
-            ahead = {}
-            for line, _mask in self._tsob:
-                if line not in ahead:
-                    if len(ahead) == self.DRAIN_AHEAD_LINES:
-                        break
-                    ahead[line] = None
-            self._ahead = list(ahead)
-        chained, merged, refused = [], 0, []
-        for line in self._ahead:
-            if port.is_writable_private(line):
-                continue
-            if not port.request_write(line, cycle, prefetch=True):
-                refused.append(line)
-            elif mshrs.get(line).meta.get("write"):
-                merged += 1
-            else:
-                chained.append(line)   # waits on an in-flight read
-        # Replayable only if the walk allocated nothing and its refusals
-        # were for want of room (not injected faults a replay would redraw).
-        self._ahead_plan = (
-            (stamp, chained, merged, refused)
-            if (port.epoch, mshrs.version) == stamp
-            and (not refused or not mshrs.has_room(prefetch=True))
-            else None)
+        self._ahead_answers[line] = answer
 
     def _fill_tsob(self, cycle: int) -> int:
         moved = 0
@@ -123,7 +174,7 @@ class SSBMechanism(PrefetchAtCommit):
             masks[head.mask] = masks.get(head.mask, 0) + 1
             if self._ahead is not None \
                     and len(self._ahead) < self.DRAIN_AHEAD_LINES:
-                self._ahead = self._ahead_plan = None
+                self._ahead = None
             moved += 1
         if moved:
             self._occupancy.sample(len(self._tsob))
@@ -139,8 +190,11 @@ class SSBMechanism(PrefetchAtCommit):
             if self.probe:
                 self.probe.emit(cycle, "drain:blocked", line=line)
             return 0
-        self._tsob.popleft()
-        self._ahead = self._ahead_plan = None
+        tsob = self._tsob
+        tsob.popleft()
+        if not tsob or tsob[0][0] != line:
+            # The window keeps its order while the head keeps its line.
+            self._ahead = None
         self._remove_line_mask(line, mask)
         if self.probe:
             self.probe.emit(cycle, "tsob:drain", line=line)

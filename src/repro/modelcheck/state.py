@@ -161,7 +161,7 @@ def _encode_port(port) -> Tuple:
         (entry.addr, entry.is_write, bool(entry.meta.get("launched")),
          bool(entry.meta.get("write")), len(entry.waiters))
         for entry in port.mshrs._entries.values()))
-    pending = tuple((addr, is_write) for addr, is_write, _cb in port._pending)
+    pending = port.parked()
     pending_writes = tuple(sorted(port._pending_writes.items()))
     return (lines_of(port.l1d), lines_of(port.l2), mshrs, pending,
             pending_writes)

@@ -195,7 +195,7 @@ class ProgressDump:
             "core": port.core_id,
             "occupancy": len(entries),
             "capacity": port.mshrs.capacity,
-            "parked": len(port._pending),
+            "parked": len(port.parked()),
             "lines": [{"line": e.addr, "write": e.is_write}
                       for e in list(entries.values())[:_MAX_ITEMS]],
         }

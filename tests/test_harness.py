@@ -6,10 +6,11 @@ whole file stays fast; the full-set versions live in ``benchmarks/``.
 
 import pytest
 
+from repro.common.config import MECHANISMS
 from repro.harness.experiments import (dse, fig8, fig9, fig10, fig11,
                                        fig12, fig13, fig15, l1d_writes,
                                        sb_cost)
-from repro.harness.runner import Runner, source_fingerprint
+from repro.harness.runner import Point, Runner, source_fingerprint
 
 SMALL = ["synth.burst", "synth.scatter"]
 
@@ -49,6 +50,33 @@ class TestRunnerCaching:
 
     def test_energy_attached(self, runner):
         assert runner.run("synth.burst", "tus", 114).energy > 0
+
+    @pytest.mark.parametrize("bench", ["502.gcc2", "streamcluster"])
+    def test_next_point_of_a_workload_reuses_its_traces(self, monkeypatch,
+                                                         bench):
+        """Every mechanism of one workload runs on one generated trace
+        set, with the result a fresh runner gives; another seed or
+        bench generates again."""
+        import repro.harness.runner as runner_module
+        made = []
+        for name in ("make_trace", "make_parallel_traces"):
+            real = getattr(runner_module, name)
+            monkeypatch.setattr(runner_module, name, lambda *args, real=real:
+                                made.append(args) or real(*args))
+
+        def fresh(pt):
+            return Runner(use_disk_cache=False, st_length=1500,
+                          par_length=200, num_cores_parallel=4,
+                          simpoints=2).simulate(pt)
+
+        shared = Runner(use_disk_cache=False, st_length=1500, par_length=200,
+                        num_cores_parallel=4, simpoints=2)
+        points = [Point(bench, mech, 114) for mech in MECHANISMS] \
+            + [Point(bench, "ssb", 114, point=1),
+               Point("synth.burst", "ssb", 114)]
+        results = [shared.simulate(pt).canonical_json() for pt in points]
+        assert len(made) == 3
+        assert results == [fresh(pt).canonical_json() for pt in points]
 
 
 class TestExperiments:

@@ -84,7 +84,7 @@ def snapshot(core):
             core._next_uop, core.last_stall,
             sorted((entry.addr, entry.is_write, len(entry.waiters))
                    for entry in port.mshrs._entries.values()),
-            len(port._pending), dict(port._pending_writes))
+            port.parked(), dict(port._pending_writes))
 
 
 def touch_all(system):
