@@ -290,16 +290,25 @@ class Runner:
                      result.to_dict(), fs=self.fs)
 
 
+#: A pool worker's runner: the worker's next point of the same
+#: workload reuses its traces.
+_WORKER_RUNNER: Optional[Runner] = None
+
+
 def _simulate_payload(payload: Tuple[Dict, Point]) -> Tuple[Dict, float]:
     """Worker-process entry point: execute one point, no caches.
 
     Returns the result's dict form plus the simulation wall-clock; a
     module-level function so it pickles under every multiprocessing
-    start method.
+    start method.  One runner serves every point of a worker process
+    with the same ``params`` (:meth:`Runner.simulate` is pure).
     """
     import time
+    global _WORKER_RUNNER
     params, pt = payload
-    runner = Runner(use_disk_cache=False, **params)
+    if _WORKER_RUNNER is None or _WORKER_RUNNER.params() != params:
+        _WORKER_RUNNER = Runner(use_disk_cache=False, **params)
+    runner = _WORKER_RUNNER
     start = time.perf_counter()
     result = runner.simulate(pt)
     return result.to_dict(), time.perf_counter() - start

@@ -13,10 +13,7 @@ check out is just *starting more drain loops on the same spool*:
   exits at its next iteration;
 * a worker with an empty pending directory idles while *any* worker
   still holds a running record (its expansion may push more work) and
-  exits once pending and running are both empty;
-* periodically each worker folds finished visited claims into a
-  segment file (:meth:`DiskFrontier.compact_visited`) to bound the
-  spool's file count.
+  exits once pending and running are both empty.
 
 The driver (:func:`distributed_explore`) seeds the spool, runs the
 fleet (a :class:`~repro.common.pool.Fleet` of :func:`worker_main`
@@ -39,35 +36,11 @@ from .explorer import (DEFAULT_MAX_CYCLES, CheckReport, CheckRunner, _shape,
 from .frontier import DiskFrontier
 from .scenarios import get_scenario
 
-#: How many expansions between a worker's visited-set compactions.
-COMPACT_EVERY = 200
-
-
-class _WorkerFrontier(DiskFrontier):
-    """A worker's view of the spool: each record it claims ends its
-    idle stretch and counts toward the next visited-set compaction."""
-
-    def __init__(self, root) -> None:
-        super().__init__(root)
-        self.idle = 0.0
-        self.since_compact = 0
-
-    def pop(self):
-        record = super().pop()
-        if record is not None:
-            self.idle = 0.0
-            self.since_compact += 1
-            if self.since_compact >= COMPACT_EVERY:
-                self.since_compact = 0
-                self.compact_visited()
-        return record
-
-
 def worker_main(spool: str, worker_id: str) -> None:
     """Drain one spool until the check is finished (worker entry
     point; every parameter of the check comes from the spool's
     ``meta.json``)."""
-    store = _WorkerFrontier(spool)
+    store = DiskFrontier(spool)
     meta = store.meta()
     if meta is None:
         return
@@ -84,23 +57,28 @@ def worker_main(spool: str, worker_id: str) -> None:
                              "message": outcome.message,
                              "taken": list(outcome.taken)})
 
+    idle, runs = 0.0, report.executions
+
     def wait() -> bool:
-        # Pending is empty but someone still runs: their expansion may
-        # push children.  Idle briefly; give up after a stale-claim
+        # Pending is empty; while someone still runs, their expansion
+        # may push children.  Idle briefly; give up after a stale-claim
         # timeout (30 s with no record claimed) so a dead sibling
         # cannot wedge the fleet (the driver recovers its running
-        # records afterwards).
-        if store.idle > 30.0:
+        # records afterwards).  Every record claimed is run, so a new
+        # execution ends the idle stretch.
+        nonlocal idle, runs
+        if report.executions != runs:
+            idle, runs = 0.0, report.executions
+        if store.running_empty() or idle > 30.0:
             return False
         time.sleep(0.02)
-        store.idle += 0.02
+        idle += 0.02
         return True
 
     drain_frontier(store, runner, report, por=meta["por"],
                    max_depth=meta["max_depth"],
                    max_states=meta["max_states"],
                    on_violation=record_violation, wait=wait)
-    store.compact_visited()
     store.add_stats(f"{worker_id}-{os.getpid()}", report.executions)
 
 

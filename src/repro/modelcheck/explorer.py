@@ -401,9 +401,12 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
     With ``por="off"`` and a :class:`MemoryFrontier` this is
     operation-for-operation the pre-POR explorer loop (pop order,
     execution accounting, seen-check placement), which is what keeps
-    ``--por off`` bit-identical.  ``wait`` lets a distributed worker
-    idle while siblings still hold running records that may push more
-    work; without it an empty queue ends the drain.
+    ``--por off`` bit-identical.  The queue is read once per record,
+    by its ``pop``: a pop that finds nothing ends the drain, unless
+    ``wait`` returns True (a distributed worker idles while siblings
+    still hold running records that may push more work).
+    ``queue_empty`` is asked only at the state budget, where it
+    decides ``truncated``.
     """
     kept: Dict[str, Tuple[int, RunOutcome]] = {}
     depth = 0
@@ -467,20 +470,15 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
         store.ack(record)
         return first
 
-    while True:
-        if store.get_violation() is not None:
-            break
-        if store.queue_empty():
-            if wait is not None and not store.running_empty():
-                if wait():
-                    continue
-            break
-        if report.executions >= max_states:
+    while store.get_violation() is None:
+        if report.executions >= max_states and not store.queue_empty():
             report.truncated = True
             break
         record = store.pop()
-        if record is None:
-            continue            # lost a claim race to another worker
+        if record is None:      # empty, or a sibling won every claim
+            if wait is not None and wait():
+                continue
+            break
         if store.durable and len(record["prefix"]) > depth:
             # A spool pops in depth order and may be shared, so a kept
             # child shallower than this record went to a sibling.  An

@@ -33,7 +33,7 @@ import json
 import os
 from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..durability.faultyfs import NULL_FS
 from ..durability.records import sweep_tmp
@@ -104,9 +104,6 @@ class MemoryFrontier:
     def backlog(self) -> int:
         """Records a push now would queue behind (pop order is FIFO)."""
         return len(self._queue)
-
-    def running_empty(self) -> bool:
-        return True
 
     def push(self, record: dict) -> bool:
         self._queue.append(record)
@@ -295,24 +292,21 @@ class DiskFrontier:
         return self.visited_dir / f"k-{key}.json"
 
     def claim(self, key: str, owner: str, sleep) -> str:
-        if self._segment_lookup(key) is not None:
-            return "seen"     # already compacted: its owner was acked
         payload = {"key": key, "owner": owner,
                    "sleep": [list(s) for s in sorted(frozenset(sleep))]}
         if self.spool.write(self._claim_path(key), "frontier-claim",
                             payload, exclusive=True):
             return "new"
         existing = self.spool.read(self._claim_path(key), "frontier-claim")
-        if existing is not None and existing.get("owner") == owner:
-            return "ours"     # crash redo of our own expansion
-        if existing is None and self._segment_lookup(key) is None:
-            # The claim file either raced away (compaction moved it to
-            # a segment mid-read) or was corrupt and has just been
-            # quarantined; in the latter case the key is unclaimed
-            # again — retake it so the state is not silently skipped.
+        if existing is None:
+            # The claim was corrupt and has just been quarantined: the
+            # key is unclaimed again — retake it so the state is not
+            # silently skipped.
             if self.spool.write(self._claim_path(key), "frontier-claim",
                                 payload, exclusive=True):
                 return "new"
+        elif existing.get("owner") == owner:
+            return "ours"     # crash redo of our own expansion
         return "seen"
 
     def _records(self, directory: Path, pattern: str = "*.json"):
@@ -323,16 +317,8 @@ class DiskFrontier:
             if payload is not None:
                 yield payload
 
-    def _segment_lookup(self, key: str) -> Optional[dict]:
-        for payload in self._records(self.visited_dir, "seg-*.json"):
-            if key in payload.get("keys", {}):
-                return payload["keys"][key]
-        return None
-
     def get_sleep(self, key: str) -> Optional[frozenset]:
         payload = self.spool.read(self._claim_path(key))
-        if payload is None:
-            payload = self._segment_lookup(key)
         if payload is None:
             return None
         return _sleep_set(payload.get("sleep", []))
@@ -344,40 +330,8 @@ class DiskFrontier:
         self.spool.write(self._claim_path(key), "frontier-claim", payload)
 
     def visited_count(self) -> int:
-        keys = {name[2:-5] for name in os.listdir(self.visited_dir)
-                if name.startswith("k-") and name.endswith(".json")}
-        for payload in self._records(self.visited_dir, "seg-*.json"):
-            keys.update(payload.get("keys", {}))
-        return len(keys)
-
-    def compact_visited(self) -> int:
-        """Merge finished visited claims into one segment file (the
-        periodic visited-set merge): claims whose owning record has
-        been acked can no longer be redone, so their per-file owner
-        information is dead weight.  Returns how many claims merged."""
-        self._done |= load_done(self.root)
-        merged: Dict[str, dict] = {}
-        victims: List[Path] = []
-        for name in sorted(os.listdir(self.visited_dir)):
-            if not (name.startswith("k-") and name.endswith(".json")):
-                continue
-            path = self.visited_dir / name
-            payload = self.spool.read(path)
-            if payload is None or payload.get("owner") not in self._done:
-                continue
-            merged[payload["key"]] = {"sleep": payload.get("sleep", [])}
-            victims.append(path)
-        if not merged:
-            return 0
-        seg_id = hashlib.sha1(
-            "".join(sorted(merged)).encode()).hexdigest()[:12]
-        seg = self.visited_dir / f"seg-{seg_id}.json"
-        existing = self.spool.read(seg) or {"keys": {}}
-        existing["keys"].update(merged)
-        self.spool.write(seg, "frontier-claim", existing)
-        for path in victims:
-            path.unlink(missing_ok=True)
-        return len(merged)
+        return sum(1 for name in os.listdir(self.visited_dir)
+                   if name.startswith("k-") and name.endswith(".json"))
 
     # -- terminal states -----------------------------------------------------
     def terminal(self, record_id: str, key: str) -> None:

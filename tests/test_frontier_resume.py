@@ -105,6 +105,25 @@ class TestKillResume:
             (memory.executions, memory.unique_states,
              memory.terminal_states, memory.terminal_fingerprint)
 
+    def test_spool_lists_pending_once_per_record(self, tmp_path,
+                                                 monkeypatch):
+        from repro.durability.spool import Spool
+        listings = [0]
+        real = Spool.pending
+
+        def counted(self):
+            listings[0] += 1
+            return real(self)
+
+        memory = explore("overlap", "tus", cores=2, lines=2)
+        monkeypatch.setattr(Spool, "pending", counted)
+        disk = explore("overlap", "tus", cores=2, lines=2,
+                       spool=tmp_path / "spool")
+        assert listings[0] <= disk.executions + 2
+        assert (disk.unique_states, disk.terminal_fingerprint,
+                disk.complete) == \
+            (memory.unique_states, memory.terminal_fingerprint, True)
+
     def test_resuming_a_finished_spool_is_a_noop(self, tmp_path):
         spool = tmp_path / "spool"
         first = explore("overlap", "tus", cores=2, lines=2, spool=spool)
@@ -230,16 +249,42 @@ class TestDiskFrontierUnit:
         assert store.claim("k1", "owner-b", ()) == "seen"
         assert store.visited_count() == 1
 
-    def test_compaction_preserves_sleep_sets(self, tmp_path):
+    def test_acked_owner_keeps_sleep_set(self, tmp_path):
+        # A claim is its one visited/k-<key>.json file, before and
+        # after its owner is acked.
         store = self._seeded(tmp_path)
         record = store.pop()
         sleep = frozenset({("core", 1, 0, 0, 0)})
         store.claim("k1", record["id"], sleep)
         store.ack(record)
-        assert store.compact_visited() == 1
         assert store.get_sleep("k1") == sleep
         assert store.visited_count() == 1
         assert store.claim("k1", "other", ()) == "seen"
+        assert os.listdir(store.visited_dir) == ["k-k1.json"]
+
+    def test_visited_set_reads_only_claim_files(self, tmp_path,
+                                                monkeypatch):
+        store = self._seeded(tmp_path)
+        store.claim("k1", "owner-a", ())
+        # A stray file beside the claims is no part of the visited set.
+        (store.visited_dir / "seg-0.json").write_text(
+            '{"keys": {"k2": {"sleep": []}}}')
+        globbed, listed, read = [], [], []
+        real_glob, real_listdir, real_read = Path.glob, os.listdir, \
+            store.spool.read
+        monkeypatch.setattr(Path, "glob", lambda self, pattern: (
+            globbed.append(pattern) or real_glob(self, pattern)))
+        monkeypatch.setattr(os, "listdir", lambda path=".": (
+            listed.append(path) or real_listdir(path)))
+        monkeypatch.setattr(store.spool, "read", lambda path, *rest: (
+            read.append(Path(path).name) or real_read(path, *rest)))
+        assert store.claim("k1", "owner-b", ()) == "seen"
+        assert store.claim("k2", "owner-b", ()) == "new"
+        assert globbed == [] and listed == []       # no directory scan
+        assert store.get_sleep("k3") is None
+        assert store.visited_count() == 2
+        assert globbed == []
+        assert all(name.startswith("k-") for name in read)
 
     def test_violation_is_first_writer_wins(self, tmp_path):
         store = self._seeded(tmp_path)

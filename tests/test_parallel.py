@@ -81,6 +81,34 @@ class TestFanOut:
         assert a.cycles != b.cycles          # different simpoint seeds
         assert a.canonical_json() == c.canonical_json()
 
+    def test_pool_worker_reuses_its_traces(self, tmp_path, monkeypatch):
+        """A pool worker keeps one runner, so the five fig9 mechanisms
+        of one bench generate its trace once per worker, not once per
+        point, with the results of a serial run."""
+        import repro.harness.runner as runner_module
+        from repro.harness.experiments import MECHS
+        log = tmp_path / "made.log"
+        real = runner_module.make_trace
+
+        def spy(*args):         # inherited by the forked pool workers
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(runner_module, "make_trace", spy)
+        monkeypatch.setattr(runner_module, "_WORKER_RUNNER", None)
+        points = [Point("502.gcc2", mech, 114) for mech in MECHS]
+        pooled = small_runner(tmp_path / "pooled", use_disk_cache=False)
+        telemetry = run_points(pooled, points, workers=2)
+        assert telemetry.simulated == len(points)
+        pids = log.read_text().split()
+        assert 1 <= len(pids) <= 2
+        assert len(set(pids)) == len(pids)      # once per worker
+        serial = small_runner(tmp_path / "serial", use_disk_cache=False)
+        run_points(serial, points, workers=1)
+        assert [pooled.cached(pt).canonical_json() for pt in points] == \
+            [serial.cached(pt).canonical_json() for pt in points]
+
 
 class TestTelemetry:
     def test_accounts_for_every_point(self, tmp_path):
