@@ -247,9 +247,6 @@ def _cmd_check(args) -> int:
     if args.spool and (len(scenarios) > 1 or len(mechanisms) > 1):
         print("--spool needs a single (scenario, mechanism) cell")
         return 2
-    if args.dist_workers and not args.spool:
-        print("--dist-workers needs --spool")
-        return 2
     jobs = [CheckJob(scenario=scenario, mechanism=mechanism,
                      cores=args.cores, lines=args.lines,
                      unsound=args.unsound_auth, max_depth=args.depth,
@@ -258,8 +255,7 @@ def _cmd_check(args) -> int:
                      topology=args.topology, dir_shards=args.dir_shards,
                      dram_channels=args.dram_channels,
                      link_latency=args.link_latency, model=args.model,
-                     por=args.por, spool=args.spool,
-                     dist_workers=args.dist_workers)
+                     por=args.por, spool=args.spool)
             for scenario in scenarios for mechanism in mechanisms]
     reports = run_checks(jobs, workers=args.workers)
     failures = 0
@@ -623,12 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "persistent sets (default off: the exact "
                             "unreduced BFS)")
     chk_p.add_argument("--spool", default=None, metavar="DIR",
-                       help="durable frontier spool; re-running with "
+                       help="on-disk frontier spool; re-running with "
                             "the same spool resumes a killed check")
-    chk_p.add_argument("--dist-workers", type=int, default=0,
-                       metavar="N",
-                       help="shard the frontier across N worker "
-                            "processes sharing --spool")
     add_machine_args(chk_p)
     chk_p.set_defaults(fn=_cmd_check)
 

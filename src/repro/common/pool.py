@@ -7,7 +7,7 @@ Two supervisors share one stop routine (:func:`stop_processes`):
   check`` matrix (:func:`repro.harness.checks.run_checks`) and the
   fault campaigns (:func:`repro.faults.campaign.run_campaigns`);
 * :class:`Fleet` -- named long-lived ``spawn`` processes: the service's
-  worker fleet and the distributed checker's drain loops.
+  worker fleet.
 
 :class:`SignalWatch` is the one place a signal becomes a stop flag.
 Stdlib-only and outside :mod:`repro.harness`, so the campaigns use it
@@ -30,6 +30,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 #: Pool workers keep the default SIGTERM disposition, so they normally
 #: exit at once; the grace only covers a worker still in its start-up.
 POOL_STOP_GRACE = 2.0
+
+#: A timeout rebuild also expires every in-flight task within this
+#: fraction of ``timeout`` of its own deadline (see :func:`_pooled`).
+TIMEOUT_MARGIN = 0.05
 
 
 class SignalWatch:
@@ -261,8 +265,9 @@ def _pooled(fn: Callable, payloads: Sequence, labels: Sequence[str],
     * ``timeout`` — the task exceeded its wall-clock deadline.  A hung
       worker occupies its pool slot indefinitely, so the pool is
       retired (its workers stopped) and rebuilt; the expired task is
-      charged an attempt, the other in-flight tasks are resubmitted
-      uncharged.
+      charged an attempt, and so is every in-flight task within
+      :data:`TIMEOUT_MARGIN` of its own deadline; the other in-flight
+      tasks are resubmitted uncharged.
     * ``crash``   — a worker process died (``BrokenProcessPool``, seen
       at submit or at wait).  The breakage surfaces on *every*
       outstanding future, so the culprit is unidentifiable from the
@@ -372,10 +377,21 @@ def _pooled(fn: Callable, payloads: Sequence, labels: Sequence[str],
             if timeout is None:
                 continue
             now = time.monotonic()
-            expired = {f: a for f, a in pending.items()
-                       if now >= a.deadline and not f.done()}
-            if not expired:
+            if not any(now >= a.deadline and not f.done()
+                       for f, a in pending.items()):
                 continue
+            # Tasks submitted together have deadlines a few
+            # milliseconds apart (the first submit starts the workers),
+            # so the wait wakes for the first while the next is just
+            # short.  Resubmitted uncharged, that one would restart
+            # from zero and hang through a second full timeout and a
+            # second rebuild.  Charging it here is safe: it has run at
+            # least (1 - TIMEOUT_MARGIN) of its budget, so at worst a
+            # task that would have ended in the last few percent of
+            # it is charged early, and the retry budget still applies.
+            cutoff = now + TIMEOUT_MARGIN * timeout
+            expired = {f: a for f, a in pending.items()
+                       if cutoff >= a.deadline and not f.done()}
             # A hung worker holds its slot until it is stopped, so the
             # whole pool is rebuilt; the non-expired in-flight tasks go
             # back to the backlog with no failure attributed.

@@ -18,7 +18,7 @@ the model checker's spooled frontier, the point cache):
   crashing (or silently misleading) the reader;
 * :mod:`~repro.durability.spool` — the one pending/running spool
   (claim by rename, ack, requeue, recover, quarantine) under both the
-  service queue and the model checker's durable frontier;
+  service queue and the model checker's spool frontier;
 * :mod:`~repro.durability.fsck` — ``repro fsck``: scan any
   service/spool/cache directory for orphaned tmp files, dangling
   running entries, and checksum failures, and repair what is safe;

@@ -59,7 +59,7 @@ FS_OPS: Tuple[str, ...] = WRITE_OPS + RENAME_OPS
 FS_SITES: Tuple[str, ...] = (
     "queue-entry", "job-record", "artifact", "heartbeat",
     "frontier-record", "frontier-claim", "frontier-terminal",
-    "frontier-prov", "frontier-meta", "frontier-stats", "point-cache",
+    "frontier-prov", "frontier-meta", "point-cache",
 )
 
 

@@ -304,13 +304,6 @@ def _fsck_service(root: Path, report: FsckReport, repair: bool,
                 # Heartbeats are ephemeral: no point quarantining.
                 _remove(report.findings[-1], path)
 
-    # Nested frontier spools under scratch/ (check jobs with --spool).
-    scratch = root / "scratch"
-    if scratch.is_dir():
-        for sub in sorted(scratch.iterdir()):
-            if sub.is_dir() and detect_layout(sub) == "frontier":
-                _fsck_frontier(sub, report, repair, tmp_age)
-
 
 # ----------------------------------------------------------------------
 # Frontier spool layout
@@ -338,12 +331,9 @@ def _fsck_frontier(root: Path, report: FsckReport, repair: bool,
     _scan_records(root / "terminals", report, repair, tmp_age,
                   "frontier-terminal", root=root)
     _scan_records(root / "prov", report, repair, tmp_age, root=root)
-    # Root-level singletons: meta, violation, per-worker stats.
-    singletons = [(root / "meta.json", "frontier-meta"),
-                  (root / "violation.json", None)]
-    singletons += [(path, "frontier-stats")
-                   for path in sorted(root.glob("stats-*.json"))]
-    for path, schema in singletons:
+    # Root-level singletons: meta and violation.
+    for path, schema in ((root / "meta.json", "frontier-meta"),
+                         (root / "violation.json", None)):
         if path.exists():
             _check_record(path, report, repair, schema, root=root)
 

@@ -2,7 +2,7 @@
 
 Both work queues in the repo are spools — the service's job queue
 (:class:`~repro.service.queue.DiskQueue`) and the model checker's
-durable frontier (:class:`~repro.modelcheck.frontier.DiskFrontier`) —
+spool frontier (:class:`~repro.modelcheck.frontier.DiskFrontier`) —
 and ``repro fsck`` scans both through this class.  The layout::
 
     <root>/pending/<name>.json     waiting to be claimed

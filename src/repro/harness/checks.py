@@ -44,11 +44,8 @@ class CheckJob:
     model: str = "tso"
     # Partial-order reduction mode ("off" | "sleep" | "persistent").
     por: str = "off"
-    # Durable frontier spool directory; re-running resumes the check.
+    # Frontier spool directory; re-running resumes the check.
     spool: Optional[str] = None
-    # >0 shards the frontier across this many worker processes
-    # sharing ``spool`` (which is then required).
-    dist_workers: int = 0
 
     @property
     def label(self) -> str:
@@ -71,16 +68,6 @@ def run_check(job: CheckJob) -> CheckReport:
                     lines=job.lines, runs=job.fuzz_runs, seed=job.seed,
                     unsound=job.unsound, max_cycles=job.max_cycles,
                     machine=job.machine, model=job.model)
-    if job.dist_workers:
-        if not job.spool:
-            raise ValueError("distributed checks need a spool directory")
-        from ..modelcheck import distributed_explore
-        return distributed_explore(
-            job.scenario, job.mechanism, spool=job.spool,
-            workers=job.dist_workers, cores=job.cores, lines=job.lines,
-            max_depth=job.max_depth, max_states=job.max_states,
-            max_cycles=job.max_cycles, unsound=job.unsound,
-            machine=job.machine, model=job.model, por=job.por)
     return explore(job.scenario, job.mechanism, cores=job.cores,
                    lines=job.lines, max_depth=job.max_depth,
                    max_states=job.max_states, max_cycles=job.max_cycles,

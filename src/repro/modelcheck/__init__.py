@@ -22,15 +22,12 @@ checks protocol invariants after every atomic step.  The pieces:
   state spaces too large to exhaust;
 * :mod:`~repro.modelcheck.por` — partial-order reduction (sleep sets
   and a persistent-set provider over action footprints);
-* :mod:`~repro.modelcheck.frontier` — in-memory and durable
-  (spool-dir) frontier stores with checkpoint/resume;
-* :mod:`~repro.modelcheck.distributed` — sharding one check's frontier
-  expansion across a worker fleet over a shared spool;
+* :mod:`~repro.modelcheck.frontier` — in-memory and spool-dir
+  frontier stores; a spooled check resumes after a kill;
 * :mod:`~repro.modelcheck.litmus` — the cross-model litmus corpus
   lowered to fixed-shape scenarios (``lit:IRIW`` etc.).
 """
 
-from .distributed import distributed_explore
 from .explorer import CheckReport, Violation, explore, run_schedule
 from .frontier import DiskFrontier, MemoryFrontier
 from .fuzz import fuzz
@@ -47,6 +44,6 @@ __all__ = [
     "INVARIANTS", "InvariantViolation", "replay",
     "SCENARIOS", "Scenario", "check_config", "get_scenario",
     "DefaultScheduler", "FrontierReached", "RandomScheduler",
-    "ReplayScheduler", "POR_MODES", "distributed_explore",
+    "ReplayScheduler", "POR_MODES",
     "DiskFrontier", "MemoryFrontier", "litmus_names", "litmus_scenarios",
 ]

@@ -40,11 +40,10 @@ Two orthogonal extensions ride on the same loop:
   (:mod:`repro.modelcheck.por`), sleep sets prune commuting sibling
   orders, and the persistent-set provider drops whole conflict-free
   processes.  ``por="off"`` takes the exact pre-POR code path.
-* **a durable frontier** (``spool=...``): queue, visited set, terminal
+* **a spool frontier** (``spool=...``): queue, visited set, terminal
   markers and proviso bookkeeping live in a crash-safe spool directory
   (:mod:`repro.modelcheck.frontier`), so a killed run resumes where it
-  stopped and any number of workers can drain the same check
-  (:mod:`repro.modelcheck.distributed`).
+  stopped.
 """
 
 from __future__ import annotations
@@ -384,9 +383,8 @@ def _resolve_child(store, record: dict, fresh: bool) -> None:
 
 def drain_frontier(store, runner, report: CheckReport, *, por: str,
                    max_depth: int, max_states: int,
-                   on_violation, wait=None) -> None:
-    """The BFS loop over a frontier store — shared by the in-process
-    explorer and the distributed workers.
+                   on_violation) -> None:
+    """The BFS loop over a frontier store, its one consumer.
 
     A popped record is evaluated by running its prefix, and settled
     (``settle``: claim, child pushes, proviso, ack) at the run's pause,
@@ -394,22 +392,21 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
     state budget will reach, the live run continues into the first
     child pushed and its outcome is kept until the child is popped,
     which then needs no run (``report.resumed``).  A kept outcome holds
-    no trace (``steps`` reach the whole system); on a spool it is
-    dropped once the BFS has moved past its depth — a sibling worker
-    popped it.
+    no trace (``steps`` reach the whole system).  The loop is the
+    store's one consumer, so it pops every child it pushes: a kept
+    outcome waits only until the BFS reaches its child.
 
     With ``por="off"`` and a :class:`MemoryFrontier` this is
     operation-for-operation the pre-POR explorer loop (pop order,
     execution accounting, seen-check placement), which is what keeps
     ``--por off`` bit-identical.  The queue is read once per record,
-    by its ``pop``: a pop that finds nothing ends the drain, unless
-    ``wait`` returns True (a distributed worker idles while siblings
-    still hold running records that may push more work).
+    by its ``pop``: a pop that finds nothing ends the drain.
     ``queue_empty`` is asked only at the state budget, where it
-    decides ``truncated``.
+    decides ``truncated``.  A stored violation (a resumed spool) is
+    read once, up front; past that the loop stops on the violating
+    outcome itself.
     """
-    kept: Dict[str, Tuple[int, RunOutcome]] = {}
-    depth = 0
+    kept: Dict[str, RunOutcome] = {}
 
     def settle(record: dict, outcome: RunOutcome) -> Optional[dict]:
         """Settle one evaluated record; returns the first child record
@@ -470,28 +467,21 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
         store.ack(record)
         return first
 
-    while store.get_violation() is None:
+    if store.get_violation() is not None:
+        return
+    while True:
         if report.executions >= max_states and not store.queue_empty():
             report.truncated = True
             break
         record = store.pop()
-        if record is None:      # empty, or a sibling won every claim
-            if wait is not None and wait():
-                continue
+        if record is None:
             break
-        if store.durable and len(record["prefix"]) > depth:
-            # A spool pops in depth order and may be shared, so a kept
-            # child shallower than this record went to a sibling.  An
-            # in-memory queue has one consumer and pops every child.
-            depth = len(record["prefix"])
-            kept = {rid: entry for rid, entry in kept.items()
-                    if entry[0] >= depth}
-        entry = kept.pop(record["id"], None)
-        if entry is not None:
+        ready = kept.pop(record["id"], None)
+        if ready is not None:
             report.executions += 1
             report.resumed += 1
-            settle(record, entry[1])
-            if entry[1].kind == "violation":
+            settle(record, ready)
+            if ready.kind == "violation":
                 break
             continue
         settled = []
@@ -511,14 +501,11 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
                 break
         elif len(outcome.taken) > len(record["prefix"]):
             # The run went on into the child: keep its outcome.
-            child = settled[0]
-            kept[child["id"]] = (len(child["prefix"]),
-                                 replace(outcome, steps=()))
+            kept[settled[0]["id"]] = replace(outcome, steps=())
 
 
 def finalise_report(report: CheckReport, store, start: float) -> None:
     """Fill the store-derived counters of a drained check."""
-    report.executions += store.stats_executions()
     report.unique_states = store.visited_count()
     count, distinct = store.terminal_stats()
     report.terminal_states = count
@@ -534,8 +521,8 @@ def job_meta(scenario_name: str, mechanism: str, *, cores: int, lines: int,
              max_depth: int, max_states: int, max_cycles: int,
              unsound: bool, machine: Optional[dict], model: str,
              por: str) -> dict:
-    """The job parameters a spool carries so any worker (or a resumed
-    run) can reconstruct the exact check."""
+    """The job parameters a spool carries, so a resumed run can
+    reconstruct the exact check."""
     return {"scenario": scenario_name, "mechanism": mechanism,
             "cores": cores, "lines": lines, "max_depth": max_depth,
             "max_states": max_states, "max_cycles": max_cycles,
@@ -557,8 +544,8 @@ def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
     checks can run on sharded/non-uniform layouts.
 
     ``por`` selects the partial-order reduction ("off", "sleep" or
-    "persistent"); ``spool`` (a directory path) makes the frontier
-    durable — re-running with the same spool resumes a killed check.
+    "persistent"); ``spool`` (a directory path) keeps the frontier on
+    disk — re-running with the same spool resumes a killed check.
     """
     if por not in POR_MODES:
         raise ValueError(
@@ -592,8 +579,8 @@ def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
     if report.violation is None:
         stored = store.get_violation()
         if stored is not None:
-            # A previous (killed or worker) run found the violation;
-            # reproduce and minimise it here.
+            # A previous (killed) run found the violation; reproduce
+            # and minimise it here.
             outcome = runner(tuple(stored["taken"]), False)
             if outcome.kind == "violation":
                 report.violation = _minimise(outcome, runner)

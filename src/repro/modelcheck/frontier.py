@@ -1,25 +1,25 @@
 """Frontier stores: where the BFS keeps its queue, visited set and
-bookkeeping — in memory (the default) or on disk (durable).
+bookkeeping — in memory (the default) or on disk (a spool).
 
-The disk store makes a model-check run *durable and distributable*.
-Its queue is a :class:`repro.durability.spool.Spool` — the one place
-the claim (rename) / ack / requeue / recover protocol lives — and the
-rest of its state is small record files, created by an atomic rename
-or, where first-writer-wins matters, an ``os.link``.  So
+The disk store makes a model-check run *resumable*.  Its queue is a
+:class:`repro.durability.spool.Spool` — the one place the claim
+(rename) / ack / requeue / recover protocol lives — and the rest of its
+state is small record files, created by an atomic rename or, where
+first-writer-wins matters, an ``os.link``.  So a SIGKILL at any instant
+loses no work: ``recover()`` renames the ``running/`` leftovers back to
+``pending/`` and the redo is idempotent (record names, visited claims,
+terminal markers and proviso markers are all deterministic functions of
+their content).
 
-* a SIGKILL at any instant loses no work — ``recover()`` renames the
-  ``running/`` leftovers back to ``pending/`` and the redo is
-  idempotent (record names, visited claims, terminal markers and
-  proviso markers are all deterministic functions of their content);
-* any number of worker processes can drain the same spool — pending
-  claims race on rename, visited claims race on ``O_EXCL`` creation,
-  and the first violation wins ``violation.json``.
+A spool has one consumer: the process that opened it.  So the store
+lists ``pending/`` when it opens and after ``recover()``, and from then
+on keeps the sorted listing in memory — its own pushes are the only
+records that arrive.
 
 Determinism: record names are ``<depth>-<sha1(prefix)>``, pending
 drains in sorted-name order, and every marker is content-addressed —
-so a killed-and-resumed single-worker run visits exactly the states an
-uninterrupted run visits (``tests/test_frontier_resume.py`` pins
-this).
+so a killed-and-resumed run visits exactly the states an uninterrupted
+run visits (``tests/test_frontier_resume.py`` pins this).
 
 The in-memory store presents the identical interface over a deque and
 dicts; with POR off its pop/push order is exactly the pre-POR
@@ -28,6 +28,7 @@ explorer's BFS, which keeps ``--por off`` bit-identical.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import os
@@ -82,9 +83,7 @@ def _load_record(payload: dict) -> dict:
 
 
 class MemoryFrontier:
-    """The default store: a deque plus dicts, nothing durable."""
-
-    durable = False
+    """The default store: a deque plus dicts, nothing on disk."""
 
     def __init__(self) -> None:
         self._queue: deque = deque()
@@ -171,23 +170,15 @@ class MemoryFrontier:
     def get_violation(self) -> Optional[dict]:
         return self._violation
 
-    # -- worker stats --------------------------------------------------------
-    def add_stats(self, label: str, executions: int) -> None:
-        pass                  # an in-process report counts its own runs
-
-    def stats_executions(self) -> int:
-        return 0
-
 
 class DiskFrontier:
-    """A durable, multi-process frontier over a spool directory."""
+    """A crash-safe frontier over a spool directory, with one
+    consumer: the process that opened it."""
 
-    durable = True
-
-    def __init__(self, root, fs=NULL_FS, fsync: bool = False,
-                 sweep_age: float = 60.0) -> None:
-        self.spool = Spool.open(root, fs=fs, fsync=fsync,
-                                sweep_age=sweep_age)
+    def __init__(self, root, fs=NULL_FS, fsync: bool = False) -> None:
+        # No other process writes here, so every tmp file found on open
+        # is a killed run's: swept whatever its age.
+        self.spool = Spool.open(root, fs=fs, fsync=fsync, sweep_age=0.0)
         self.root = self.spool.root
         self.visited_dir = self.root / "visited"
         self.terminal_dir = self.root / "terminals"
@@ -197,10 +188,13 @@ class DiskFrontier:
         for directory in (self.visited_dir, self.terminal_dir,
                           self.prov_dir):
             directory.mkdir(exist_ok=True)
-            self.tmp_swept += sweep_tmp(directory, max_age=sweep_age)
+            self.tmp_swept += sweep_tmp(directory, max_age=0.0)
         self._done = load_done(self.root)
         self._done_log = self.root / f"done-{os.getpid()}.log"
-        self._backlog = 0
+        #: ``pending/`` in claim order, and the names popped but not
+        #: yet acked.
+        self._pending = self.spool.pending()
+        self._claimed: Set[str] = set()
 
     def quarantined(self) -> int:
         """Corrupt records moved aside so far (counted from disk)."""
@@ -227,42 +221,35 @@ class DiskFrontier:
         return self.spool.read(self.root / "meta.json")
 
     def queue_empty(self) -> bool:
-        return not self.spool.pending()
+        return not self._pending
 
     def backlog(self) -> int:
         """Pending records: roughly how many pop before one pushed now
         (pending drains in name order, so deeper records wait for the
-        shallower ones queued after them).  Counted from the listing
-        the last :meth:`pop` made plus this store's pushes since, so it
-        costs no listing of its own; a sibling worker's pushes and pops
-        since then are not seen."""
-        return self._backlog
-
-    def running_empty(self) -> bool:
-        return not self.spool.running()
+        shallower ones queued after them)."""
+        return len(self._pending)
 
     def push(self, record: dict) -> bool:
         """Queue ``record``; False when it is already queued, claimed or
-        done (a crash redo, or a sibling worker's push)."""
+        done (a crash redo)."""
         name = record["id"] + ".json"
-        if (record["id"] in self._done
-                or (self.spool.pending_dir / name).exists()
-                or (self.spool.running_dir / name).exists()):
+        index = bisect.bisect_left(self._pending, name)
+        if (record["id"] in self._done or name in self._claimed
+                or self._pending[index:index + 1] == [name]):
             return False
         payload = dict(record)
         payload["prefix"] = list(record["prefix"])
         payload["sleep"] = [list(s) for s in record["sleep"]]
         self.spool.write(self.spool.pending_dir / name, "frontier-record",
                          payload)
-        self._backlog += 1
+        self._pending.insert(index, name)
         return True
 
     def pop(self) -> Optional[dict]:
-        names = self.spool.pending()
-        self._backlog = 0
-        for index, name in enumerate(names):
+        while self._pending:
+            name = self._pending.pop(0)
             if not self.spool.claim(name):
-                continue      # another worker won the claim
+                continue      # gone from disk
             payload = self.spool.read(self.spool.running_dir / name,
                                       "frontier-record")
             if payload is None or payload["id"] in self._done:
@@ -271,7 +258,7 @@ class DiskFrontier:
                 # (kept for fsck rather than silently unlinked).
                 self.spool.ack(name)
                 continue
-            self._backlog = len(names) - index - 1
+            self._claimed.add(name)
             return _load_record(payload)
         return None
 
@@ -279,13 +266,19 @@ class DiskFrontier:
         self._done.add(record["id"])
         with open(self._done_log, "a") as log:
             log.write(record["id"] + "\n")
-        self.spool.ack(record["id"] + ".json")
+        name = record["id"] + ".json"
+        self._claimed.discard(name)
+        self.spool.ack(name)
 
     def recover(self) -> int:
-        """Requeue running leftovers (a killed worker's claims); drop
-        those some worker already acked."""
+        """Requeue running leftovers (a killed run's claims); drop
+        those a done log already holds."""
         self._done |= load_done(self.root)
-        return self.spool.recover(lambda name: name[:-5] not in self._done)
+        requeued = self.spool.recover(
+            lambda name: name[:-5] not in self._done)
+        self._pending = self.spool.pending()
+        self._claimed.clear()
+        return requeued
 
     # -- visited claims ------------------------------------------------------
     def _claim_path(self, key: str) -> Path:
@@ -372,14 +365,3 @@ class DiskFrontier:
 
     def get_violation(self) -> Optional[dict]:
         return self.spool.read(self.root / "violation.json")
-
-    # -- worker stats --------------------------------------------------------
-    def add_stats(self, label: str, executions: int) -> None:
-        """Persist a finished worker's execution count so the merged
-        report reflects the whole fleet's work."""
-        self.spool.write(self.root / f"stats-{label}.json",
-                         "frontier-stats", {"executions": executions})
-
-    def stats_executions(self) -> int:
-        return sum(int(payload.get("executions", 0))
-                   for payload in self._records(self.root, "stats-*.json"))

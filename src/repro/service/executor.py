@@ -72,8 +72,6 @@ def _run_check(record: JobRecord, store: ArtifactStore,
     from ..harness.checks import CheckJob, run_check
 
     spec = record.spec
-    dist = spec["dist_workers"]
-    spool = str(scratch / "frontier") if dist else None
     job = CheckJob(scenario=spec["scenario"], mechanism=spec["mechanism"],
                    cores=spec["cores"], lines=spec["lines"],
                    max_depth=spec["depth"], max_states=spec["max_states"],
@@ -82,8 +80,7 @@ def _run_check(record: JobRecord, store: ArtifactStore,
                    dir_shards=spec["dir_shards"],
                    dram_channels=spec["dram_channels"],
                    link_latency=spec["link_latency"],
-                   model=spec["model"], por=spec["por"],
-                   spool=spool, dist_workers=dist)
+                   model=spec["model"], por=spec["por"])
     report = run_check(job)
     violation = None
     if report.violation is not None:

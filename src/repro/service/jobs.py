@@ -116,9 +116,6 @@ def _schemas() -> Dict[str, Dict[str, Field]]:
             "model": Field((str,), "tso", choices=models),
             "por": Field((str,), "off",
                          choices=("off", "sleep", "persistent")),
-            # >0 shards the frontier across this many processes over a
-            # spool in the job's scratch directory.
-            "dist_workers": Field((int,), 0, minimum=0, maximum=16),
             **_machine_fields(),
         },
         "faults": {

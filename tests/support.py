@@ -20,5 +20,6 @@ def process_gone(pid: int) -> bool:
     try:
         with open(f"/proc/{pid}/stat") as handle:
             return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):
+        # ESRCH: the process was reaped between open and read.
         return True

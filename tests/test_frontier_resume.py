@@ -1,11 +1,10 @@
-"""Durable-frontier semantics: crash safety, resume, distribution.
+"""Spool-frontier semantics: crash safety and resume.
 
 Mirrors ``test_resilience.py`` for the model checker: a check driven
 through a spool directory must survive SIGKILL at an arbitrary instant
 — resuming from the spool yields the same verdict, unique-state count
-and counterexample as a run that was never interrupted — and any
-number of workers draining one spool must converge to the in-process
-result.
+and counterexample as a run that was never interrupted — and a spooled
+run must match the in-memory one.
 """
 
 import os
@@ -13,6 +12,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.modelcheck import DiskFrontier, MemoryFrontier, explore
 from repro.modelcheck.frontier import make_record
@@ -86,12 +87,15 @@ class TestKillResume:
         assert resumed.violation.schedule == \
             reference.violation.schedule
 
-    def test_disk_run_matches_memory_run(self, tmp_path):
-        memory = explore("overlap", "tus", cores=2, lines=2)
-        disk = explore("overlap", "tus", cores=2, lines=2,
+    @pytest.mark.parametrize("por", ["off", "sleep", "persistent"])
+    def test_disk_run_matches_memory_run(self, tmp_path, por):
+        # Sleep sets and proviso records round-trip through the spool.
+        memory = explore("overlap", "tus", cores=2, lines=2, por=por)
+        disk = explore("overlap", "tus", cores=2, lines=2, por=por,
                        spool=tmp_path / "spool")
-        assert disk.unique_states == memory.unique_states
-        assert disk.terminal_fingerprint == memory.terminal_fingerprint
+        assert (disk.unique_states, disk.terminal_fingerprint,
+                disk.complete) == \
+            (memory.unique_states, memory.terminal_fingerprint, True)
 
     def test_disk_run_resumes_like_memory_run(self, tmp_path):
         # Both stores serve records by resumption, and with POR off
@@ -119,7 +123,9 @@ class TestKillResume:
         monkeypatch.setattr(Spool, "pending", counted)
         disk = explore("overlap", "tus", cores=2, lines=2,
                        spool=tmp_path / "spool")
-        assert listings[0] <= disk.executions + 2
+        # The store lists pending/ when it opens and after a recover;
+        # the rest of the run keeps the listing in memory.
+        assert listings[0] <= 2
         assert (disk.unique_states, disk.terminal_fingerprint,
                 disk.complete) == \
             (memory.unique_states, memory.terminal_fingerprint, True)
@@ -132,60 +138,6 @@ class TestKillResume:
         assert again.unique_states == first.unique_states
         assert again.terminal_fingerprint == first.terminal_fingerprint
         assert again.executions <= 1   # nothing left to expand
-
-
-class TestDistributed:
-    def test_two_workers_match_in_process_result(self, tmp_path):
-        from repro.modelcheck import distributed_explore
-        reference = explore("overlap", "tus", cores=2, lines=2,
-                            por="sleep")
-        merged = distributed_explore(
-            "overlap", "tus", spool=tmp_path / "spool", workers=2,
-            cores=2, lines=2, por="sleep")
-        assert merged.complete
-        assert merged.unique_states == reference.unique_states
-        assert merged.terminal_fingerprint == \
-            reference.terminal_fingerprint
-        assert merged.executions > 0
-
-    def test_fleet_finds_the_violation(self, tmp_path):
-        from repro.modelcheck import distributed_explore
-        merged = distributed_explore(
-            "overlap", "tus", spool=tmp_path / "spool", workers=2,
-            cores=2, lines=2, unsound=True)
-        assert merged.violation is not None
-
-    def test_worker_idle_limit_is_per_stretch(self, tmp_path, monkeypatch):
-        # A sibling holds the root record and pushes one child after
-        # every 20 s of idling (1000 sleeps of 0.02 s): 60 s of idle in
-        # total, but never 30 s in a row, so the worker must stay for
-        # all three children.  ``max_depth=1`` makes each child a leaf.
-        import repro.modelcheck.distributed as distributed
-        from repro.modelcheck.explorer import job_meta
-        spool = tmp_path / "spool"
-        sibling = DiskFrontier(spool)
-        sibling.seed(job_meta("overlap", "tus", cores=2, lines=2,
-                              max_depth=1, max_states=100, max_cycles=20_000,
-                              unsound=False, machine=None, model="tso",
-                              por="off"), make_record(()))
-        root = sibling.pop()
-        sleeps, pushed = [0], []
-
-        def fake_sleep(seconds):
-            sleeps[0] += 1
-            assert sleeps[0] < 10_000, "worker never left"
-            if sleeps[0] % 1000:
-                return
-            if len(pushed) < 3:
-                pushed.append((0,) * (len(pushed) + 1))
-                sibling.push(make_record(pushed[-1]))
-            else:
-                sibling.ack(root)
-
-        monkeypatch.setattr(distributed.time, "sleep", fake_sleep)
-        distributed.worker_main(str(spool), 0)
-        assert len(pushed) == 3
-        assert sibling.queue_empty() and sibling.running_empty()
 
 
 class TestDiskFrontierUnit:
@@ -205,9 +157,9 @@ class TestDiskFrontierUnit:
         store = self._seeded(tmp_path)
         record = store.pop()
         assert record["prefix"] == ()
-        assert store.queue_empty() and not store.running_empty()
+        assert store.queue_empty() and store.spool.running()
         store.ack(record)
-        assert store.running_empty()
+        assert not store.spool.running()
         # A duplicate push of a finished record is dropped.
         store.push(make_record(()))
         assert store.queue_empty()
@@ -229,6 +181,26 @@ class TestDiskFrontierUnit:
         memory = MemoryFrontier()
         assert memory.push(child) is True and memory.backlog() == 1
 
+    def test_queue_is_kept_in_memory(self, tmp_path, monkeypatch):
+        # push answers "already queued?" without touching the disk, and
+        # the kept count is exactly what pending/ holds.
+        store = self._seeded(tmp_path)
+        pending = store.root / "pending"
+        real_exists = Path.exists
+        probed = []
+        monkeypatch.setattr(Path, "exists", lambda self, **kw: (
+            probed.append(self) or real_exists(self, **kw)))
+        for branch in range(4):
+            assert store.push(make_record((branch,))) is True
+        assert store.push(make_record((2,))) is False
+        assert probed == []
+        monkeypatch.undo()
+        assert store.backlog() == len(os.listdir(pending)) == 5
+        order = [store.pop()["prefix"] for _ in range(3)]
+        assert order[0] == ()                       # shallowest first
+        assert store.backlog() == len(os.listdir(pending)) == 2
+        assert store.queue_empty() is False
+
     def test_recover_requeues_running_claims(self, tmp_path):
         store = self._seeded(tmp_path)
         store.pop()                      # claimed, never acked (a crash)
@@ -240,7 +212,7 @@ class TestDiskFrontierUnit:
         record = other.pop()
         (store.root / "done-1.log").write_text(record["id"] + "\n")
         assert DiskFrontier(store.root).recover() == 0
-        assert other.queue_empty() and other.running_empty()
+        assert other.queue_empty() and not other.spool.running()
 
     def test_claim_distinguishes_ours_from_seen(self, tmp_path):
         store = self._seeded(tmp_path)
@@ -292,12 +264,6 @@ class TestDiskFrontierUnit:
         assert store.set_violation({"taken": [2]}) is False
         assert store.get_violation() == {"taken": [1]}
 
-    def test_stats_accumulate_across_workers(self, tmp_path):
-        store = self._seeded(tmp_path)
-        store.add_stats("w0-100", 40)
-        store.add_stats("w1-101", 2)
-        assert store.stats_executions() == 42
-
     def test_memory_frontier_mirrors_the_interface(self):
         store = MemoryFrontier()
         store.seed({}, make_record(()))
@@ -306,14 +272,11 @@ class TestDiskFrontierUnit:
         assert store.claim("k", "other", ()) == "seen"
         store.terminal(record["id"], "k")
         assert store.terminal_stats() == (1, ("k",))
-        assert store.stats_executions() == 0
 
 
 # ----------------------------------------------------------------------
 # Crash consistency: corrupt spool records, seed ordering, tmp sweep
 # ----------------------------------------------------------------------
-
-import pytest
 
 from repro.durability import FSFaultConfig, FaultyFS, InjectedCrash
 
@@ -364,9 +327,10 @@ class TestFrontierDurability:
         spool = tmp_path / "spool"
         store = DiskFrontier(spool)
         store.seed({}, make_record(()))
+        # One consumer: a tmp file is a killed run's, however fresh.
         stale = spool / "pending" / "x.json.tmp7"
         stale.write_text("partial")
-        os.utime(stale, (0, 0))
+        (spool / "visited" / "k-k1.json.tmp7").write_text("partial")
         reopened = DiskFrontier(spool)
-        assert reopened.tmp_swept == 1
+        assert reopened.tmp_swept == 2
         assert not stale.exists()

@@ -24,9 +24,9 @@ from repro.harness import checks
 from repro.harness.checks import CheckJob, run_check, run_checks
 from repro.mechanisms.tus import TUSMechanism
 from repro.modelcheck import (INVARIANTS, SCENARIOS, MemoryFrontier,
-                              distributed_explore, explore, fuzz,
-                              get_scenario, replay, run_schedule)
-from repro.modelcheck.explorer import CheckRunner, _minimise
+                              explore, fuzz, get_scenario, replay,
+                              run_schedule)
+from repro.modelcheck.explorer import CheckRunner
 from repro.modelcheck.scheduler import RandomScheduler
 
 
@@ -154,29 +154,6 @@ class TestCounterexampleText:
     def test_exhaustive(self, por):
         report = explore("overlap", "tus", unsound=True, por=por)
         assert _describe_sha(report.violation) == self.EXHAUSTIVE
-
-    #: Racing workers record different first violations, so a
-    #: distributed check minimises to one of several schedules; each
-    #: one seen is pinned.
-    DISTRIBUTED = {
-        (0, 0, 0, 0, 0, 0, 1): EXHAUSTIVE,
-        (0, 0, 0, 0, 0, 0, 2, 1): ("3eb7c454200cf1090d4bf566b1fdaaba"
-                                   "6e2b6982332d4f51b153661512804b5e"),
-        (0, 0, 0, 0, 0, 4, 0, 1): ("87a9f7575337b469e71ff7813f9adf90"
-                                   "f62b8d9749451c068835bd4b41bc8205"),
-    }
-
-    def test_distributed(self, tmp_path):
-        violation = distributed_explore("overlap", "tus", spool=tmp_path,
-                                        workers=2, unsound=True).violation
-        expected = self.DISTRIBUTED.get(violation.schedule)
-        if expected is None:
-            # An unpinned race outcome: it must still render exactly as
-            # the in-process checker renders the same counterexample.
-            runner = CheckRunner("overlap", "tus", unsound=True)
-            expected = _describe_sha(_minimise(
-                runner(violation.schedule, False), runner))
-        assert _describe_sha(violation) == expected
 
     def test_fuzz(self):
         report = fuzz("overlap", "tus", unsound=True, seed=0)

@@ -190,6 +190,19 @@ def pid_then_hang(path):
     time.sleep(120)
 
 
+def sleep_for(seconds):
+    """Sleep ``seconds`` and return them; ``None`` hangs."""
+    time.sleep(120 if seconds is None else seconds)
+    return seconds
+
+
+def _count_pools(monkeypatch) -> list:
+    sizes, real = [], pool._new_pool
+    monkeypatch.setattr(pool, "_new_pool",
+                        lambda size: sizes.append(size) or real(size))
+    return sizes
+
+
 class TestTimedOutWorker:
     def test_worker_is_gone_when_fan_out_returns(self, tmp_path):
         paths = [str(tmp_path / f"task{i}.pid") for i in range(2)]
@@ -200,6 +213,30 @@ class TestTimedOutWorker:
         for path in paths:
             with open(path) as handle:
                 assert process_gone(int(handle.read()))
+
+    def test_tasks_hung_together_cost_one_rebuild(self, monkeypatch):
+        # Their deadlines are a submit apart: the second is within the
+        # margin when the first expires, so both are charged at once
+        # instead of the second restarting for another full timeout.
+        pools = _count_pools(monkeypatch)
+        outcomes = {}
+        pool.fan_out(sleep_for, [None, None], ["a", "b"], workers=2,
+                     emit=outcomes.__setitem__, timeout=1.0)
+        assert [outcomes[i].kind for i in range(2)] == ["timeout"] * 2
+        assert len(pools) == 2          # the first pool and one rebuild
+
+    def test_survivor_far_from_its_deadline_is_not_charged(self,
+                                                          monkeypatch):
+        # "b" ends at 0.5 s and "c" takes its slot, so "c" is about
+        # half way through its budget when "a" expires at 1.0 s: the
+        # rebuild resubmits it uncharged, and its rerun succeeds.
+        pools = _count_pools(monkeypatch)
+        outcomes = {}
+        pool.fan_out(sleep_for, [None, 0.5, 0.7], ["a", "b", "c"],
+                     workers=2, emit=outcomes.__setitem__, timeout=1.0)
+        assert outcomes[0].kind == "timeout"
+        assert (outcomes[1], outcomes[2]) == (0.5, 0.7)
+        assert len(pools) == 2
 
 
 class TestFailureManifest:

@@ -64,6 +64,8 @@ class TestSpecValidation:
             validate_spec("check", {"mechanism": "all"})
         with pytest.raises(JobValidationError):
             validate_spec("check", {"scenario": "nope"})
+        with pytest.raises(JobValidationError, match="dist_workers"):
+            validate_spec("check", {"dist_workers": 2})
         with pytest.raises(JobValidationError):
             validate_spec("faults", {"mechanism": "all"})
 
