@@ -16,9 +16,8 @@ the model checker's spooled frontier, the point cache):
   envelope (sha256 + schema tag) every durable store writes, so every
   read self-validates and a corrupt record is *quarantined* instead of
   crashing (or silently misleading) the reader;
-* :mod:`~repro.durability.spool` — the one pending/running spool
-  (claim by rename, ack, requeue, recover, quarantine) under both the
-  service queue and the model checker's spool frontier;
+* :mod:`~repro.durability.spool` — the pending/running spool (claim
+  by rename, ack, requeue, quarantine) under the service queue;
 * :mod:`~repro.durability.fsck` — ``repro fsck``: scan any
   service/spool/cache directory for orphaned tmp files, dangling
   running entries, and checksum failures, and repair what is safe;

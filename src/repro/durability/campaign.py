@@ -240,8 +240,9 @@ def _enospc_artifact(seed: int, workdir: Path) -> ChaosResult:
 
 def _frontier_crash(seed: int, workdir: Path) -> ChaosResult:
     """A spooled model check crashes mid-checkpoint (the process dies
-    with a record's tmp file written but never renamed).  The resumed
-    check must report bit-identically to an uninterrupted run."""
+    with the checkpoint's tmp file written but never renamed).  The
+    resumed check must report bit-identically to an uninterrupted
+    run."""
     from ..modelcheck import explore
     from ..modelcheck.frontier import DiskFrontier
     drill = _Drill("frontier-crash-mid-checkpoint", seed)
@@ -249,11 +250,11 @@ def _frontier_crash(seed: int, workdir: Path) -> ChaosResult:
     reference = explore("overlap", "tus", spool=workdir / "ref",
                         **kwargs)
     drill.check("reference-complete", reference.complete)
-    # skip the first pushes so the crash lands mid-run, not on the
-    # seed record.
+    # Skip the seed's checkpoint, so the crash lands on the first one
+    # past it and the resume starts from the seed's.
     shim = FaultyFS(seed, FSFaultConfig(
-        ops=("crash-before-rename",), sites=("frontier-record",),
-        site_budget=1, skip=5))
+        ops=("crash-before-rename",), sites=("frontier-checkpoint",),
+        site_budget=1, skip=1))
     spool = workdir / "spool"
     crashed = False
     try:

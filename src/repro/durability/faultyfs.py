@@ -31,7 +31,7 @@ op                          effect
 ==========================  ===========================================
 
 Sites are free-form strings — each durable store passes its record
-schema tag (``queue-entry``, ``artifact``, ``frontier-record``,
+schema tag (``queue-entry``, ``artifact``, ``frontier-checkpoint``,
 ``point-cache``, ...), so a drill can aim one fault at one layer.
 """
 
@@ -58,8 +58,7 @@ FS_OPS: Tuple[str, ...] = WRITE_OPS + RENAME_OPS
 #: documentation and CLI help (a shim accepts any site string).
 FS_SITES: Tuple[str, ...] = (
     "queue-entry", "job-record", "artifact", "heartbeat",
-    "frontier-record", "frontier-claim", "frontier-terminal",
-    "frontier-prov", "frontier-meta", "point-cache",
+    "frontier-checkpoint", "point-cache",
 )
 
 

@@ -3,12 +3,13 @@
 The scanner is layout-aware: pointed at a service data dir, a
 ``--spool`` frontier, or a bare point-cache/record directory, it walks
 the layout it recognises and classifies what it finds.  The service
-queue and the frontier are both a :class:`~.spool.Spool`, so one scan
-(:func:`_fsck_spool`) validates their pending/running entries.  The
+queue is a :class:`~.spool.Spool`, scanned by :func:`_fsck_spool`; the
 service then settles its entries against its job records with the
 repair pass its own monitor runs
 (:meth:`~repro.service.ledger.JobLedger.repair`), offline: no worker
-alive, no grace period.
+alive, no grace period.  A frontier spool is one checkpoint record
+(:class:`~repro.modelcheck.frontier.DiskFrontier`) in a flat
+directory, scanned like any other.
 
 =====================  =================================================
 finding kind           meaning / repair
@@ -20,11 +21,10 @@ finding kind           meaning / repair
                        entries, whose payload is a pure function of the
                        filename and is rebuilt in place.  A spool's
                        records quarantine into ``<spool>/quarantine/``
-``dangling-running``   a claimed entry with no live claimant (stopped
-                       service / killed checker); requeued so the work
-                       reruns — a job as ``queued`` with no worker, or
-                       failed ``WorkerLost`` once its attempts are spent
-                       — or removed when the work is already done
+``dangling-running``   a claimed queue entry with no live claimant (a
+                       stopped service); requeued so the work reruns —
+                       a job as ``queued`` with no worker, or failed
+                       ``WorkerLost`` once its attempts are spent
 ``orphan-entry``       a queue entry whose job record is gone — nothing
                        says what to execute; removed
 ``lost-entry``         an active job record with no queue entry (the
@@ -37,7 +37,8 @@ finding kind           meaning / repair
 Repairs are only applied with ``repair=True`` and only when they are
 safe offline; run repair against a *stopped* service or checker (a
 live service's monitor runs the same service repairs itself, with its
-workers' liveness and age gates).
+workers' liveness and age gates).  A corrupt frontier checkpoint is
+quarantined, and the next run of that check starts from its root.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def detect_layout(root: Path) -> str:
     root = Path(root)
     if (root / "queue").is_dir() and (root / "jobs").is_dir():
         return "service"
-    if (root / "meta.json").exists() or (root / "visited").is_dir():
+    if (root / "checkpoint.json").exists():
         return "frontier"
     return "records"
 
@@ -155,7 +156,7 @@ def fsck(root: Path, repair: bool = False,
     if layout == "service":
         _fsck_service(root, report, repair, tmp_age)
     elif layout == "frontier":
-        _fsck_frontier(root, report, repair, tmp_age)
+        _scan_records(root, report, repair, tmp_age, "frontier-checkpoint")
     else:
         _scan_records(root, report, repair, tmp_age)
     return report
@@ -245,28 +246,21 @@ def _scan_records(directory: Path, report: FsckReport, repair: bool,
 
 def _fsck_spool(spool: Spool, report: FsckReport, repair: bool,
                 tmp_age: float, schema: str,
-                rebuild: Optional[Callable[[str], Optional[dict]]] = None
-                ) -> List[str]:
-    """The one scan of a spool's pending/ and running/ entries.
+                rebuild: Callable[[str], Optional[dict]]) -> None:
+    """The scan of a spool's pending/ and running/ entries.
 
     Each entry is validated against ``schema``; a corrupt one is
     rebuilt in place from ``rebuild(name)`` when the client can, else
-    quarantined.  Returns the running entries that read clean or
-    were rebuilt, for the layout to judge.
+    quarantined.
     """
     for directory in (spool.root, spool.pending_dir, spool.running_dir):
         _scan_tmp(directory, report, repair, tmp_age)
     _scan_quarantine(spool.root, report)
-    running = []
     for directory, names in ((spool.pending_dir, spool.pending()),
                              (spool.running_dir, spool.running())):
         for name in names:
-            fresh = rebuild(name) if rebuild is not None else None
-            valid = _check_record(directory / name, report, repair, schema,
-                                  rebuild=fresh, root=spool.root)
-            if directory == spool.running_dir and (valid or fresh):
-                running.append(name)
-    return running
+            _check_record(directory / name, report, repair, schema,
+                          rebuild=rebuild(name), root=spool.root)
 
 
 # ----------------------------------------------------------------------
@@ -303,39 +297,6 @@ def _fsck_service(root: Path, report: FsckReport, repair: bool,
                     and repair:
                 # Heartbeats are ephemeral: no point quarantining.
                 _remove(report.findings[-1], path)
-
-
-# ----------------------------------------------------------------------
-# Frontier spool layout
-# ----------------------------------------------------------------------
-
-def _fsck_frontier(root: Path, report: FsckReport, repair: bool,
-                   tmp_age: float) -> None:
-    from ..modelcheck.frontier import load_done
-    done = load_done(root)
-    spool = Spool(root)
-    for name in _fsck_spool(spool, report, repair, tmp_age,
-                            "frontier-record"):
-        # A claimed record reruns, unless it is already done.
-        redo = name[:-5] not in done
-        finding = report.add("dangling-running", spool.running_dir / name,
-                             "claimed frontier record"
-                             + ("" if redo else " (already done)"))
-        if repair and redo:
-            finding.repaired = spool.requeue(name)
-            finding.action = "requeued"
-        elif repair:
-            _remove(finding, spool.running_dir / name)
-    _scan_records(root / "visited", report, repair, tmp_age,
-                  "frontier-claim", root=root)
-    _scan_records(root / "terminals", report, repair, tmp_age,
-                  "frontier-terminal", root=root)
-    _scan_records(root / "prov", report, repair, tmp_age, root=root)
-    # Root-level singletons: meta and violation.
-    for path, schema in ((root / "meta.json", "frontier-meta"),
-                         (root / "violation.json", None)):
-        if path.exists():
-            _check_record(path, report, repair, schema, root=root)
 
 
 __all__ = ["Finding", "FsckReport", "PROBLEM_KINDS", "detect_layout",

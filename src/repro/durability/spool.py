@@ -1,9 +1,8 @@
 """The one durable spool: a pending/running directory pair of entries.
 
-Both work queues in the repo are spools — the service's job queue
-(:class:`~repro.service.queue.DiskQueue`) and the model checker's
-spool frontier (:class:`~repro.modelcheck.frontier.DiskFrontier`) —
-and ``repro fsck`` scans both through this class.  The layout::
+The service's job queue (:class:`~repro.service.queue.DiskQueue`) is
+built on it, and ``repro fsck`` scans that queue through this class.
+The layout::
 
     <root>/pending/<name>.json     waiting to be claimed
     <root>/running/<name>.json     claimed by some process
@@ -13,11 +12,11 @@ An entry is always in exactly one of the two directories, and every
 move between them is one atomic ``os.rename``.  So, with no locks and
 no daemon, a claim is race-free (of many processes renaming one
 pending entry, exactly one succeeds); a dead claimer's entry waits in
-``running/`` for :meth:`Spool.recover` or the owner's requeue/ack
-policy; and the directory listing *is* the spool's state, so a restart
-recovers it from filenames alone.  A claim stamps the entry's mtime,
-so :meth:`Spool.running_age` is the time since the claim, not since
-the write.  Entry names and payloads belong to the client.
+``running/`` for the owner's requeue/ack policy; and the directory
+listing *is* the spool's state, so a restart recovers it from
+filenames alone.  A claim stamps the entry's mtime, so
+:meth:`Spool.running_age` is the time since the claim, not since the
+write.  Entry names and payloads belong to the client.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from .faultyfs import NULL_FS
 from .records import (quarantine_count, read_or_quarantine, sweep_tmp,
@@ -36,7 +35,7 @@ class Spool:
     """A pending/running spool at ``root`` (see module docstring).  The
     constructor touches nothing on disk (``repro fsck`` scans through
     it read-only); :meth:`open` creates the directories and sweeps
-    crash-orphaned tmp files, as every owning store does."""
+    crash-orphaned tmp files, as its owning store does."""
 
     def __init__(self, root, fs=NULL_FS, fsync: bool = False) -> None:
         self.root = Path(root)
@@ -103,18 +102,6 @@ class Spool:
         except OSError:
             return False
         return True
-
-    def recover(self, keep: Callable[[str], bool]) -> int:
-        """Settle every running entry (a dead claimer's leftovers):
-        requeue those ``keep`` accepts, drop the rest.  Returns how many
-        were requeued."""
-        requeued = 0
-        for name in self.running():
-            if keep(name):
-                requeued += self.requeue(name)
-            else:
-                self.ack(name)
-        return requeued
 
     def running_age(self, name: str) -> Optional[float]:
         """Seconds since the entry was claimed; ``None`` if gone."""

@@ -22,8 +22,9 @@ checks protocol invariants after every atomic step.  The pieces:
   state spaces too large to exhaust;
 * :mod:`~repro.modelcheck.por` — partial-order reduction (sleep sets
   and a persistent-set provider over action footprints);
-* :mod:`~repro.modelcheck.frontier` — in-memory and spool-dir
-  frontier stores; a spooled check resumes after a kill;
+* :mod:`~repro.modelcheck.frontier` — the in-memory frontier store,
+  and its subclass checkpointed to a spool dir, from which a killed
+  check resumes;
 * :mod:`~repro.modelcheck.litmus` — the cross-model litmus corpus
   lowered to fixed-shape scenarios (``lit:IRIW`` etc.).
 """

@@ -40,10 +40,10 @@ Two orthogonal extensions ride on the same loop:
   (:mod:`repro.modelcheck.por`), sleep sets prune commuting sibling
   orders, and the persistent-set provider drops whole conflict-free
   processes.  ``por="off"`` takes the exact pre-POR code path.
-* **a spool frontier** (``spool=...``): queue, visited set, terminal
-  markers and proviso bookkeeping live in a crash-safe spool directory
-  (:mod:`repro.modelcheck.frontier`), so a killed run resumes where it
-  stopped.
+* **a spool frontier** (``spool=...``): the in-memory frontier,
+  checkpointed now and then to one file in a spool directory
+  (:mod:`repro.modelcheck.frontier`), so a killed run resumes from its
+  last checkpoint and reports what an uninterrupted run reports.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from ..common.stats import NULL_STATS
 from ..cpu.trace import Trace
 from ..models import DEFAULT_MODEL, get_model
 from ..sim.system import System
-from .frontier import MemoryFrontier, make_record
+from .frontier import DiskFrontier, MemoryFrontier, make_record
 from .invariants import CheckContext, InvariantViolation
 from .observer import VisibilityObserver, store_order_pairs
 from .por import POR_MODES, describe_for, sleep_filter
@@ -521,13 +521,14 @@ def job_meta(scenario_name: str, mechanism: str, *, cores: int, lines: int,
              max_depth: int, max_states: int, max_cycles: int,
              unsound: bool, machine: Optional[dict], model: str,
              por: str) -> dict:
-    """The job parameters a spool carries, so a resumed run can
-    reconstruct the exact check."""
+    """The job parameters a spool's checkpoint carries: a resume must
+    ask for the same check (``machine`` as its non-default entries, so
+    an explicit default machine is the same check as none)."""
     return {"scenario": scenario_name, "mechanism": mechanism,
             "cores": cores, "lines": lines, "max_depth": max_depth,
             "max_states": max_states, "max_cycles": max_cycles,
-            "unsound": unsound, "machine": machine, "model": model,
-            "por": por}
+            "unsound": unsound, "machine": machine_overrides(machine),
+            "model": model, "por": por}
 
 
 def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
@@ -544,8 +545,10 @@ def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
     checks can run on sharded/non-uniform layouts.
 
     ``por`` selects the partial-order reduction ("off", "sleep" or
-    "persistent"); ``spool`` (a directory path) keeps the frontier on
-    disk — re-running with the same spool resumes a killed check.
+    "persistent"); ``spool`` (a directory path) checkpoints the frontier
+    there — re-running the same check with the same spool resumes a
+    killed one, and a spool holding another check raises
+    :class:`~repro.common.errors.ReproError`.
     """
     if por not in POR_MODES:
         raise ValueError(
@@ -556,11 +559,10 @@ def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
                          machine=machine, model=model, por=por)
     report = runner.report
     if store is None:
-        if spool is not None:
-            from .frontier import DiskFrontier
-            store = DiskFrontier(spool)
-        else:
-            store = MemoryFrontier()
+        store = MemoryFrontier() if spool is None else DiskFrontier(spool)
+    spooled = isinstance(store, DiskFrontier)
+    if spooled:
+        store.report = report     # its checkpoints carry the counters
     store.seed(job_meta(scenario_name, mechanism, cores=runner.cores,
                         lines=runner.lines, max_depth=max_depth,
                         max_states=max_states, max_cycles=max_cycles,
@@ -576,14 +578,18 @@ def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
 
     drain_frontier(store, runner, report, por=por, max_depth=max_depth,
                    max_states=max_states, on_violation=minimise_violation)
+    if spooled:
+        store.checkpoint()
     if report.violation is None:
         stored = store.get_violation()
         if stored is not None:
-            # A previous (killed) run found the violation; reproduce
-            # and minimise it here.
-            outcome = runner(tuple(stored["taken"]), False)
-            if outcome.kind == "violation":
-                report.violation = _minimise(outcome, runner)
+            # A killed run found the violation and checkpointed it;
+            # minimise it here, with the runs the killed one would
+            # have made.
+            report.violation = _minimise(RunOutcome(
+                "violation", invariant=stored["invariant"],
+                message=stored["message"], taken=tuple(stored["taken"])),
+                runner)
     finalise_report(report, store, start)
     return report
 

@@ -1,44 +1,54 @@
 """Frontier stores: where the BFS keeps its queue, visited set and
-bookkeeping — in memory (the default) or on disk (a spool).
+bookkeeping — in memory (the default), or in memory and checkpointed
+to a spool directory.
 
-The disk store makes a model-check run *resumable*.  Its queue is a
-:class:`repro.durability.spool.Spool` — the one place the claim
-(rename) / ack / requeue / recover protocol lives — and the rest of its
-state is small record files, created by an atomic rename or, where
-first-writer-wins matters, an ``os.link``.  So a SIGKILL at any instant
-loses no work: ``recover()`` renames the ``running/`` leftovers back to
-``pending/`` and the redo is idempotent (record names, visited claims,
-terminal markers and proviso markers are all deterministic functions of
-their content).
+:class:`MemoryFrontier` is a deque plus dicts; with POR off its
+pop/push order is exactly the pre-POR explorer's BFS, which keeps
+``--por off`` bit-identical.
 
-A spool has one consumer: the process that opened it.  So the store
-lists ``pending/`` when it opens and after ``recover()``, and from then
-on keeps the sorted listing in memory — its own pushes are the only
-records that arrive.
-
-Determinism: record names are ``<depth>-<sha1(prefix)>``, pending
-drains in sorted-name order, and every marker is content-addressed —
-so a killed-and-resumed run visits exactly the states an uninterrupted
-run visits (``tests/test_frontier_resume.py`` pins this).
-
-The in-memory store presents the identical interface over a deque and
-dicts; with POR off its pop/push order is exactly the pre-POR
-explorer's BFS, which keeps ``--por off`` bit-identical.
+:class:`DiskFrontier` makes a model-check run *resumable*.  It is the
+in-memory store plus one file, ``<spool>/checkpoint.json``: the job
+meta, the queue in FIFO order, the visited keys with their sleep sets,
+the terminals, the proviso entries, the violation and the report's
+counters, written as one checksummed record through
+:func:`~repro.durability.records.write_record` (a tmp file, then one
+atomic rename).  It writes one when it is seeded, when a violation is
+stored, when the drain ends, and otherwise at an ack once
+:data:`CHECKPOINT_INTERVAL` seconds have passed since the last.  A
+resume loads the checkpoint and keeps draining.  Every checkpoint
+falls between two settled records and a check is deterministic, so a
+kill costs at most one interval of redone work and never changes a
+result (``tests/test_frontier_resume.py`` pins this).  A spool pops in
+the same order as memory, so the two stores report alike.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
-import os
+import time
 from collections import deque
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from types import SimpleNamespace
+from typing import Dict, Optional, Tuple
 
+from ..common.errors import ReproError
 from ..durability.faultyfs import NULL_FS
-from ..durability.records import sweep_tmp
-from ..durability.spool import Spool
+from ..durability.records import (quarantine_count, read_or_quarantine,
+                                 sweep_tmp, write_record)
+
+#: Seconds between two checkpoints written at an ack: about the most
+#: work a kill costs.
+CHECKPOINT_INTERVAL = 1.0
+
+#: A checkpoint also waits this many times as long as the last one
+#: took to write, so writes stay under about 5% of the wall time however
+#: large the frontier grows.
+CHECKPOINT_STRETCH = 20.0
+
+#: The report counters a checkpoint carries.
+_COUNTERS = ("executions", "resumed", "truncated")
+
 
 #: Signature tuples survive a JSON round-trip as lists; normalise back.
 def _sig(raw) -> Tuple:
@@ -62,24 +72,12 @@ def make_record(prefix, sleep=(), parent: Optional[str] = None,
             "parent": parent, "full": full}
 
 
-def load_done(root) -> Set[str]:
-    """Every record id acked into a ``done-<pid>.log`` under ``root``."""
-    done: Set[str] = set()
-    for log in Path(root).glob("done-*.log"):
-        try:
-            done.update(line for line in log.read_text().splitlines()
-                        if line)
-        except OSError:
-            continue
-    return done
-
-
 def _load_record(payload: dict) -> dict:
     return {"id": payload["id"],
             "prefix": tuple(payload["prefix"]),
             "sleep": tuple(_sig(s) for s in payload["sleep"]),
-            "parent": payload.get("parent"),
-            "full": bool(payload.get("full"))}
+            "parent": payload["parent"],
+            "full": payload["full"]}
 
 
 class MemoryFrontier:
@@ -113,9 +111,6 @@ class MemoryFrontier:
 
     def ack(self, record: dict) -> None:
         pass
-
-    def recover(self) -> int:
-        return 0
 
     # -- visited claims ------------------------------------------------------
     def claim(self, key: str, owner: str, sleep) -> str:
@@ -171,197 +166,100 @@ class MemoryFrontier:
         return self._violation
 
 
-class DiskFrontier:
-    """A crash-safe frontier over a spool directory, with one
-    consumer: the process that opened it."""
+class DiskFrontier(MemoryFrontier):
+    """The in-memory store, checkpointed to ``<root>/checkpoint.json``
+    (see the module docstring).  A spool has one owner: the process
+    that opened it."""
 
     def __init__(self, root, fs=NULL_FS, fsync: bool = False) -> None:
+        super().__init__()
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.path = self.root / "checkpoint.json"
+        self.fs = fs
+        self.fsync = fsync
         # No other process writes here, so every tmp file found on open
         # is a killed run's: swept whatever its age.
-        self.spool = Spool.open(root, fs=fs, fsync=fsync, sweep_age=0.0)
-        self.root = self.spool.root
-        self.visited_dir = self.root / "visited"
-        self.terminal_dir = self.root / "terminals"
-        self.prov_dir = self.root / "prov"
         #: Orphaned tmp files reclaimed on open.
-        self.tmp_swept = self.spool.tmp_swept
-        for directory in (self.visited_dir, self.terminal_dir,
-                          self.prov_dir):
-            directory.mkdir(exist_ok=True)
-            self.tmp_swept += sweep_tmp(directory, max_age=0.0)
-        self._done = load_done(self.root)
-        self._done_log = self.root / f"done-{os.getpid()}.log"
-        #: ``pending/`` in claim order, and the names popped but not
-        #: yet acked.
-        self._pending = self.spool.pending()
-        self._claimed: Set[str] = set()
+        self.tmp_swept = sweep_tmp(self.root, max_age=0.0)
+        #: The report whose counters a checkpoint carries and a resume
+        #: restores; :func:`~repro.modelcheck.explorer.explore` binds
+        #: its own before seeding.
+        self.report = SimpleNamespace(executions=0, resumed=0,
+                                      truncated=False)
+        self._meta: Optional[dict] = None
+        self._due = 0.0
+        #: Set once a checkpoint holding the violation is written: the
+        #: search ended there, so later states are not persisted.
+        self._final = False
 
     def quarantined(self) -> int:
-        """Corrupt records moved aside so far (counted from disk)."""
-        return self.spool.quarantined()
+        """Corrupt checkpoints moved aside so far (counted from disk)."""
+        return quarantine_count(self.root)
 
-    # -- queue ---------------------------------------------------------------
     def seed(self, meta: dict, record: dict) -> bool:
-        """Write job metadata and the root record, or — when the spool
-        already holds a run — recover it instead.  Returns True when
-        resuming."""
-        meta_path = self.root / "meta.json"
-        if meta_path.exists():
-            self.recover()
-            return True
-        # Root record first, meta last: meta.json is the commit point
-        # a resume keys on, so it must never exist before the work it
-        # promises.  (The reverse order had a crash window that left a
-        # spool which "resumed" to an instantly-complete empty run.)
-        self.push(record)
-        self.spool.write(meta_path, "frontier-meta", meta)
-        return False
-
-    def meta(self) -> Optional[dict]:
-        return self.spool.read(self.root / "meta.json")
-
-    def queue_empty(self) -> bool:
-        return not self._pending
-
-    def backlog(self) -> int:
-        """Pending records: roughly how many pop before one pushed now
-        (pending drains in name order, so deeper records wait for the
-        shallower ones queued after them)."""
-        return len(self._pending)
-
-    def push(self, record: dict) -> bool:
-        """Queue ``record``; False when it is already queued, claimed or
-        done (a crash redo)."""
-        name = record["id"] + ".json"
-        index = bisect.bisect_left(self._pending, name)
-        if (record["id"] in self._done or name in self._claimed
-                or self._pending[index:index + 1] == [name]):
+        """Restore the spool's checkpoint, or start the check at
+        ``record`` and write its first one.  Returns True when
+        resuming.  A checkpoint of another check raises
+        :class:`ReproError`; a corrupt one is quarantined and the check
+        starts again from ``record``."""
+        state = read_or_quarantine(self.path, "frontier-checkpoint",
+                                   root=self.root)
+        self._meta = meta
+        if state is None:
+            super().seed(meta, record)
+            self.checkpoint()
             return False
-        payload = dict(record)
-        payload["prefix"] = list(record["prefix"])
-        payload["sleep"] = [list(s) for s in record["sleep"]]
-        self.spool.write(self.spool.pending_dir / name, "frontier-record",
-                         payload)
-        self._pending.insert(index, name)
+        stored = state["meta"]
+        differ = sorted(name for name in set(meta) | set(stored)
+                        if meta.get(name) != stored.get(name))
+        if differ:
+            raise ReproError(
+                f"spool {self.root} holds another check: "
+                + ", ".join(f"{name} {stored.get(name)!r} (this check: "
+                            f"{meta.get(name)!r})" for name in differ))
+        self._queue.extend(_load_record(raw) for raw in state["queue"])
+        self._visited = {key: _sleep_set(sleep)
+                         for key, sleep in state["visited"].items()}
+        self._terminals = state["terminals"]
+        self._prov = {key: dict(entry, prefix=tuple(entry["prefix"]),
+                                resolved=set(entry["resolved"]))
+                      for key, entry in state["prov"].items()}
+        self._violation = state["violation"]
+        self._final = self._violation is not None
+        for name in _COUNTERS:
+            setattr(self.report, name, state["report"][name])
         return True
 
-    def pop(self) -> Optional[dict]:
-        while self._pending:
-            name = self._pending.pop(0)
-            if not self.spool.claim(name):
-                continue      # gone from disk
-            payload = self.spool.read(self.spool.running_dir / name,
-                                      "frontier-record")
-            if payload is None or payload["id"] in self._done:
-                # A stale duplicate of an already-finished record —
-                # or a corrupt one, which the read has quarantined
-                # (kept for fsck rather than silently unlinked).
-                self.spool.ack(name)
-                continue
-            self._claimed.add(name)
-            return _load_record(payload)
-        return None
+    def checkpoint(self) -> None:
+        """Write the whole frontier as one record, replacing the last
+        (a no-op once the violation's checkpoint is written)."""
+        if self._final:
+            return
+        start = time.monotonic()
+        write_record(self.path, "frontier-checkpoint", {
+            "meta": self._meta,
+            "queue": list(self._queue),
+            "visited": {key: list(sleep)
+                        for key, sleep in self._visited.items()},
+            "terminals": self._terminals,
+            "prov": {key: dict(entry, resolved=sorted(entry["resolved"]))
+                     for key, entry in self._prov.items()},
+            "violation": self._violation,
+            "report": {name: getattr(self.report, name)
+                       for name in _COUNTERS},
+        }, fs=self.fs, fsync=self.fsync)
+        self._final = self._violation is not None
+        now = time.monotonic()
+        self._due = now + max(CHECKPOINT_INTERVAL,
+                              CHECKPOINT_STRETCH * (now - start))
 
     def ack(self, record: dict) -> None:
-        self._done.add(record["id"])
-        with open(self._done_log, "a") as log:
-            log.write(record["id"] + "\n")
-        name = record["id"] + ".json"
-        self._claimed.discard(name)
-        self.spool.ack(name)
+        if time.monotonic() >= self._due:
+            self.checkpoint()
 
-    def recover(self) -> int:
-        """Requeue running leftovers (a killed run's claims); drop
-        those a done log already holds."""
-        self._done |= load_done(self.root)
-        requeued = self.spool.recover(
-            lambda name: name[:-5] not in self._done)
-        self._pending = self.spool.pending()
-        self._claimed.clear()
-        return requeued
-
-    # -- visited claims ------------------------------------------------------
-    def _claim_path(self, key: str) -> Path:
-        return self.visited_dir / f"k-{key}.json"
-
-    def claim(self, key: str, owner: str, sleep) -> str:
-        payload = {"key": key, "owner": owner,
-                   "sleep": [list(s) for s in sorted(frozenset(sleep))]}
-        if self.spool.write(self._claim_path(key), "frontier-claim",
-                            payload, exclusive=True):
-            return "new"
-        existing = self.spool.read(self._claim_path(key), "frontier-claim")
-        if existing is None:
-            # The claim was corrupt and has just been quarantined: the
-            # key is unclaimed again — retake it so the state is not
-            # silently skipped.
-            if self.spool.write(self._claim_path(key), "frontier-claim",
-                                payload, exclusive=True):
-                return "new"
-        elif existing.get("owner") == owner:
-            return "ours"     # crash redo of our own expansion
-        return "seen"
-
-    def _records(self, directory: Path, pattern: str = "*.json"):
-        """The readable records matching ``pattern`` (a corrupt one is
-        quarantined and skipped)."""
-        for path in directory.glob(pattern):
-            payload = self.spool.read(path)
-            if payload is not None:
-                yield payload
-
-    def get_sleep(self, key: str) -> Optional[frozenset]:
-        payload = self.spool.read(self._claim_path(key))
-        if payload is None:
-            return None
-        return _sleep_set(payload.get("sleep", []))
-
-    def set_sleep(self, key: str, sleep) -> None:
-        payload = self.spool.read(self._claim_path(key)) \
-            or {"key": key, "owner": ""}
-        payload["sleep"] = [list(s) for s in sorted(frozenset(sleep))]
-        self.spool.write(self._claim_path(key), "frontier-claim", payload)
-
-    def visited_count(self) -> int:
-        return sum(1 for name in os.listdir(self.visited_dir)
-                   if name.startswith("k-") and name.endswith(".json"))
-
-    # -- terminal states -----------------------------------------------------
-    def terminal(self, record_id: str, key: str) -> None:
-        self.spool.write(self.terminal_dir / f"t-{record_id}.json",
-                         "frontier-terminal", {"key": key}, exclusive=True)
-
-    def terminal_stats(self) -> Tuple[int, Tuple[str, ...]]:
-        keys = [payload["key"] for payload in self._records(self.terminal_dir)]
-        return len(keys), tuple(sorted(set(keys)))
-
-    # -- proviso -------------------------------------------------------------
-    def proviso_open(self, key: str, expect: int, prefix) -> None:
-        self.spool.write(self.prov_dir / f"p-{key}.json", "frontier-prov",
-                         {"expect": expect, "prefix": list(prefix)},
-                         exclusive=True)
-
-    def proviso_resolve(self, key: str, child_id: str,
-                        fresh: bool) -> Optional[tuple]:
-        self.spool.write(self.prov_dir / f"m-{key}-{child_id}.json",
-                         "frontier-prov", {"fresh": fresh}, exclusive=True)
-        head = self.spool.read(self.prov_dir / f"p-{key}.json")
-        if head is None:
-            return None
-        markers = list(self._records(self.prov_dir, f"m-{key}-*.json"))
-        if len(markers) < head["expect"] \
-                or any(marker.get("fresh", False) for marker in markers):
-            return None
-        if self.spool.write(self.prov_dir / f"r-{key}.json", "frontier-prov",
-                            {}, exclusive=True):
-            return tuple(head["prefix"])
-        return None
-
-    # -- violation -----------------------------------------------------------
     def set_violation(self, payload: dict) -> bool:
-        return self.spool.write(self.root / "violation.json",
-                                "frontier-violation", payload,
-                                exclusive=True)
-
-    def get_violation(self) -> Optional[dict]:
-        return self.spool.read(self.root / "violation.json")
+        if not super().set_violation(payload):
+            return False
+        self.checkpoint()         # the last: the search stops here
+        return True

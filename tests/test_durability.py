@@ -358,9 +358,8 @@ class TestFsck:
         from repro.modelcheck import explore
         spool = tmp_path / "spool"
         explore("sb", "tus", cores=2, lines=1, spool=spool)
-        victims = sorted((spool / "terminals").glob("*.json"))
-        corrupt_file(victims[0], seed=3)
-        stale = spool / "pending" / "x.json.tmp1"
+        corrupt_file(spool / "checkpoint.json", seed=3)
+        stale = spool / "checkpoint.json.tmp1"
         stale.write_text("partial")
 
         detect = fsck(spool, repair=False, tmp_age=0.0)
@@ -369,6 +368,9 @@ class TestFsck:
         assert kinds["corrupt"] == 1 and kinds["tmp-orphan"] == 1
         assert fsck(spool, repair=True, tmp_age=0.0).clean
         assert fsck(spool, repair=False, tmp_age=0.0).clean
+        # The quarantined checkpoint costs work, not coverage.
+        rerun = explore("sb", "tus", cores=2, lines=1, spool=spool)
+        assert rerun.complete and (spool / "checkpoint.json").exists()
 
     def test_missing_root_is_a_problem_not_a_crash(self, tmp_path):
         report = fsck(tmp_path / "nope")

@@ -1,12 +1,13 @@
-"""Spool-frontier semantics: crash safety and resume.
+"""Spool-frontier semantics: checkpoints, crash safety and resume.
 
 Mirrors ``test_resilience.py`` for the model checker: a check driven
 through a spool directory must survive SIGKILL at an arbitrary instant
-— resuming from the spool yields the same verdict, unique-state count
-and counterexample as a run that was never interrupted — and a spooled
-run must match the in-memory one.
+— resuming from the spool's checkpoint yields the report of a run that
+was never interrupted, counterexample included — and a spooled run
+must report exactly what the in-memory one reports.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,15 +16,42 @@ from pathlib import Path
 
 import pytest
 
-from repro.modelcheck import DiskFrontier, MemoryFrontier, explore
+from repro.cli import main
+from repro.common.errors import ReproError
+from repro.durability import (FSFaultConfig, FaultyFS, InjectedCrash,
+                              read_record)
+from repro.modelcheck import DiskFrontier, MemoryFrontier, explore, frontier
+from repro.modelcheck.explorer import CheckRunner
 from repro.modelcheck.frontier import make_record
 
 _CHILD = """
 import sys
-from repro.modelcheck import explore
+from repro.modelcheck import explore, frontier
+frontier.CHECKPOINT_INTERVAL = 0.0    # as often as the stretch allows
 explore("overlap", "tus", cores=2, lines=2,
         unsound=sys.argv[2] == "1", spool=sys.argv[1])
 """
+
+
+def _fields(report) -> dict:
+    """Every field of a report but its wall time."""
+    fields = dataclasses.asdict(report)
+    del fields["wall_seconds"]
+    return fields
+
+
+def _resumable(report) -> dict:
+    """What a resumed check must reproduce: every field but the wall
+    time and ``resumed`` (a kill loses the kept outcomes, so their
+    records are replayed instead)."""
+    fields = _fields(report)
+    del fields["resumed"]
+    return fields
+
+
+def _checkpoint(spool) -> dict:
+    return read_record(Path(spool) / "checkpoint.json",
+                       "frontier-checkpoint")
 
 
 def _spawn(spool: Path, unsound: bool) -> subprocess.Popen:
@@ -36,25 +64,39 @@ def _spawn(spool: Path, unsound: bool) -> subprocess.Popen:
 
 
 def _kill_mid_run(spool: Path, unsound: bool = False,
-                  after_visited: int = 5) -> None:
-    """Run the child until the spool shows real progress, then SIGKILL
-    it.  If the child finishes first the resume below degrades to a
-    no-op drain, which must still produce identical results."""
+                  after_executions: int = 5) -> None:
+    """Run the child until its spool holds a checkpoint newer than the
+    seed's (one counting ``after_executions``), then SIGKILL it.  If
+    the child finishes first the resume below degrades to a no-op
+    drain, which must still produce identical results."""
     child = _spawn(spool, unsound)
-    visited = spool / "visited"
     deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        if child.poll() is not None:
-            return
-        try:
-            count = len(os.listdir(visited))
-        except FileNotFoundError:
-            count = 0
-        if count >= after_visited:
+    while time.monotonic() < deadline and child.poll() is None:
+        state = _checkpoint(spool)
+        if state is not None \
+                and state["report"]["executions"] >= after_executions:
             break
         time.sleep(0.01)
     child.kill()
     child.wait()
+
+
+class _Crash(Exception):
+    """A simulated process death."""
+
+
+def _crash_at_ack(monkeypatch, acks: int) -> None:
+    """Make the ``acks``-th ack die right after it returns."""
+    real = DiskFrontier.ack
+    count = [0]
+
+    def ack(self, record):
+        real(self, record)
+        count[0] += 1
+        if count[0] == acks:
+            raise _Crash(acks)
+
+    monkeypatch.setattr(DiskFrontier, "ack", ack)
 
 
 class TestKillResume:
@@ -66,78 +108,113 @@ class TestKillResume:
         _kill_mid_run(spool)
         resumed = explore("overlap", "tus", cores=2, lines=2,
                           spool=spool)
-        assert resumed.complete
-        assert resumed.violation is None
-        assert resumed.unique_states == reference.unique_states
-        assert resumed.terminal_states == reference.terminal_states
-        assert resumed.terminal_fingerprint == \
-            reference.terminal_fingerprint
+        assert _resumable(resumed) == _resumable(reference)
 
     def test_resume_reproduces_the_counterexample(self, tmp_path):
         reference = explore("overlap", "tus", cores=2, lines=2,
                             unsound=True, spool=tmp_path / "ref")
         assert reference.violation is not None
         spool = tmp_path / "killed"
-        _kill_mid_run(spool, unsound=True, after_visited=3)
+        _kill_mid_run(spool, unsound=True, after_executions=3)
         resumed = explore("overlap", "tus", cores=2, lines=2,
                           unsound=True, spool=spool)
-        assert resumed.violation is not None
-        assert resumed.violation.invariant == \
-            reference.violation.invariant
-        assert resumed.violation.schedule == \
-            reference.violation.schedule
+        assert _resumable(resumed) == _resumable(reference)
 
     @pytest.mark.parametrize("por", ["off", "sleep", "persistent"])
     def test_disk_run_matches_memory_run(self, tmp_path, por):
-        # Sleep sets and proviso records round-trip through the spool.
-        memory = explore("overlap", "tus", cores=2, lines=2, por=por)
-        disk = explore("overlap", "tus", cores=2, lines=2, por=por,
-                       spool=tmp_path / "spool")
-        assert (disk.unique_states, disk.terminal_fingerprint,
-                disk.complete) == \
-            (memory.unique_states, memory.terminal_fingerprint, True)
+        # Sleep sets and proviso entries round-trip through the spool,
+        # and both stores pop in the same FIFO order.
+        for scenario in ("overlap", "sb"):
+            memory = explore(scenario, "tus", cores=2, lines=2, por=por)
+            disk = explore(scenario, "tus", cores=2, lines=2, por=por,
+                           spool=tmp_path / scenario)
+            assert memory.complete
+            assert _fields(disk) == _fields(memory)
 
     def test_disk_run_resumes_like_memory_run(self, tmp_path):
-        # Both stores serve records by resumption, and with POR off
-        # their different pop orders still evaluate the same records.
+        # Both stores serve records by resumption, the same records.
         memory = explore("sb", "tus", cores=2, lines=2)
         disk = explore("sb", "tus", cores=2, lines=2,
                        spool=tmp_path / "spool")
-        assert disk.resumed > 0 and memory.resumed > 0
-        assert (disk.executions, disk.unique_states, disk.terminal_states,
-                disk.terminal_fingerprint) == \
-            (memory.executions, memory.unique_states,
-             memory.terminal_states, memory.terminal_fingerprint)
+        assert disk.resumed > 0
+        assert _fields(disk) == _fields(memory)
 
-    def test_spool_lists_pending_once_per_record(self, tmp_path,
+    def test_resuming_a_finished_spool_is_a_noop(self, tmp_path,
                                                  monkeypatch):
-        from repro.durability.spool import Spool
-        listings = [0]
-        real = Spool.pending
-
-        def counted(self):
-            listings[0] += 1
-            return real(self)
-
-        memory = explore("overlap", "tus", cores=2, lines=2)
-        monkeypatch.setattr(Spool, "pending", counted)
-        disk = explore("overlap", "tus", cores=2, lines=2,
-                       spool=tmp_path / "spool")
-        # The store lists pending/ when it opens and after a recover;
-        # the rest of the run keeps the listing in memory.
-        assert listings[0] <= 2
-        assert (disk.unique_states, disk.terminal_fingerprint,
-                disk.complete) == \
-            (memory.unique_states, memory.terminal_fingerprint, True)
-
-    def test_resuming_a_finished_spool_is_a_noop(self, tmp_path):
         spool = tmp_path / "spool"
         first = explore("overlap", "tus", cores=2, lines=2, spool=spool)
+        runs = []
+        real = CheckRunner.run
+        monkeypatch.setattr(CheckRunner, "run", lambda self, *args: (
+            runs.append(args) or real(self, *args)))
         again = explore("overlap", "tus", cores=2, lines=2, spool=spool)
-        assert again.complete
-        assert again.unique_states == first.unique_states
-        assert again.terminal_fingerprint == first.terminal_fingerprint
-        assert again.executions <= 1   # nothing left to expand
+        assert runs == []                  # nothing left to expand
+        assert _fields(again) == _fields(first)
+
+    def test_spool_of_another_check_is_refused(self, tmp_path, capsys):
+        spool = tmp_path / "spool"
+        explore("sb", "tus", cores=2, lines=2, spool=spool)
+        with pytest.raises(ReproError, match="scenario 'sb'"):
+            explore("overlap", "tus", cores=2, lines=2, spool=spool)
+        with pytest.raises(ReproError, match="por 'off'") as refused:
+            explore("sb", "tus", cores=2, lines=2, por="sleep",
+                    spool=spool)
+        assert "scenario" not in str(refused.value)
+        assert main(["check", "--scenario", "overlap", "--mechanism",
+                     "tus", "--cores", "2", "--lines", "2",
+                     "--spool", str(spool)]) != 0
+        assert "holds another check: scenario 'sb'" in \
+            capsys.readouterr().out
+        # The spool still holds the sb check, untouched.
+        assert _checkpoint(spool)["meta"]["scenario"] == "sb"
+
+    def test_same_machine_spelled_out_is_the_same_check(self, tmp_path):
+        spool = tmp_path / "spool"
+        first = explore("sb", "tus", cores=2, lines=1, spool=spool)
+        again = explore("sb", "tus", cores=2, lines=1, spool=spool,
+                        machine={"topology": "p2p", "dir_shards": 1})
+        assert _fields(again) == _fields(first)
+
+
+class TestRestoreMidRun:
+    """Crash at an ack, resume from the last checkpoint: the report is
+    the uninterrupted one.  The interval is 0 here, so checkpoints
+    fall as often as the write-time stretch allows and the crashes
+    land at varied distances past one."""
+
+    @pytest.mark.parametrize("por,unsound", [
+        ("off", False), ("sleep", False), ("persistent", False),
+        ("off", True)])
+    def test_crash_at_an_ack_resumes_to_the_same_report(
+            self, tmp_path, monkeypatch, por, unsound):
+        monkeypatch.setattr(frontier, "CHECKPOINT_INTERVAL", 0.0)
+        kwargs = dict(cores=2, lines=2, por=por, unsound=unsound)
+        reference = explore("overlap", "tus", **kwargs)
+        assert (reference.violation is not None) == unsound
+        for acks in (1, 97, 430):
+            spool = tmp_path / f"crash-{acks}"
+            with monkeypatch.context() as patch:
+                _crash_at_ack(patch, acks)
+                with pytest.raises(_Crash):
+                    explore("overlap", "tus", spool=spool, **kwargs)
+            resumed = explore("overlap", "tus", spool=spool, **kwargs)
+            assert _resumable(resumed) == _resumable(reference), acks
+
+    def test_state_budget_holds_across_a_resume(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(frontier, "CHECKPOINT_INTERVAL", 0.0)
+        kwargs = dict(cores=2, lines=2, max_states=300)
+        reference = explore("overlap", "tus", **kwargs)
+        assert reference.truncated
+        spool = tmp_path / "spool"
+        with monkeypatch.context() as patch:
+            _crash_at_ack(patch, 150)
+            with pytest.raises(_Crash):
+                explore("overlap", "tus", spool=spool, **kwargs)
+        resumed = explore("overlap", "tus", spool=spool, **kwargs)
+        assert (resumed.unique_states, resumed.truncated) == \
+            (reference.unique_states, True)
+        assert _resumable(resumed) == _resumable(reference)
 
 
 class TestDiskFrontierUnit:
@@ -151,118 +228,84 @@ class TestDiskFrontierUnit:
         store = self._seeded(tmp_path)
         fresh = DiskFrontier(store.root)
         assert fresh.seed({"scenario": "sb"}, make_record(())) is True
-        assert fresh.meta() == {"scenario": "sb"}
+        assert _checkpoint(store.root)["meta"] == {"scenario": "sb"}
+        assert fresh.backlog() == 1
 
     def test_pop_claims_and_ack_retires(self, tmp_path):
         store = self._seeded(tmp_path)
         record = store.pop()
-        assert record["prefix"] == ()
-        assert store.queue_empty() and store.spool.running()
+        assert record["prefix"] == () and store.queue_empty()
+        # Popped but not settled: a kill now redoes it.
+        assert len(_checkpoint(store.root)["queue"]) == 1
         store.ack(record)
-        assert not store.spool.running()
-        # A duplicate push of a finished record is dropped.
-        store.push(make_record(()))
-        assert store.queue_empty()
+        store.checkpoint()
+        assert _checkpoint(store.root)["queue"] == []
 
     def test_push_reports_whether_it_queued(self, tmp_path):
         # The explorer continues a run only into a child the store
-        # took, so a refused duplicate must read as refused.
-        store = self._seeded(tmp_path)
-        child = make_record((1,))
-        assert store.push(child) is True
-        assert store.push(child) is False            # already pending
-        assert store.backlog() == 2
-        store.pop()                                  # the root
-        claimed = store.pop()
-        assert store.backlog() == 0
-        assert store.push(child) is False            # claimed
-        store.ack(claimed)
-        assert store.push(child) is False            # done
+        # took; both stores take every push and pop them FIFO.
+        disk = self._seeded(tmp_path)
         memory = MemoryFrontier()
-        assert memory.push(child) is True and memory.backlog() == 1
+        memory.seed({}, make_record(()))
+        for store in (disk, memory):
+            assert store.push(make_record((1,))) is True
+            assert store.push(make_record((0,))) is True
+            assert store.backlog() == 3
+            assert [store.pop()["prefix"] for _ in range(3)] == \
+                [(), (1,), (0,)]
+            assert store.backlog() == 0 and store.pop() is None
 
     def test_queue_is_kept_in_memory(self, tmp_path, monkeypatch):
-        # push answers "already queued?" without touching the disk, and
-        # the kept count is exactly what pending/ holds.
+        # Pushes and pops touch no disk; a checkpoint writes the queue
+        # in FIFO order.
         store = self._seeded(tmp_path)
-        pending = store.root / "pending"
-        real_exists = Path.exists
-        probed = []
-        monkeypatch.setattr(Path, "exists", lambda self, **kw: (
-            probed.append(self) or real_exists(self, **kw)))
+        writes = []
+        real = frontier.write_record
+        monkeypatch.setattr(frontier, "write_record", lambda *a, **k: (
+            writes.append(a[0]) or real(*a, **k)))
         for branch in range(4):
             assert store.push(make_record((branch,))) is True
-        assert store.push(make_record((2,))) is False
-        assert probed == []
-        monkeypatch.undo()
-        assert store.backlog() == len(os.listdir(pending)) == 5
-        order = [store.pop()["prefix"] for _ in range(3)]
-        assert order[0] == ()                       # shallowest first
-        assert store.backlog() == len(os.listdir(pending)) == 2
-        assert store.queue_empty() is False
+        store.pop()
+        assert writes == []
+        store.checkpoint()
+        assert len(writes) == 1
+        queue = _checkpoint(store.root)["queue"]
+        assert [tuple(raw["prefix"]) for raw in queue] == \
+            [(0,), (1,), (2,), (3,)]
 
     def test_recover_requeues_running_claims(self, tmp_path):
+        # A record popped but never acked (a crash) is queued again by
+        # the resume: the last checkpoint still holds it.
         store = self._seeded(tmp_path)
-        store.pop()                      # claimed, never acked (a crash)
+        store.pop()
         other = DiskFrontier(store.root)
-        assert other.recover() == 1
-        assert not other.queue_empty()
-        # A claim whose ack reached a done log but whose unlink did not
-        # (a crash between the two) is dropped, not requeued.
-        record = other.pop()
-        (store.root / "done-1.log").write_text(record["id"] + "\n")
-        assert DiskFrontier(store.root).recover() == 0
-        assert other.queue_empty() and not other.spool.running()
-
-    def test_claim_distinguishes_ours_from_seen(self, tmp_path):
-        store = self._seeded(tmp_path)
-        assert store.claim("k1", "owner-a", ()) == "new"
-        assert store.claim("k1", "owner-a", ()) == "ours"
-        assert store.claim("k1", "owner-b", ()) == "seen"
-        assert store.visited_count() == 1
+        assert other.seed({"scenario": "sb"}, make_record(())) is True
+        assert other.pop()["prefix"] == ()
+        assert other.queue_empty()
 
     def test_acked_owner_keeps_sleep_set(self, tmp_path):
-        # A claim is its one visited/k-<key>.json file, before and
-        # after its owner is acked.
         store = self._seeded(tmp_path)
         record = store.pop()
         sleep = frozenset({("core", 1, 0, 0, 0)})
         store.claim("k1", record["id"], sleep)
         store.ack(record)
-        assert store.get_sleep("k1") == sleep
-        assert store.visited_count() == 1
-        assert store.claim("k1", "other", ()) == "seen"
-        assert os.listdir(store.visited_dir) == ["k-k1.json"]
-
-    def test_visited_set_reads_only_claim_files(self, tmp_path,
-                                                monkeypatch):
-        store = self._seeded(tmp_path)
-        store.claim("k1", "owner-a", ())
-        # A stray file beside the claims is no part of the visited set.
-        (store.visited_dir / "seg-0.json").write_text(
-            '{"keys": {"k2": {"sleep": []}}}')
-        globbed, listed, read = [], [], []
-        real_glob, real_listdir, real_read = Path.glob, os.listdir, \
-            store.spool.read
-        monkeypatch.setattr(Path, "glob", lambda self, pattern: (
-            globbed.append(pattern) or real_glob(self, pattern)))
-        monkeypatch.setattr(os, "listdir", lambda path=".": (
-            listed.append(path) or real_listdir(path)))
-        monkeypatch.setattr(store.spool, "read", lambda path, *rest: (
-            read.append(Path(path).name) or real_read(path, *rest)))
-        assert store.claim("k1", "owner-b", ()) == "seen"
-        assert store.claim("k2", "owner-b", ()) == "new"
-        assert globbed == [] and listed == []       # no directory scan
-        assert store.get_sleep("k3") is None
-        assert store.visited_count() == 2
-        assert globbed == []
-        assert all(name.startswith("k-") for name in read)
+        store.checkpoint()
+        resumed = DiskFrontier(store.root)
+        resumed.seed({"scenario": "sb"}, make_record(()))
+        assert resumed.get_sleep("k1") == sleep
+        assert resumed.visited_count() == 1
+        assert resumed.claim("k1", "other", ()) == "seen"
 
     def test_violation_is_first_writer_wins(self, tmp_path):
         store = self._seeded(tmp_path)
         assert store.set_violation({"taken": [1]}) is True
         assert store.set_violation({"taken": [2]}) is False
         assert store.get_violation() == {"taken": [1]}
+        # Written at once; the search ended there, so nothing later is.
+        assert _checkpoint(store.root)["violation"] == {"taken": [1]}
+        store.push(make_record((1,)))
+        store.checkpoint()
+        assert len(_checkpoint(store.root)["queue"]) == 1
 
     def test_memory_frontier_mirrors_the_interface(self):
         store = MemoryFrontier()
@@ -275,62 +318,61 @@ class TestDiskFrontierUnit:
 
 
 # ----------------------------------------------------------------------
-# Crash consistency: corrupt spool records, seed ordering, tmp sweep
+# Crash consistency: a corrupt checkpoint, seed ordering, tmp sweep
 # ----------------------------------------------------------------------
-
-from repro.durability import FSFaultConfig, FaultyFS, InjectedCrash
-
 
 class TestFrontierDurability:
     def test_corrupt_record_quarantined_not_crash(self, tmp_path):
         store = DiskFrontier(tmp_path / "spool")
         store.seed({"scenario": "sb"}, make_record(()))
-        victim = next((store.root / "pending").glob("*.json"))
-        victim.write_bytes(b"\xff\x00 not json")
-        assert store.pop() is None        # skipped, not an exception
-        assert store.quarantined() == 1
-        qdir = store.root / "quarantine"
-        assert sum(1 for p in qdir.iterdir() if p.is_file()) == 1
+        store.path.write_bytes(b"\xff\x00 not json")
+        reopened = DiskFrontier(store.root)
+        # Moved aside, not an exception: the check starts over.
+        assert reopened.seed({"scenario": "sb"}, make_record(())) is False
+        assert reopened.quarantined() == 1
+        assert reopened.backlog() == 1
+        assert _checkpoint(store.root)["queue"]
 
-    def test_corrupt_pending_record_does_not_abort_resume(self, tmp_path):
+    def test_corrupt_checkpoint_restarts_from_the_root(self, tmp_path):
+        # Corruption may cost work, never coverage: a torn checkpoint
+        # is quarantined and the resume starts from the root.
+        reference = explore("overlap", "tus", cores=2, lines=2)
         spool = tmp_path / "spool"
         _kill_mid_run(spool)
-        pendings = sorted((spool / "pending").glob("*.json"))
-        if pendings:                      # the child may have finished
-            pendings[0].write_text("{torn")
+        (spool / "checkpoint.json").write_text("{torn")
         resumed = explore("overlap", "tus", cores=2, lines=2,
                           spool=spool)
-        assert resumed.complete           # quarantine, then carry on
-        if pendings:
-            assert (spool / "quarantine").is_dir()
+        assert (spool / "quarantine").is_dir()
+        assert (resumed.unique_states, resumed.terminal_fingerprint,
+                resumed.complete) == \
+            (reference.unique_states, reference.terminal_fingerprint, True)
+        assert _resumable(resumed) == _resumable(reference)
 
     def test_seed_crash_leaves_no_false_commit_point(self, tmp_path):
-        # meta.json is the resume commit point, so the root record
-        # must be durable first: a crash between the two writes must
-        # never produce a spool that "resumes" to an instantly-
-        # complete empty run.
+        # The checkpoint is the resume's commit point: a crash before
+        # the seed's lands must leave a spool that starts afresh, never
+        # one that "resumes" to an instantly-complete empty run.
         spool = tmp_path / "spool"
         shim = FaultyFS(0, FSFaultConfig(
-            ops=("crash-before-rename",), sites=("frontier-meta",),
+            ops=("crash-before-rename",), sites=("frontier-checkpoint",),
             site_budget=1))
         store = DiskFrontier(spool, fs=shim)
         with pytest.raises(InjectedCrash):
             store.seed({"scenario": "sb"}, make_record(()))
-        assert not (spool / "meta.json").exists()
-        assert len(list((spool / "pending").glob("*.json"))) == 1
+        assert not (spool / "checkpoint.json").exists()
         fresh = DiskFrontier(spool)
+        assert fresh.tmp_swept == 1
         assert fresh.seed({"scenario": "sb"}, make_record(())) is False
-        assert (spool / "meta.json").exists()
+        assert (spool / "checkpoint.json").exists()
         assert not fresh.queue_empty()
 
     def test_tmp_orphans_swept_on_open(self, tmp_path):
         spool = tmp_path / "spool"
         store = DiskFrontier(spool)
         store.seed({}, make_record(()))
-        # One consumer: a tmp file is a killed run's, however fresh.
-        stale = spool / "pending" / "x.json.tmp7"
+        # One owner: a tmp file is a killed run's, however fresh.
+        stale = spool / "checkpoint.json.tmp7"
         stale.write_text("partial")
-        (spool / "visited" / "k-k1.json.tmp7").write_text("partial")
         reopened = DiskFrontier(spool)
-        assert reopened.tmp_swept == 2
+        assert reopened.tmp_swept == 1
         assert not stale.exists()

@@ -2,12 +2,11 @@
 
 ``repro.durability.spool.Spool`` is the one place the pending/running
 protocol lives; the service queue (``tests/test_service.py``
-``TestDiskQueue``) and the durable frontier
-(``tests/test_frontier_resume.py`` ``TestDiskFrontierUnit``) test it
-through their clients (ack and requeue after an ack, recover's
-keep/drop rule, the claim clock, tmp sweep and quarantine).  This file
-pins what no client test reaches: exactly-once claims under real
-multi-process contention, and the read-only view fsck scans through.
+``TestDiskQueue``), its one client, tests it through the queue (ack
+and requeue after an ack, the claim clock, tmp sweep and quarantine).
+This file pins what no client test reaches: exactly-once claims under
+real multi-process contention, and the read-only view fsck scans
+through.
 """
 
 import multiprocessing
