@@ -368,6 +368,17 @@ class MemorySystem:
             return
         self.l3.allocate(addr, State.S, cycle)
 
+    def release(self) -> None:
+        """Drop every callback and back-reference the ports and the
+        in-flight transactions hold (see :meth:`System.release`)."""
+        self.inflight.clear()
+        for port in self.ports:
+            port.snoop_hook = port.fill_hook = port.hold_hook = None
+            port._pending.clear()
+            port._pass_end = None
+            port.mshrs.release()
+        self.ports = []
+
     # Convenience for tests -------------------------------------------------
     def port(self, core_id: int) -> "CorePort":
         return self.ports[core_id]

@@ -126,6 +126,8 @@ class EventQueue:
     def due_entries(self, cycle: int) -> List["_Entry"]:
         """Live entries scheduled at or before ``cycle``, in the order
         :meth:`run_until` would fire them.  The queue is not modified."""
+        if not self._cycles or self._cycles[0] > cycle:
+            return []
         buckets = self._buckets
         cycles = [c for c in buckets if c <= cycle]
         if len(cycles) > 1:
@@ -142,6 +144,12 @@ class EventQueue:
             raise ValueError("cannot fire a cancelled event")
         entry.fire()
         entry.cancelled = True
+
+    def clear(self) -> None:
+        """Drop every pending event, and the callback each one holds."""
+        self._buckets.clear()
+        self._cycles.clear()
+        self._live = 0
 
     def pending(self) -> List["_Entry"]:
         """All live entries (no particular order); for state hashing."""

@@ -36,11 +36,7 @@ def group_id_map(ids) -> dict:
     path-dependent; two behaviourally identical states reached by
     different schedules would hash differently without this.
     """
-    mapping: dict = {}
-    for gid in ids:
-        if gid not in mapping:
-            mapping[gid] = len(mapping)
-    return mapping
+    return {gid: index for index, gid in enumerate(dict.fromkeys(ids))}
 
 
 class StoreMechanism:
@@ -123,7 +119,9 @@ class StoreMechanism:
     def modelcheck_state(self) -> Tuple:
         """Hashable snapshot of the mechanism's post-SB structures, used
         in the model checker's canonical state key.  Must cover every
-        bit of state that influences future behaviour."""
+        bit of state that influences future behaviour, as nested tuples
+        of ints, bools, strings and None in a deterministic order: the
+        key hashes its ``repr`` as it is."""
         return ()
 
     def footprint_lines(self) -> Tuple[int, ...]:
@@ -276,8 +274,8 @@ class CoalescingMechanism(PrefetchAtCommit):
     def _wcb_state(self, groups: dict) -> Tuple:
         """The WCB part of :meth:`modelcheck_state`, with atomic-group
         ids renumbered through ``groups`` (a :func:`group_id_map`)."""
-        return (tuple((entry.addr, entry.mask, groups[entry.group])
-                      for entry in self.wcb.buffers),
+        return (tuple([(entry.addr, entry.mask, groups[entry.group])
+                       for entry in self.wcb.buffers]),
                 self.wcb._last_written)
 
     def modelcheck_state(self) -> Tuple:

@@ -99,10 +99,10 @@ class TUSMechanism(CoalescingMechanism):
         groups = group_id_map(
             [entry.group for entry in self.wcb.buffers]
             + [entry.group for entry in woq])
-        woq_state = tuple(
+        woq_state = tuple([
             (entry.line, groups[entry.group], entry.mask, entry.ready,
              entry.can_cycle, entry.deferred, entry.request_outstanding)
-            for entry in woq)
+            for entry in woq])
         return ("tus",) + self._wcb_state(groups) + (woq_state,)
 
     def footprint_lines(self) -> Tuple[int, ...]:

@@ -11,6 +11,7 @@ to the lines actually touched.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..common.addr import LINE_MASK, LINE_SHIFT, line_addr, set_index
@@ -181,8 +182,7 @@ class CacheArray:
 
     # -- iteration / inspection -------------------------------------------
     def __iter__(self) -> Iterator[CacheLine]:
-        for lines in self._sets.values():
-            yield from lines
+        return chain.from_iterable(self._sets.values())
 
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""

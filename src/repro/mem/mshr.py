@@ -74,6 +74,12 @@ class MSHRFile:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def release(self) -> None:
+        """Drop every entry, its waiting callbacks with it, and the
+        change callback (the owner is being torn down)."""
+        self._entries.clear()
+        self._on_change = _unwatched
+
     @property
     def full(self) -> bool:
         return len(self._entries) >= self.capacity

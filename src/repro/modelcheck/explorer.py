@@ -291,22 +291,21 @@ class CheckRunner:
         built = self.build()
         observer = built[1]
 
-        def on_pause(system, actions) -> int:
+        def on_pause(system, actions, taken) -> int:
             nonlocal settle
             described = (None if self.describe is None
                          else self.describe(system, actions))
             outcome = RunOutcome(
                 "frontier", branches=len(actions),
                 key=canonical_key(system, observer, self.perms),
-                taken=tuple(inner.taken), actions=described)
+                taken=tuple(taken), actions=described)
             branch = None if settle is None else settle(outcome)
             settle = None           # only the first pause is settled
             if branch is None:
                 raise FrontierReached(outcome)
             return branch
 
-        inner = ReplayScheduler(schedule, on_pause)
-        return self.run(inner, built)
+        return self.run(ReplayScheduler(schedule, on_pause), built)
 
     def run(self, inner, built=None) -> RunOutcome:
         """Execute once under ``inner`` with invariant checking, on
@@ -338,17 +337,23 @@ class CheckRunner:
                               message=str(deadlock), taken=tuple(taken),
                               steps=sched.steps,
                               key=canonical_key(system, observer, perms))
-        # A finished run has no scheduling position: neutralise the run
-        # loop's intra-cycle bookkeeping so terminal states hash by
-        # architectural content alone (two interleavings that end in
-        # the same caches/memory but parked their stale cores
-        # differently are the same terminal state).
-        neutral = (False,) * len(system.cores)
-        system.sched_position = (neutral, neutral)
-        return RunOutcome("done", taken=tuple(taken), steps=sched.steps,
-                          committed=tuple(core.committed
-                                          for core in system.cores),
-                          key=canonical_key(system, observer, perms))
+        else:
+            # A finished run has no scheduling position: neutralise the
+            # run loop's intra-cycle bookkeeping so terminal states hash
+            # by architectural content alone (two interleavings that end
+            # in the same caches/memory but parked their stale cores
+            # differently are the same terminal state).
+            neutral = (False,) * len(system.cores)
+            system.sched_position = (neutral, neutral)
+            return RunOutcome("done", taken=tuple(taken), steps=sched.steps,
+                              committed=tuple(core.committed
+                                              for core in system.cores),
+                              key=canonical_key(system, observer, perms))
+        finally:
+            # The outcome holds no part of the machine that a cycle
+            # runs through: released, the machine is freed by reference
+            # counting, not later by the cyclic collector.
+            system.release()
 
 
 def run_schedule(scenario_name: str, mechanism: str,
@@ -505,7 +510,9 @@ def drain_frontier(store, runner, report: CheckReport, *, por: str,
 
 
 def finalise_report(report: CheckReport, store, start: float) -> None:
-    """Fill the store-derived counters of a drained check."""
+    """Fill the store-derived counters of a drained check; its wall
+    time adds the time since ``start`` to what a resumed spool's
+    checkpoint carried (nothing otherwise)."""
     report.unique_states = store.visited_count()
     count, distinct = store.terminal_stats()
     report.terminal_states = count
@@ -514,7 +521,7 @@ def finalise_report(report: CheckReport, store, start: float) -> None:
         ",".join(distinct).encode()).hexdigest()
     report.complete = (not report.truncated and report.violation is None
                        and store.queue_empty())
-    report.wall_seconds = time.monotonic() - start
+    report.wall_seconds += time.monotonic() - start
 
 
 def job_meta(scenario_name: str, mechanism: str, *, cores: int, lines: int,

@@ -46,7 +46,8 @@ CHECKPOINT_INTERVAL = 1.0
 #: large the frontier grows.
 CHECKPOINT_STRETCH = 20.0
 
-#: The report counters a checkpoint carries.
+#: The report counters a checkpoint carries.  It also carries the
+#: check's ``wall_seconds`` so far, which a resume starts from.
 _COUNTERS = ("executions", "resumed", "truncated")
 
 
@@ -186,7 +187,10 @@ class DiskFrontier(MemoryFrontier):
         #: restores; :func:`~repro.modelcheck.explorer.explore` binds
         #: its own before seeding.
         self.report = SimpleNamespace(executions=0, resumed=0,
-                                      truncated=False)
+                                      truncated=False, wall_seconds=0.0)
+        #: When this process opened the spool: a checkpoint's wall time
+        #: is the restored one plus the time since.
+        self._opened = time.monotonic()
         self._meta: Optional[dict] = None
         self._due = 0.0
         #: Set once a checkpoint holding the violation is written: the
@@ -229,6 +233,8 @@ class DiskFrontier(MemoryFrontier):
         self._final = self._violation is not None
         for name in _COUNTERS:
             setattr(self.report, name, state["report"][name])
+        # A checkpoint written before the wall time was carried has none.
+        self.report.wall_seconds = state["report"].get("wall_seconds", 0.0)
         return True
 
     def checkpoint(self) -> None:
@@ -246,8 +252,10 @@ class DiskFrontier(MemoryFrontier):
             "prov": {key: dict(entry, resolved=sorted(entry["resolved"]))
                      for key, entry in self._prov.items()},
             "violation": self._violation,
-            "report": {name: getattr(self.report, name)
-                       for name in _COUNTERS},
+            "report": dict({name: getattr(self.report, name)
+                            for name in _COUNTERS},
+                           wall_seconds=self.report.wall_seconds
+                           + start - self._opened),
         }, fs=self.fs, fsync=self.fsync)
         self._final = self._violation is not None
         now = time.monotonic()

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..common.errors import ReproError, TSOViolationError
 from ..cpu.trace import Trace
-from ..mem.cacheline import State
+from ..mem.cacheline import CacheLine, State
 from ..sim.progress import delay_edges, wait_cycle
 from .observer import StorePairs, VisibilityObserver, store_order_pairs
 
@@ -51,7 +51,8 @@ class InvariantViolation(ReproError):
         self.trace = trace
 
 
-#: Every tracked line, ascending, with each core's protocol-visible state.
+#: Every line a private cache holds, ascending, with each core's
+#: protocol-visible state.
 VisibleStates = List[Tuple[int, Tuple[State, ...]]]
 
 
@@ -72,15 +73,17 @@ class CheckContext:
         self._visible = None
 
     def visible_states(self) -> VisibleStates:
-        """The current action's tracked lines and visible states, built
+        """The current action's held lines and visible states, built
         by the first invariant that reads them and shared by the rest."""
         if self._visible is None:
-            ports = self.system.memsys.ports
-            self._visible = [
-                (addr, tuple(_visible_state(port, addr) for port in ports))
-                for addr in _tracked_lines(self.system)]
+            self._visible = _visible_states(self.system.memsys.ports)
         return self._visible
 
+
+#: The writable states are E and M (``State.writable``), compared as
+#: ints on the per-action path.
+_E = State.E
+_M = State.M
 
 #: name -> predicate(ctx) returning None or a violation message.
 INVARIANTS: Dict[str, Callable[[CheckContext], Optional[str]]] = {}
@@ -93,45 +96,49 @@ def invariant(name: str):
     return register
 
 
-def _visible_state(port, addr: int) -> State:
-    """Strongest coherence state core ``port`` holds for ``addr`` that is
-    visible to the protocol (not-visible L1D lines are hidden)."""
-    strongest = State.I
-    line = port.l1d.probe(addr)
-    if line is not None and not line.not_visible:
-        strongest = line.state
-    l2line = port.l2.probe(addr)
-    if l2line is not None and l2line.state > strongest:
-        strongest = l2line.state
-    return strongest
+def _visible_states(ports) -> VisibleStates:
+    """Each line a private cache holds, with each core's strongest
+    state visible to the protocol: its L1D copy unless that is not
+    visible, or its L2 copy if stronger.  A line no private cache holds
+    is I at every core, and no invariant reading this view can fail on
+    it, so the shared L3 and the directory are not walked."""
+    invalid = [State.I] * len(ports)
+    visible: Dict[int, List[State]] = {}
+    for cid, port in enumerate(ports):
+        l2 = _copies(port.l2)
+        for addr, line in _copies(port.l1d).items():
+            strongest = State.I if line.not_visible else line.state
+            l2line = l2.pop(addr, None)
+            if l2line is not None and l2line.state > strongest:
+                strongest = l2line.state
+            visible.setdefault(addr, invalid[:])[cid] = strongest
+        for addr, l2line in l2.items():
+            visible.setdefault(addr, invalid[:])[cid] = l2line.state
+    return [(addr, tuple(visible[addr])) for addr in sorted(visible)]
 
 
-def _tracked_lines(system) -> List[int]:
-    addrs = set()
-    for port in system.memsys.ports:
-        for line in port.l1d:
-            addrs.add(line.addr)
-        for line in port.l2:
-            addrs.add(line.addr)
-    for line in system.memsys.l3:
-        addrs.add(line.addr)
-    # entries() spans every directory home, so on a sharded machine the
-    # invariants quantify over all shards, not just shard 0.
-    for entry in system.memsys.directory.entries():
-        addrs.add(entry.addr)
-    return sorted(addrs)
+def _copies(cache) -> Dict[int, CacheLine]:
+    """``addr -> line`` for every line :meth:`CacheArray.probe` finds
+    in ``cache`` (the first in its set that is valid or not visible)."""
+    found: Dict[int, CacheLine] = {}
+    for line in cache:
+        if (line.state or line.not_visible) and line.addr not in found:
+            found[line.addr] = line
+    return found
 
 
 @invariant("swmr")
 def check_swmr(ctx: CheckContext) -> Optional[str]:
     """Single-Writer-Multiple-Reader over protocol-visible copies."""
     for addr, states in ctx.visible_states():
-        writers = [cid for cid, st in enumerate(states) if st.writable]
-        readers = [cid for cid, st in enumerate(states) if st.valid]
+        if max(states) < _E:
+            continue            # no writer
+        writers = [cid for cid, st in enumerate(states) if st >= _E]
+        readers = [cid for cid, st in enumerate(states) if st]
         if len(writers) > 1:
             return (f"line {addr:#x} writable at cores "
                     f"{writers} simultaneously")
-        if writers and len(readers) > 1:
+        if len(readers) > 1:
             return (f"line {addr:#x} writable at core {writers[0]} "
                     f"while cores {readers} hold valid copies")
     return None
@@ -147,7 +154,7 @@ def check_directory_backing(ctx: CheckContext) -> Optional[str]:
     visible = ctx.visible_states()
     for cid in range(len(ctx.system.memsys.ports)):
         for addr, states in visible:
-            if not states[cid].writable:
+            if states[cid] < _E:
                 continue
             entry = directory.peek(addr)
             if entry is None:
@@ -192,6 +199,7 @@ def check_no_unauthorized(ctx: CheckContext) -> Optional[str]:
 def check_tus_sync(ctx: CheckContext) -> Optional[str]:
     """WOQ entries and not-visible L1D lines must be in exact 1:1
     correspondence, with matching masks and ready bits."""
+    shared = (("L3", ctx.system.memsys.l3),)
     for cid, core in enumerate(ctx.system.cores):
         controller = getattr(core.mechanism, "controller", None)
         if controller is None:
@@ -199,7 +207,7 @@ def check_tus_sync(ctx: CheckContext) -> Optional[str]:
         port = core.port
         nv_lines = {line.addr: line for line in port.l1d if line.not_visible}
         woq_lines = {entry.line: entry for entry in controller.woq}
-        if set(nv_lines) != set(woq_lines):
+        if nv_lines.keys() != woq_lines.keys():
             only_l1 = sorted(set(nv_lines) - set(woq_lines))
             only_woq = sorted(set(woq_lines) - set(nv_lines))
             return (f"core {cid}: not-visible L1D lines and WOQ disagree "
@@ -213,18 +221,21 @@ def check_tus_sync(ctx: CheckContext) -> Optional[str]:
             if line.ready != entry.ready:
                 return (f"core {cid}: {addr:#x} ready mismatch (L1D "
                         f"{line.ready} vs WOQ {entry.ready})")
-            if entry.ready and line.state != State.M:
+            if entry.ready and line.state != _M:
                 return (f"core {cid}: {addr:#x} is ready but the L1D "
                         f"state is {line.state.name}, not M")
-            if not entry.ready and line.state.writable:
+            if not entry.ready and line.state >= _E:
                 return (f"core {cid}: {addr:#x} holds write permission "
                         f"({line.state.name}) but is not marked ready")
-        for level, cache in (("L2", port.l2), ("L3", ctx.system.memsys.l3)):
+        # The shared L3 is walked for the first TUS core only: had it
+        # held a not-visible line, that core would have reported it.
+        for level, cache in (("L2", port.l2),) + shared:
             for line in cache:
                 if line.not_visible:
                     return (f"core {cid}: {level} line {line.addr:#x} is "
                             f"marked not-visible (only the L1D may hide "
                             f"lines)")
+        shared = ()
     return None
 
 

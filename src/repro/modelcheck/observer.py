@@ -31,6 +31,9 @@ class VisibilityObserver:
     def __init__(self) -> None:
         #: Per core: list of (cycle, sequence, line) publication events.
         self.events: Dict[int, List[Tuple[int, int, int]]] = {}
+        #: Per core: line -> (cycle, sequence) of its first publication,
+        #: in first-publication order.
+        self._first: Dict[int, Dict[int, Tuple[int, int]]] = {}
         self._seq = 0
 
     def attach(self, system) -> None:
@@ -47,18 +50,23 @@ class VisibilityObserver:
                cycle: int) -> None:
         """One publication: ``lines`` became visible atomically."""
         self._seq += 1
+        seq = self._seq
         bucket = self.events.setdefault(core_id, [])
+        first = self._first.setdefault(core_id, {})
         for line in lines:
-            bucket.append((cycle, self._seq, line_addr(line)))
+            line = line_addr(line)
+            bucket.append((cycle, seq, line))
+            if line not in first:
+                first[line] = (cycle, seq)
 
     # ------------------------------------------------------------------
     def first_visibility(self, core_id: int) -> Dict[int, Tuple[int, int]]:
         """line -> (cycle, seq) of its first publication by ``core_id``."""
-        first: Dict[int, Tuple[int, int]] = {}
-        for cycle, seq, line in self.events.get(core_id, []):
-            if line not in first:
-                first[line] = (cycle, seq)
-        return first
+        return dict(self._first.get(core_id, {}))
+
+    def published(self, core_id: int) -> Tuple[int, ...]:
+        """The lines ``core_id`` published, in first-publication order."""
+        return tuple(self._first.get(core_id, ()))
 
     def check_store_store_order(self, core_id: int, trace: Trace,
                                 pairs: Optional[StorePairs] = None) -> int:
@@ -68,7 +76,7 @@ class VisibilityObserver:
         :class:`TSOViolationError` on any inversion."""
         if pairs is None:
             pairs = store_order_pairs(trace)
-        visible = self.first_visibility(core_id)
+        visible = self._first.get(core_id, {})
         checked = 0
         for earlier, later in pairs:
             if earlier in visible and later in visible:

@@ -48,7 +48,8 @@ class ReplayScheduler:
 
     With an ``on_pause`` hook the scheduler *pauses* (:attr:`pause`)
     at every decision point beyond the recorded prefix — the
-    explorer's probe mode: it calls ``on_pause(system, actions)``,
+    explorer's probe mode: it calls ``on_pause(system, actions,
+    taken)`` (``taken``: the choices made so far),
     which either raises (:class:`FrontierReached`) to stop the run or
     returns the choice to take there, so the same live run goes on to
     the next decision (how the explorer settles a record at its pause
@@ -76,7 +77,7 @@ class ReplayScheduler:
         if index < len(self.choices):
             choice = min(self.choices[index], len(actions) - 1)
         elif self.on_pause is not None:
-            choice = self.on_pause(system, actions)
+            choice = self.on_pause(system, actions, self.taken)
         else:
             choice = 0
         self.taken.append(choice)

@@ -36,10 +36,13 @@ from __future__ import annotations
 
 import hashlib
 from itertools import permutations
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..coherence.topology import Topology
+from ..cpu.isa import OpKind
 from ..cpu.trace import Trace
+from ..mem.cacheline import State
 from .observer import VisibilityObserver
 
 
@@ -48,13 +51,59 @@ def canonical_key(system, observer: Optional[VisibilityObserver],
     """Return a short stable hash of the canonicalised system state.
 
     ``perms`` are the check's :func:`symmetry_permutations`; they depend
-    only on the check, so its runner computes them once."""
+    only on the check, so its runner computes them once.  The hash is
+    of the least ``repr`` of the state tuple over the permutations.
+    Each core's own parts are encoded once; a permutation reorders
+    them and renames the core ids the directory, the events and the
+    in-flight transactions hold.
+    """
+    now = system.cycle
+    cores = system.cores
+    memsys = system.memsys
+    count = len(cores)
+    core_parts = [_encode_core(core, now) for core in cores]
+    port_parts = [_encode_port(port) for port in memsys.ports]
+    published = ([()] * count if observer is None
+                 else [observer.published(cid) for cid in range(count)])
+    stepped, stale = getattr(system, "sched_position",
+                             ((False,) * count, (False,) * count))
+    position = list(zip(stepped, stale))
+    l3 = tuple(sorted([(line.addr, _STATE_NAMES[line.state],
+                        line.not_visible) for line in memsys.l3]))
+    dram = tuple([_rel(free, now) for free in memsys.dram._free_at])
+    directory = memsys.directory.entries()
+    directory.sort(key=attrgetter("addr"))
+    events = [(_rel(entry.cycle, now), entry.label, entry.actor)
+              for entry in system.events.pending()]
+    inflight = memsys.inflight
     best = None
     for perm in perms:
-        encoded = repr(_encode(system, observer, perm))
+        # order[i]: the core placed at canonical position i.
+        order = sorted(perm, key=perm.__getitem__)
+        encoded = repr((
+            tuple([core_parts[cid] for cid in order]),
+            tuple([port_parts[cid] for cid in order]),
+            tuple([published[cid] for cid in order]),
+            l3,
+            tuple([(entry.addr, _rename(entry.owner, perm),
+                    tuple(sorted([perm[s] for s in entry.sharers])),
+                    entry.busy) for entry in directory]),
+            tuple(sorted([(cycle, label, _rename(actor, perm))
+                          for cycle, label, actor in events])),
+            tuple(sorted([
+                (trans.req.name, trans.addr, perm[trans.requester],
+                 tuple(sorted([perm[r] for r in trans.resolved])),
+                 trans.data_from_remote, _rename(trans.waiting_on, perm))
+                for trans in inflight])),
+            dram,
+            tuple([position[cid] for cid in order])))
         if best is None or encoded < best:
             best = encoded
     return hashlib.sha1(best.encode()).hexdigest()
+
+
+def _rename(cid: Optional[int], perm: Dict[int, int]) -> Optional[int]:
+    return None if cid is None else perm[cid]
 
 
 def symmetry_permutations(traces: Sequence[Trace],
@@ -87,97 +136,43 @@ def symmetry_permutations(traces: Sequence[Trace],
     return perms
 
 
-def _encode(system, observer: Optional[VisibilityObserver],
-            perm: Dict[int, int]) -> Tuple:
-    now = system.cycle
-
-    def rel(t: Optional[int]) -> Optional[int]:
-        return None if t is None else max(t - now, 0)
-
-    def remap(cid: Optional[int]) -> Optional[int]:
-        return None if cid is None else perm[cid]
-
-    cores = [None] * len(system.cores)
-    for cid, core in enumerate(system.cores):
-        cores[perm[cid]] = _encode_core(core, rel)
-    ports = [None] * len(system.memsys.ports)
-    for cid, port in enumerate(system.memsys.ports):
-        ports[perm[cid]] = _encode_port(port)
-    published: List[Tuple] = [()] * len(system.cores)
-    if observer is not None:
-        for cid in range(len(system.cores)):
-            seen = []
-            for _cycle, _seq, line in observer.events.get(cid, []):
-                if line not in seen:
-                    seen.append(line)
-            published[perm[cid]] = tuple(seen)
-    l3 = tuple(sorted(
-        (line.addr, line.state.name, line.not_visible)
-        for line in system.memsys.l3))
-    directory = tuple(sorted(
-        (entry.addr, remap(entry.owner),
-         tuple(sorted(remap(s) for s in entry.sharers)), entry.busy)
-        for entry in system.memsys.directory.entries()))
-    events = tuple(sorted(
-        (rel(entry.cycle), entry.label, remap(entry.actor))
-        for entry in system.events.pending()))
-    inflight = tuple(sorted(
-        (trans.req.name, trans.addr, remap(trans.requester),
-         tuple(sorted(remap(r) for r in trans.resolved)),
-         trans.data_from_remote, remap(trans.waiting_on))
-        for trans in system.memsys.inflight))
-    dram = tuple(rel(free) for free in system.memsys.dram._free_at)
-    stepped, stale = getattr(
-        system, "sched_position",
-        ((False,) * len(system.cores), (False,) * len(system.cores)))
-    position = tuple(
-        (stepped[cid], stale[cid]) for cid in
-        sorted(range(len(system.cores)), key=lambda c: perm[c]))
-    return (tuple(cores), tuple(ports), tuple(published), l3, directory,
-            events, inflight, dram, position)
-
-
-def _encode_core(core, rel) -> Tuple:
-    rob = tuple(
-        (entry.index, entry.uop.kind.name, entry.uop.addr,
-         rel(entry.complete_cycle), entry.waiting_mem,
-         tuple(dep.index for dep in entry.dependents))
-        for entry in core.rob)
-    sb = tuple((entry.line, entry.mask, entry.committed)
-               for entry in core.sb._entries)
-    mech = _normalise(core.mechanism.modelcheck_state())
+def _encode_core(core, now: int) -> Tuple:
+    """One core's pipeline and mechanism state, timestamps relative to
+    ``now`` (``None`` stays ``None``)."""
+    rob = tuple([
+        (entry.index, _KIND_NAMES[entry.uop.kind], entry.uop.addr,
+         _rel(entry.complete_cycle, now), entry.waiting_mem,
+         tuple([dep.index for dep in entry.dependents]))
+        for entry in core.rob])
+    sb = tuple([(entry.line, entry.mask, entry.committed)
+                for entry in core.sb._entries])
     return (core._next_uop, rob, sb, len(core.lq),
-            rel(core.wake_cycle), mech)
+            _rel(core.wake_cycle, now), core.mechanism.modelcheck_state())
+
+
+def _rel(cycle: Optional[int], now: int) -> Optional[int]:
+    """``cycle`` relative to ``now``, clamped at zero."""
+    if cycle is None:
+        return None
+    return cycle - now if cycle > now else 0
 
 
 def _encode_port(port) -> Tuple:
-    def lines_of(cache) -> Tuple:
-        return tuple(sorted(
-            (line.addr, line.state.name, line.not_visible, line.ready,
-             line.locked, line.write_mask, line.prefetched)
-            for line in cache))
-
-    mshrs = tuple(sorted(
-        (entry.addr, entry.is_write, bool(entry.meta.get("launched")),
-         bool(entry.meta.get("write")), len(entry.waiters))
-        for entry in port.mshrs._entries.values()))
-    pending = port.parked()
-    pending_writes = tuple(sorted(port._pending_writes.items()))
-    return (lines_of(port.l1d), lines_of(port.l2), mshrs, pending,
-            pending_writes)
+    mshrs = sorted([(entry.addr, entry.is_write,
+                     bool(entry.meta.get("launched")),
+                     bool(entry.meta.get("write")), len(entry.waiters))
+                    for entry in port.mshrs._entries.values()])
+    return (_lines_of(port.l1d), _lines_of(port.l2), tuple(mshrs),
+            port.parked(), tuple(sorted(port._pending_writes.items())))
 
 
-def _normalise(value) -> Tuple:
-    """Recursively freeze a mechanism snapshot into plain hashable data."""
-    if isinstance(value, (list, tuple)):
-        return tuple([v if type(v) in _SCALARS else _normalise(v)
-                      for v in value])
-    if isinstance(value, (set, frozenset)):
-        return tuple(sorted(_normalise(v) for v in value))
-    if isinstance(value, dict):
-        return tuple(sorted((k, _normalise(v)) for k, v in value.items()))
-    return value
+def _lines_of(cache) -> Tuple:
+    return tuple(sorted([
+        (line.addr, _STATE_NAMES[line.state], line.not_visible, line.ready,
+         line.locked, line.write_mask, line.prefetched) for line in cache]))
 
 
-#: Types :func:`_normalise` returns unchanged, tested before the call.
-_SCALARS = frozenset((int, bool, str, type(None)))
+#: Enum member names by value, read without the enum's ``name``
+#: property on every line and ROB entry.
+_STATE_NAMES = {state: state.name for state in State}
+_KIND_NAMES = {kind: kind.name for kind in OpKind}

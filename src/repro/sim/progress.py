@@ -22,7 +22,7 @@ via ``peek``-equivalent raw structures).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 def delay_edges(system) -> List[Tuple[int, int, int, bool]]:
@@ -59,29 +59,33 @@ def wait_cycle(edges) -> Optional[List[Tuple[int, int, int]]]:
     for waiter, waitee, line, live in edges:
         if live:
             graph.setdefault(waiter, {})[waitee] = line
-    done = set()
-    stack: List[int] = []
-
-    def visit(node: int) -> Optional[List[int]]:
-        stack.append(node)
-        for nxt in sorted(graph.get(node, ())):
-            if nxt in stack:
-                return stack[stack.index(nxt):]
-            if nxt not in done:
-                found = visit(nxt)
-                if found is not None:
-                    return found
-        stack.pop()
-        done.add(node)
+    if not graph:
         return None
-
+    done: Set[int] = set()
     nodes = set(graph).union(*graph.values())
     for node in sorted(nodes):
         if node not in done:
-            cycle = visit(node)
+            cycle = _visit(graph, node, [], done)
             if cycle is not None:
                 return [(a, b, graph[a][b])
                         for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return None
+
+
+def _visit(graph: Dict[int, Dict[int, int]], node: int, stack: List[int],
+           done: Set[int]) -> Optional[List[int]]:
+    """:func:`wait_cycle`'s depth-first step: the cycle through the
+    ``stack`` path that ``node``'s successors close, if any."""
+    stack.append(node)
+    for nxt in sorted(graph.get(node, ())):
+        if nxt in stack:
+            return stack[stack.index(nxt):]
+        if nxt not in done:
+            found = _visit(graph, nxt, stack, done)
+            if found is not None:
+                return found
+    stack.pop()
+    done.add(node)
     return None
 
 

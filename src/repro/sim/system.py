@@ -288,9 +288,9 @@ class System:
         events = self.events
         due_entries = events.due_entries
         done = [core.is_done() for core in cores]
-        # Event count at the time each core went stale (None = not stale).
-        stale_at: List[Optional[int]] = [None] * len(cores)
-        events_fired = 0
+        # Per core: its last step made no progress and no event has
+        # fired since.
+        stale = [False] * len(cores)
         while not all(done):
             cycle = self.cycle
             if cycle >= max_cycles:
@@ -307,9 +307,8 @@ class System:
                 for cid, core in enumerate(cores):
                     if stepped[cid]:
                         continue
-                    if (stale_at[cid] == events_fired
-                            and (core.wake_cycle is None
-                                 or core.wake_cycle > cycle)):
+                    if stale[cid] and (core.wake_cycle is None
+                                       or core.wake_cycle > cycle):
                         continue
                     actions.append(("core", cid))
                 if not actions:
@@ -320,16 +319,14 @@ class System:
                 # cache/core state but different intra-cycle positions
                 # enable different action sets, so they are distinct
                 # states.
-                self.sched_position = (
-                    tuple(stepped),
-                    tuple([at == events_fired for at in stale_at]))
+                self.sched_position = (tuple(stepped), tuple(stale))
                 index = 0 if len(actions) == 1 else \
                     scheduler.choose(self, actions)
                 action = actions[index]
                 kind, target = action
                 if kind == "event":
                     events.fire_entry(target)
-                    events_fired += 1
+                    stale = [False] * len(cores)
                     progress = True
                 else:
                     core = cores[target]
@@ -338,9 +335,9 @@ class System:
                         # Only core steps feed the watchdog (see the
                         # class docstring); events keep the clock going.
                         progress = core_progress = True
-                        stale_at[target] = None
+                        stale[target] = False
                     else:
-                        stale_at[target] = events_fired
+                        stale[target] = True
                         core.wake_cycle = core.next_wake(cycle)
                     if core.is_done():
                         done[target] = True
@@ -365,6 +362,20 @@ class System:
                     f"watchdog: {watchdog} cycles without progress "
                     f"({self.workload}/{self.config.mechanism})")
         return self._result()
+
+    def release(self) -> None:
+        """Break this machine's reference cycles, so that dropping the
+        last outside reference frees it by reference counting alone.
+
+        Pending event closures, parked requests, MSHR waiters and the
+        TUS/CSB hooks all point back into the ports that hold them, so
+        without this every machine waits for the cyclic collector.  The
+        machine cannot run afterwards.  The model checker releases each
+        execution's machine once its outcome is built; a simulation
+        does not bother, since it builds one machine per point.
+        """
+        self.events.clear()
+        self.memsys.release()
 
     def _deadlock(self, reason: str, message: str) -> DeadlockError:
         """Build a DeadlockError carrying a structured progress dump."""

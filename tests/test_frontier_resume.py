@@ -106,9 +106,12 @@ class TestKillResume:
         assert reference.complete
         spool = tmp_path / "killed"
         _kill_mid_run(spool)
+        carried = _checkpoint(spool)["report"]["wall_seconds"]
         resumed = explore("overlap", "tus", cores=2, lines=2,
                           spool=spool)
         assert _resumable(resumed) == _resumable(reference)
+        # The killed run's checkpointed time counts towards the check's.
+        assert resumed.wall_seconds > carried > 0
 
     def test_resume_reproduces_the_counterexample(self, tmp_path):
         reference = explore("overlap", "tus", cores=2, lines=2,
@@ -197,8 +200,10 @@ class TestRestoreMidRun:
                 _crash_at_ack(patch, acks)
                 with pytest.raises(_Crash):
                     explore("overlap", "tus", spool=spool, **kwargs)
+            carried = _checkpoint(spool)["report"]["wall_seconds"]
             resumed = explore("overlap", "tus", spool=spool, **kwargs)
             assert _resumable(resumed) == _resumable(reference), acks
+            assert resumed.wall_seconds > carried > 0, acks
 
     def test_state_budget_holds_across_a_resume(self, tmp_path,
                                                 monkeypatch):
