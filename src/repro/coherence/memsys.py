@@ -324,7 +324,7 @@ class MemorySystem:
             channel = self.dram.channel_of(trans.addr)
             hop = self.topology.home_dram[trans.home][channel]
             data_cycle = self.dram.access(cycle + hop, channel) + hop
-            self._install_l3(trans.addr, cycle)
+            self.l3.install(trans.addr, State.S, cycle)
             source = "dram"
         if self.faults:
             # Injected completion jitter on the data return path.
@@ -360,13 +360,6 @@ class MemorySystem:
         self.ports[trans.requester]._fill(trans.addr, state, cycle, on_done)
         entry.busy = False
         self.inflight.remove(trans)
-
-    def _install_l3(self, addr: int, cycle: int) -> None:
-        if self.l3.probe(addr) is not None:
-            return
-        if not self.l3.has_free_way(addr):
-            return
-        self.l3.allocate(addr, State.S, cycle)
 
     def release(self) -> None:
         """Drop every callback and back-reference the ports and the
@@ -826,28 +819,22 @@ class CorePort:
 
     def _install_l1(self, addr: int, state: State,
                     cycle: int) -> Optional[CacheLine]:
-        if not self.l1d.has_free_way(addr):
+        line = self.l1d.install(addr, state, cycle,
+                                on_evict=self._evict_from_l1)
+        if line is None:
             # Every way is pinned (locked or unauthorized): serve the data
             # without caching it.
             self.c_uncached_fills.inc()
             return None
-        line = self.l1d.allocate(addr, state, cycle,
-                                 on_evict=self._evict_from_l1)
         self.l1d.record_write()
         return line
 
     def _install_l2(self, addr: int, state: State, cycle: int) -> None:
-        l2line = self.l2.probe(addr)
-        if l2line is not None:
-            if state >= State.E and l2line.state < State.E:
-                l2line.state = State.E
-            self.l2.policy.touch(l2line, cycle)
-            return
-        if not self.l2.has_free_way(addr):
-            return
-        self.l2.allocate(addr, state, cycle, on_evict=self._evict_from_l2,
-                         veto=self._l2_victim_veto)
-        self.l2.record_write()
+        # A resident copy takes the fill in place; a set whose every way
+        # is pinned (or vetoed) leaves the line uncached in the L2.
+        if self.l2.install(addr, state, cycle, on_evict=self._evict_from_l2,
+                           veto=self._l2_victim_veto) is not None:
+            self.l2.record_write()
 
     def _l2_victim_veto(self, victim: CacheLine) -> bool:
         """The L2 may not evict a line whose L1D copy is not-visible: the

@@ -29,7 +29,7 @@ memory stalls without burning host time.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from ..common.config import SystemConfig
 from ..common.stats import StatGroup
@@ -66,8 +66,9 @@ class ROBEntry:
         #: (waiting on a producer or on memory).
         self.complete_cycle: Optional[int] = None
         self.waiting_mem = False
-        #: Entries whose issue waits for this one to complete.
-        self.dependents: List["ROBEntry"] = []
+        #: Entries whose issue waits for this one to complete; None
+        #: until the first registers (most micro-ops have none).
+        self.dependents: Optional[List["ROBEntry"]] = None
         self.sb_entry = None
 
 
@@ -93,8 +94,10 @@ class Core:
         self.sb = StoreBuffer(config.core, stats=stats.child("sb"))
         self.lq = LoadQueue(config.core, stats=stats.child("lq"))
         self.stalls = StallAccount(stats)
+        #: In-flight micro-ops in trace order: appended at dispatch,
+        #: popped from the front at commit, so the entries' indices are
+        #: consecutive.
         self.rob: Deque[ROBEntry] = deque()
-        self._inflight: Dict[int, ROBEntry] = {}
         self._next_uop = 0
         self._committed = 0
         self.c_committed = stats.counter("committed_uops")
@@ -240,7 +243,6 @@ class Core:
             elif complete is None or complete > cycle:
                 break
             rob.popleft()
-            self._inflight.pop(head.index, None)
             if kind is _STORE:
                 head.sb_entry.committed = True
                 if self.probe:
@@ -303,25 +305,35 @@ class Core:
 
     def _insert(self, uop: UOp, index: int, cycle: int) -> None:
         entry = ROBEntry(uop, index)
-        self.rob.append(entry)
-        self._inflight[index] = entry
+        rob = self.rob
+        rob.append(entry)
         kind = uop.kind
         if kind is _LOAD:
             self.lq.insert()
         elif kind is _STORE:
             entry.sb_entry = self.sb.insert(uop, cycle)
-        producer = self._producer_of(entry)
-        if producer is not None and producer.complete_cycle is None:
-            producer.dependents.append(entry)
-            return
-        ready = cycle if producer is None else max(
-            cycle, producer.complete_cycle)
-        self._issue(entry, ready)
-
-    def _producer_of(self, entry: ROBEntry) -> Optional[ROBEntry]:
-        if entry.uop.dep_dist is None:
-            return None
-        return self._inflight.get(entry.index - entry.uop.dep_dist)
+        ready = cycle
+        dep = uop.dep_dist
+        # The ROB holds consecutive indices ending at ``index``, so the
+        # producer is in flight iff it sits within the ROB.
+        if dep is not None and dep < len(rob):
+            producer = rob[-1 - dep]
+            complete = producer.complete_cycle
+            if complete is None:
+                if producer.dependents is None:
+                    producer.dependents = [entry]
+                else:
+                    producer.dependents.append(entry)
+                return
+            if complete > ready:
+                ready = complete
+        if kind is _LOAD:
+            self._issue_load(entry, ready)
+        elif kind is _STORE:
+            entry.complete_cycle = ready + 1
+        else:
+            # Nothing can wait on an entry dispatched this instant.
+            entry.complete_cycle = ready + self._latency_by_kind[kind]
 
     # -- issue / execute ---------------------------------------------------
     def _issue(self, entry: ROBEntry, cycle: int) -> None:
@@ -357,7 +369,8 @@ class Core:
 
     def _set_complete(self, entry: ROBEntry, cycle: int) -> None:
         entry.complete_cycle = cycle
-        if entry.dependents:
-            dependents, entry.dependents = entry.dependents, []
+        dependents = entry.dependents
+        if dependents is not None:
+            entry.dependents = None
             for dep in dependents:
                 self._issue(dep, cycle)

@@ -53,7 +53,12 @@ def exec_latency(kind: OpKind, config: CoreConfig) -> int:
 
 
 class UOp:
-    """One micro-op of a trace."""
+    """One micro-op of a trace.
+
+    Treated as immutable and never told apart from an equal one:
+    generated traces share one record per non-memory (kind,
+    dependence) pair.
+    """
 
     __slots__ = ("kind", "addr", "size", "dep_dist")
 

@@ -34,11 +34,12 @@ class LoadQueue:
         return self._occupied >= self.capacity
 
     def insert(self) -> None:
-        if self.full:
+        occupied = self._occupied + 1
+        if occupied > self.capacity:
             raise OverflowError("load queue overflow")
-        self._occupied += 1
-        self._inserts.inc()
-        self._occupancy.sample(self._occupied)
+        self._occupied = occupied
+        self._inserts.value += 1
+        self._occupancy.sample(occupied)
 
     def release(self) -> None:
         if self._occupied <= 0:

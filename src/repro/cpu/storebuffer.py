@@ -79,18 +79,23 @@ class StoreBuffer:
     # -- lifecycle ----------------------------------------------------------
     def insert(self, uop: UOp, cycle: Optional[int] = None) -> SBEntry:
         """Append a store at dispatch; caller must check :attr:`full`."""
-        if self.full:
+        entries = self._entries
+        if len(entries) >= self.capacity:
             raise OverflowError("store buffer overflow")
         entry = SBEntry(uop, self._next_seq)
         self._next_seq += 1
-        self._entries.append(entry)
-        self._by_line.setdefault(entry.line, []).append(entry)
+        entries.append(entry)
+        bucket = self._by_line.get(entry.line)
+        if bucket is None:
+            self._by_line[entry.line] = [entry]
+        else:
+            bucket.append(entry)
         self._inserts.value += 1
-        self._occupancy.sample(len(self._entries))
+        self._occupancy.sample(len(entries))
         if self.probe:
             self.probe.emit(cycle if cycle is not None else 0,
                             "store:dispatch", seq=entry.seq,
-                            line=entry.line, occupancy=len(self._entries))
+                            line=entry.line, occupancy=len(entries))
         return entry
 
     def head(self) -> Optional[SBEntry]:

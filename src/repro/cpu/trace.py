@@ -15,6 +15,9 @@ from ..common.addr import line_addr
 from ..common.errors import TraceError
 from .isa import OpKind, UOp
 
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+
 
 class Trace:
     """A named sequence of micro-ops."""
@@ -27,12 +30,12 @@ class Trace:
 
     def _validate(self) -> None:
         for i, uop in enumerate(self.uops):
-            if uop.dep_dist is not None:
-                if uop.dep_dist <= 0 or uop.dep_dist > i:
-                    raise TraceError(
-                        f"{self.name}: uop {i} has invalid dep_dist "
-                        f"{uop.dep_dist}")
-            if uop.kind.is_mem and uop.addr < 0:
+            dep = uop.dep_dist
+            if dep is not None and (dep <= 0 or dep > i):
+                raise TraceError(
+                    f"{self.name}: uop {i} has invalid dep_dist {dep}")
+            kind = uop.kind
+            if (kind is _LOAD or kind is _STORE) and uop.addr < 0:
                 raise TraceError(f"{self.name}: uop {i} has negative address")
 
     def __len__(self) -> int:

@@ -179,7 +179,9 @@ def run_points(runner: Runner, points: List[Point],
 
     Results land in the runner's memory and disk caches, so any figure
     driven afterwards replays them without simulating.  Duplicate
-    points (same cache key) are executed once.
+    points (same cache key) are executed once, and the points of one
+    workload (bench and simpoint seed) back to back, so each trace is
+    generated once per process.
 
     A point that raises, exceeds ``timeout`` seconds, or kills its
     worker process is retried up to ``retries`` more times and, if it
@@ -224,13 +226,18 @@ def run_points(runner: Runner, points: List[Point],
             todo[index].label(), sim_seconds, result.committed))
 
     try:
-        misses: Dict[Tuple, Point] = {}
+        # Misses grouped by workload, first-request order kept within
+        # and across groups: figures ask for a combination's simpoints
+        # in alternation, while a runner keeps only its last workload's
+        # traces.  Results are pure per point, so only the order moves.
+        misses: Dict[Tuple, Dict[Tuple, Point]] = {}
         for pt in points:
             if runner.cached(pt) is not None:
                 telemetry.cache_hits += 1
             else:
-                misses.setdefault(runner.point_key(pt), pt)
-        todo = list(misses.values())
+                misses.setdefault((pt.bench, runner.point_seed(pt)), {}) \
+                    .setdefault(runner.point_key(pt), pt)
+        todo = [pt for group in misses.values() for pt in group.values()]
         params = runner.params()
         fan_out(worker_fn, [(params, pt) for pt in todo],
                 [pt.label() for pt in todo], workers, land,

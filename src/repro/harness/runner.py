@@ -191,6 +191,9 @@ class Runner:
         total_uops = sum(len(t) for t in traces)
         result = system.run(
             warmup_committed=int(total_uops * self.warmup_fraction))
+        # The machine is done: freed by reference counting, not left
+        # for the cyclic collector.
+        system.release()
         attach_energy(result, config)
         return result
 

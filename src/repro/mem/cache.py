@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from ..common.addr import LINE_MASK, LINE_SHIFT, line_addr, set_index
 from ..common.config import CacheConfig
-from ..common.stats import StatGroup
+from ..common.stats import Counter, StatGroup
 from .cacheline import CacheLine, State
 from .replacement import LRU, ReplacementPolicy
 
@@ -42,7 +42,9 @@ class CacheArray:
         self._writebacks = stats.counter("writebacks", "dirty evictions")
         self._reads = stats.counter("reads", "data-array read accesses")
         self._writes = stats.counter("writes", "data-array write accesses")
-        stats.formula("miss_rate", self.miss_rate,
+        # Over the counters, not the array: a formula that held the
+        # array would make every cache a reference cycle.
+        stats.formula("miss_rate", _miss_rate(self._hits, self._misses),
                       "misses / (hits + misses)")
 
     # -- basic access ------------------------------------------------------
@@ -113,62 +115,67 @@ class CacheArray:
         unallocated = self._assoc - len(lines)
         return unallocated + sum(1 for line in lines if line.replaceable)
 
-    def choose_victim(self, addr: int,
-                      veto: Optional[Callable[[CacheLine], bool]] = None
-                      ) -> Optional[CacheLine]:
-        """Return the line to evict to make room for ``addr``.
+    def install(self, addr: int, state: State, cycle: int = 0,
+                on_evict: Optional[Callable[[CacheLine], None]] = None,
+                veto: Optional[Callable[[CacheLine], bool]] = None
+                ) -> Optional[CacheLine]:
+        """Fill ``addr`` with ``state`` in one scan of its set.
 
-        ``veto`` rejects candidates the caller may not evict (e.g. the L2
-        refusing victims whose L1D copy is not-visible — the paper's
-        NACK-and-refresh behaviour).  Returns None either when no eviction
-        is needed (a way is free) or when every line is pinned; callers
-        distinguish via :meth:`has_free_way`.
-        """
-        lines = self.set_of(addr)
-        if len(lines) < self._assoc:
-            return None
-        for victim in self.policy.victims(lines):
-            if veto is None or not veto(victim):
-                return victim
-        return None
-
-    def allocate(self, addr: int, state: State, cycle: int = 0,
-                 on_evict: Optional[Callable[[CacheLine], None]] = None,
-                 veto: Optional[Callable[[CacheLine], bool]] = None
-                 ) -> CacheLine:
-        """Install ``addr`` with ``state``, evicting if required.
-
+        A resident copy takes the fill in place: it becomes E if the
+        fill grants write permission to an S copy, and is touched.
+        Otherwise a new line is installed and returned, evicting the
+        replacement policy's first candidate that ``veto`` does not
+        reject (the L2 refusing victims whose L1D copy is not-visible,
+        the paper's NACK-and-refresh behaviour) when the set is full.
         ``on_evict`` is called with the victim (for writebacks and
-        inclusion enforcement) before it is removed; ``veto`` filters
-        victim candidates as in :meth:`choose_victim`.  Raises
-        ``LookupError`` if the set is full of non-replaceable lines;
-        callers must check :meth:`has_free_way` first on paths where that
-        can happen.
+        inclusion enforcement) before it is removed.  Returns None for
+        a resident copy and when every way is pinned or vetoed.
         """
         addr &= LINE_MASK
-        lines = self.set_of(addr)
-        for line in lines:
-            if line.addr == addr and (line.state or line.not_visible):
-                raise LookupError(
-                    f"{self.config.name}: {addr:#x} already present")
-        if len(lines) >= self._assoc:
-            victim = self.choose_victim(addr, veto)
-            if victim is None:
-                raise LookupError(
-                    f"{self.config.name}: set for {addr:#x} has no victim")
-            self._evict(victim, on_evict)
+        idx = (addr >> LINE_SHIFT) & self._set_mask
+        lines = self._sets.get(idx)
+        if lines is None:
+            lines = self._sets[idx] = []
+        else:
+            for line in lines:
+                if line.addr == addr and (line.state or line.not_visible):
+                    if state >= State.E and line.state < State.E:
+                        line.state = State.E
+                    self.policy.touch(line, cycle)
+                    return None
+            if len(lines) >= self._assoc:
+                for victim in self.policy.victims(lines):
+                    if veto is None or not veto(victim):
+                        break
+                else:
+                    return None
+                self._evictions.value += 1
+                if victim.dirty:
+                    self._writebacks.value += 1
+                if on_evict is not None:
+                    on_evict(victim)
+                lines.remove(victim)
         line = CacheLine(addr, state)
         self.policy.touch(line, cycle)
         lines.append(line)
         return line
 
-    def _evict(self, victim: CacheLine, on_evict) -> None:
-        self._evictions.inc()
-        if victim.dirty:
-            self._writebacks.inc()
-        if on_evict is not None:
-            on_evict(victim)
-        self.set_of(victim.addr).remove(victim)
+    def allocate(self, addr: int, state: State, cycle: int = 0,
+                 on_evict: Optional[Callable[[CacheLine], None]] = None,
+                 veto: Optional[Callable[[CacheLine], bool]] = None
+                 ) -> CacheLine:
+        """Install ``addr``, which must not be resident, as :meth:`install`
+        does; raises ``LookupError`` if it is resident or if every way is
+        pinned (check :meth:`has_free_way` first where that can happen).
+        """
+        if self.probe(addr) is not None:
+            raise LookupError(
+                f"{self.config.name}: {addr & LINE_MASK:#x} already present")
+        line = self.install(addr, state, cycle, on_evict, veto)
+        if line is None:
+            raise LookupError(
+                f"{self.config.name}: set for {addr:#x} has no victim")
+        return line
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
         """Remove ``addr`` from the array; returns the removed line."""
@@ -188,6 +195,10 @@ class CacheArray:
         """Number of valid lines currently resident."""
         return sum(1 for line in self if line.state.valid)
 
-    def miss_rate(self) -> float:
-        total = self._hits.value + self._misses.value
-        return self._misses.value / total if total else 0.0
+
+def _miss_rate(hits: Counter, misses: Counter) -> Callable[[], float]:
+    """misses / (hits + misses) of two live counters."""
+    def miss_rate() -> float:
+        total = hits.value + misses.value
+        return misses.value / total if total else 0.0
+    return miss_rate

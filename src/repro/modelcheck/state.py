@@ -142,7 +142,8 @@ def _encode_core(core, now: int) -> Tuple:
     rob = tuple([
         (entry.index, _KIND_NAMES[entry.uop.kind], entry.uop.addr,
          _rel(entry.complete_cycle, now), entry.waiting_mem,
-         tuple([dep.index for dep in entry.dependents]))
+         () if entry.dependents is None
+         else tuple([dep.index for dep in entry.dependents]))
         for entry in core.rob])
     sb = tuple([(entry.line, entry.mask, entry.committed)
                 for entry in core.sb._entries])

@@ -371,8 +371,9 @@ class System:
         TUS/CSB hooks all point back into the ports that hold them, so
         without this every machine waits for the cyclic collector.  The
         machine cannot run afterwards.  The model checker releases each
-        execution's machine once its outcome is built; a simulation
-        does not bother, since it builds one machine per point.
+        execution's machine once its outcome is built, and
+        :meth:`~repro.harness.runner.Runner.simulate` each point's once
+        its result is.
         """
         self.events.clear()
         self.memsys.release()

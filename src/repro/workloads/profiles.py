@@ -36,6 +36,9 @@ from ..cpu.isa import OpKind, UOp
 from ..cpu.trace import Trace
 from .regions import ColdRegion, WarmRegion, arena_base
 
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -141,6 +144,16 @@ class Profile:
         return [(name, w / expected[name]) for name, w in weights if w > 0]
 
 
+#: Non-memory micro-ops carry only a kind and a dependence, so every
+#: trace shares one record per (kind, dep_dist) pair: index 0 has no
+#: producer, index 1 depends on the previous micro-op.  Nothing mutates
+#: a :class:`UOp` once made, or tells two equal ones apart.
+_INT_ALU = (UOp(OpKind.INT_ALU), UOp(OpKind.INT_ALU, dep_dist=1))
+_INT_MUL = (UOp(OpKind.INT_MUL), UOp(OpKind.INT_MUL, dep_dist=1))
+_FP_ADD = (UOp(OpKind.FP_ADD), UOp(OpKind.FP_ADD, dep_dist=1))
+_FENCE = UOp(OpKind.FENCE)
+
+
 class _Generator:
     """Stateful trace builder for one (profile, core) pair."""
 
@@ -148,7 +161,15 @@ class _Generator:
                  rng: random.Random) -> None:
         self.p = profile
         self.rng = rng
+        # The draws and the per-micro-op knobs, bound once.
+        self._random = rng.random
+        self._randrange = rng.randrange
+        self._randint = rng.randint
+        self._fence_every = profile.fence_every
+        self._dep_fraction = profile.dep_fraction
+        self._load_fraction = profile.load_fraction
         self.uops: List[UOp] = []
+        self._append = self.uops.append
         self._last_chase_load: Optional[int] = None
         self._since_fence = 0
         self.load_region = WarmRegion(arena_base(core_id, 0),
@@ -183,118 +204,134 @@ class _Generator:
 
     # -- emission helpers -----------------------------------------------
     def emit(self, uop: UOp) -> None:
-        self.uops.append(uop)
-        self._since_fence += 1
-        if (self.p.fence_every is not None
-                and self._since_fence >= self.p.fence_every):
-            self.uops.append(UOp(OpKind.FENCE))
-            self._since_fence = 0
+        self._append(uop)
+        if self._fence_every is not None:
+            self._since_fence += 1
+            if self._since_fence >= self._fence_every:
+                self._append(_FENCE)
+                self._since_fence = 0
 
     def emit_alu(self) -> None:
-        dep = 1 if (self.uops and self.rng.random() < self.p.dep_fraction) \
-            else None
+        random = self._random
+        dep = 1 if (self.uops and random() < self._dep_fraction) else 0
         # A sprinkle of multi-cycle ops keeps compute ILP realistic
         # (2-4 IPC) instead of saturating the 8-wide commit.
-        roll = self.rng.random()
+        roll = random()
         if roll < 0.08:
-            kind = OpKind.INT_MUL
+            self.emit(_INT_MUL[dep])
         elif roll < 0.12:
-            kind = OpKind.FP_ADD
+            self.emit(_FP_ADD[dep])
         else:
-            kind = OpKind.INT_ALU
-        self.emit(UOp(kind, dep_dist=dep))
+            self.emit(_INT_ALU[dep])
 
     def emit_load(self) -> None:
-        if self.rng.random() < self.p.load_chase:
+        random = self._random
+        p = self.p
+        if random() < p.load_chase:
             addr = self.chase_region.random_fresh_line(self.rng)
             dep = None
             if self._last_chase_load is not None:
                 dep = len(self.uops) - self._last_chase_load
             self._last_chase_load = len(self.uops)
-            self.emit(UOp(OpKind.LOAD, addr, 8, dep_dist=dep))
+            self.emit(UOp(_LOAD, addr, 8, dep))
             return
-        shared = self.p.shared_load_fraction
+        shared = p.shared_load_fraction
         if shared is None:
-            shared = self.p.shared_fraction
-        if shared and self.rng.random() < shared:
+            shared = p.shared_fraction
+        if shared and random() < shared:
             addr = self.shared_line()
-        elif (self.p.loads_from_store_region
-                and self.rng.random() < self.p.loads_from_store_region):
+        elif (p.loads_from_store_region
+                and random() < p.loads_from_store_region):
             addr = self.store_region.random_line(self.rng)
         else:
             addr = self.load_region.random_line(self.rng)
-        offset = self.rng.randrange(LINE_SIZE // 8) * 8
-        self.emit(UOp(OpKind.LOAD, addr + offset, 8))
+        offset = self._randrange(LINE_SIZE // 8) * 8
+        self.emit(UOp(_LOAD, addr + offset, 8))
 
     def emit_store(self, line: int, word_index: int) -> None:
-        self.emit(UOp(OpKind.STORE, line + (word_index % 8) * 8, 8))
+        self.emit(UOp(_STORE, line + (word_index % 8) * 8, 8))
 
     def shared_line(self) -> int:
         """A line in the cross-core shared arena, Zipf-skewed hot."""
         if self.shared_hot \
-                and self.rng.random() < self.p.shared_hot_weight:
+                and self._random() < self.p.shared_hot_weight:
             return self.rng.choices(self.shared_hot,
                                     cum_weights=self._hot_cum)[0]
         return self.shared_region.random_line(self.rng)
 
     # -- phases -----------------------------------------------------------
-    def phase_compute(self) -> None:
-        length = self.rng.randint(*self.p.compute_len)
-        shared_store = self.p.shared_store_fraction
-        if shared_store is None:
-            shared_store = self.p.shared_fraction / 4
+    def _compute_run(self, length: int) -> None:
+        """``length`` compute micro-ops: warm or chasing loads and ALU."""
+        random = self._random
+        load_fraction = self._load_fraction
+        emit_load, emit_alu = self.emit_load, self.emit_alu
         for _ in range(length):
-            if shared_store and self.rng.random() < shared_store:
-                self.emit_store(self.shared_line(), self.rng.randrange(8))
-                continue
-            if self.rng.random() < self.p.load_fraction:
+            if random() < load_fraction:
+                emit_load()
+            else:
+                emit_alu()
+
+    def phase_compute(self) -> None:
+        p = self.p
+        length = self._randint(*p.compute_len)
+        shared_store = p.shared_store_fraction
+        if shared_store is None:
+            shared_store = p.shared_fraction / 4
+        if not shared_store:
+            self._compute_run(length)
+            return
+        random = self._random
+        for _ in range(length):
+            if random() < shared_store:
+                self.emit_store(self.shared_line(), self._randrange(8))
+            elif random() < self._load_fraction:
                 self.emit_load()
             else:
                 self.emit_alu()
 
     def phase_burst(self) -> None:
-        trains = self.rng.randint(*self.p.burst_train)
+        trains = self._randint(*self.p.burst_train)
         for train in range(trains):
             if train:
-                for _ in range(self.rng.randint(8, 16)):
+                for _ in range(self._randint(8, 16)):
                     self.emit_alu()
             self._one_burst()
 
     def _one_burst(self) -> None:
-        lines = self.rng.randint(*self.p.burst_lines)
+        p = self.p
+        random = self._random
+        emit_store = self.emit_store
+        lines = self._randint(*p.burst_lines)
         streams = self.burst_regions
         for i in range(lines):
             region = streams[i % len(streams)]
-            if self.rng.random() < self.p.burst_regularity:
+            if random() < p.burst_regularity:
                 line = region.next_line()
             elif isinstance(region, WarmRegion):
                 line = region.random_line(self.rng)
             else:
                 line = region.random_fresh_line(self.rng, spread_pages=64)
-            for word in range(self.p.words_per_line):
-                self.emit_store(line, word)
+            for word in range(p.words_per_line):
+                emit_store(line, word)
 
     def phase_scatter(self) -> None:
-        run = self.rng.randint(*self.p.scatter_run)
+        p = self.p
+        run = self._randint(*p.scatter_run)
         for _ in range(run):
             line = self.scatter_region.random_fresh_line(self.rng)
-            self.emit_store(line, self.rng.randrange(8))
-            gap = self.rng.randint(*self.p.scatter_compute_gap)
-            for _ in range(gap):
-                if self.rng.random() < self.p.load_fraction:
-                    self.emit_load()
-                else:
-                    self.emit_alu()
+            self.emit_store(line, self._randrange(8))
+            self._compute_run(self._randint(*p.scatter_compute_gap))
 
     def phase_local_store(self) -> None:
-        run = self.rng.randint(*self.p.local_run)
+        p = self.p
+        random = self._random
+        run = self._randint(*p.local_run)
         for _ in range(run):
-            if (self.p.shared_fraction
-                    and self.rng.random() < self.p.shared_fraction):
+            if p.shared_fraction and random() < p.shared_fraction:
                 line = self.shared_line()
             else:
                 line = self.store_region.random_line(self.rng)
-            for word in range(self.p.words_per_line):
+            for word in range(p.words_per_line):
                 self.emit_store(line, word)
             self.emit_alu()
 

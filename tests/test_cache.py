@@ -110,6 +110,50 @@ class TestAllocation:
         assert c.probe(0x40) is None
 
 
+class TestInstall:
+    def test_installs_and_returns_the_new_line(self):
+        c = small_cache()
+        line = c.install(0x1008, State.E, cycle=3)
+        assert line is c.probe(0x1000)
+        assert (line.addr, line.state) == (0x1000, State.E)
+
+    def test_resident_copy_takes_the_fill_in_place(self):
+        c = small_cache(assoc=2, sets=1)
+        resident = c.allocate(0x00, State.S, cycle=1)
+        c.allocate(0x40, State.S, cycle=2)
+        assert c.install(0x00, State.E, cycle=3) is None
+        assert c.probe(0x00) is resident and resident.state == State.E
+        c.allocate(0x80, State.S, cycle=4)    # the touch made 0x40 LRU
+        assert c.probe(0x40) is None and c.probe(0x00) is resident
+
+    def test_read_fill_leaves_a_resident_copy_unchanged(self):
+        c = small_cache()
+        resident = c.allocate(0x00, State.M)
+        assert c.install(0x00, State.S) is None
+        assert resident.state == State.M
+
+    def test_evicts_the_first_unvetoed_victim(self):
+        c = small_cache(assoc=2, sets=1)
+        a = c.allocate(0x00, State.S, cycle=1)
+        b = c.allocate(0x40, State.M, cycle=2)
+        evicted = []
+        # LRU would evict a; the veto moves the eviction to b.
+        line = c.install(0x80, State.S, on_evict=evicted.append,
+                         veto=lambda victim: victim is a)
+        assert line is c.probe(0x80)
+        assert evicted == [b] and c.probe(0x40) is None
+        assert c.stats["writebacks"] == 1
+
+    def test_none_when_every_way_is_pinned_or_vetoed(self):
+        c = small_cache(assoc=2, sets=1)
+        c.allocate(0x00, State.I).not_visible = True
+        c.allocate(0x40, State.S).locked = True
+        assert c.install(0x80, State.S) is None
+        c.probe(0x40).locked = False
+        assert c.install(0x80, State.S, veto=lambda victim: True) is None
+        assert c.probe(0x80) is None and c.stats["evictions"] == 0
+
+
 class TestCapacityQueries:
     def test_has_free_way(self):
         c = small_cache(assoc=2, sets=1)

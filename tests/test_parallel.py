@@ -109,6 +109,34 @@ class TestFanOut:
         assert [pooled.cached(pt).canonical_json() for pt in points] == \
             [serial.cached(pt).canonical_json() for pt in points]
 
+    def test_batch_generates_each_trace_once(self, tmp_path, monkeypatch):
+        """fig9 asks for each combination's simpoints in alternation,
+        and a runner keeps only its last workload's traces; the batch
+        runs one workload's points back to back, so each (bench,
+        simpoint) trace is generated once, with the results of the
+        request order."""
+        import repro.harness.runner as runner_module
+        made = []
+        real = runner_module.make_trace
+        monkeypatch.setattr(runner_module, "make_trace",
+                            lambda *args: made.append(args) or real(*args))
+        grouped = small_runner(tmp_path / "grouped", use_disk_cache=False,
+                               simpoints=2)
+        points = collect_points(grouped, fig9, benches=SMALL)
+        assert [pt.point for pt in points[:2]] == [0, 1]   # alternation
+        telemetry = run_points(grouped, points, workers=1)
+        assert telemetry.simulated == len(points)
+        assert sorted(made) == sorted(set(made))
+        assert len(made) == len(SMALL) * 2
+        del made[:]
+        ungrouped = small_runner(tmp_path / "ungrouped",
+                                 use_disk_cache=False, simpoints=2)
+        expected = [ungrouped.simulate(pt).canonical_json()
+                    for pt in points]
+        assert len(made) == len(points)
+        assert [grouped.cached(pt).canonical_json()
+                for pt in points] == expected
+
 
 class TestTelemetry:
     def test_accounts_for_every_point(self, tmp_path):

@@ -1,19 +1,23 @@
-"""A checked execution leaves no cyclic garbage.
+"""A checked execution and a simulation point leave no cyclic garbage.
 
 The model checker builds one :class:`~repro.sim.system.System` per
-execution.  Its ports, hooks, MSHR callbacks and pending event closures
+execution, and :meth:`~repro.harness.runner.Runner.simulate` one per
+point.  Their ports, hooks, MSHR callbacks and pending event closures
 point at each other, so unless :meth:`System.release` breaks those
 cycles every machine waits for the cyclic collector.  With the
-collector disabled, each outcome kind below must leave nothing for
-``gc.collect()`` to find.
+collector disabled, each outcome kind and each mechanism below must
+leave nothing for ``gc.collect()`` to find.
 """
 
 import gc
 
 import pytest
 
+from repro.harness.runner import Point, Runner
 from repro.modelcheck import explore
 from repro.modelcheck.explorer import CheckRunner
+
+MECHANISMS = ("baseline", "ssb", "csb", "spb", "tus")
 
 #: name -> (CheckRunner arguments, schedule, pause, settle, kind, invariant)
 CASES = {
@@ -62,4 +66,26 @@ def test_whole_check_leaves_no_cyclic_garbage(no_collector):
     report = explore("overlap", "tus", unsound=True, por="persistent")
     assert report.violation is not None and report.violation.trace
     del report
+    assert gc.collect() == 0
+
+
+@pytest.fixture(scope="module")
+def point_runner():
+    return Runner(use_disk_cache=False, st_length=2_000, par_length=100,
+                  num_cores_parallel=16)
+
+
+@pytest.mark.parametrize("bench", ["502.gcc1", "canneal"])
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_point_leaves_no_cyclic_garbage(point_runner, bench, mechanism,
+                                        no_collector):
+    point = Point(bench, mechanism, 114)
+    # The runner keeps the last workload's traces; make them first so
+    # only the point's machine is in question.
+    point_runner.simulate(point)
+    assert gc.collect() == 0
+    result = point_runner.simulate(point)
+    assert result.committed > 0
+    assert len(result.cores) == (16 if bench == "canneal" else 1)
+    del result
     assert gc.collect() == 0
