@@ -16,7 +16,8 @@ Commands
              verdicts, and every mechanism within the model
 ``models``   list the registered base consistency models
 ``check``    model-check protocol invariants over all interleavings of
-             a small scenario (exhaustive BFS, or ``--fuzz`` swarm)
+             a small scenario (exhaustive BFS, or ``--fuzz`` swarm),
+             under x86-TSO, the simulator's one memory model
 ``trace``    record every instrumentation event of one run and export a
              Chrome-trace-event/Perfetto ``.trace.json`` timeline
 ``faults``   run deterministic fault-injection campaigns: perturb the
@@ -232,9 +233,16 @@ def _cmd_models(args) -> int:
         default = " (default)" if name == DEFAULT_MODEL else ""
         print(f"{name:10} {model.description}{default}")
         print(f"{'':10} multi-copy-atomic={model.multi_copy_atomic} "
-              f"store-order={model.guarantees_store_order} "
               f"axioms={','.join(model.axiom_names())}")
     return 0
+
+
+def _machine(args) -> dict:
+    """The ``machine`` mapping of ``add_machine_args``' options, as
+    :func:`~repro.modelcheck.scenarios.check_config` takes it."""
+    return {"topology": args.topology, "dir_shards": args.dir_shards,
+            "dram_channels": args.dram_channels,
+            "link_latency": args.link_latency}
 
 
 def _cmd_check(args) -> int:
@@ -247,15 +255,13 @@ def _cmd_check(args) -> int:
     if args.spool and (len(scenarios) > 1 or len(mechanisms) > 1):
         print("--spool needs a single (scenario, mechanism) cell")
         return 2
+    machine = _machine(args)
     jobs = [CheckJob(scenario=scenario, mechanism=mechanism,
                      cores=args.cores, lines=args.lines,
                      unsound=args.unsound_auth, max_depth=args.depth,
                      max_states=args.max_states, max_cycles=args.max_cycles,
                      fuzz_runs=args.fuzz, seed=args.seed,
-                     topology=args.topology, dir_shards=args.dir_shards,
-                     dram_channels=args.dram_channels,
-                     link_latency=args.link_latency, model=args.model,
-                     por=args.por, spool=args.spool)
+                     machine=machine, por=args.por, spool=args.spool)
             for scenario in scenarios for mechanism in mechanisms]
     reports = run_checks(jobs, workers=args.workers)
     failures = 0
@@ -287,11 +293,7 @@ def _cmd_faults(args) -> int:
     specs = sweep_specs(seeds=range(args.seed, args.seed + args.seeds),
                         mechanisms=mechanisms, intensities=intensities,
                         cores=args.cores, ops_per_core=args.ops,
-                        retry_policy=args.retry, topology=args.topology,
-                        dir_shards=args.dir_shards,
-                        dram_channels=args.dram_channels,
-                        link_latency=args.link_latency,
-                        model=args.model)
+                        retry_policy=args.retry, machine=_machine(args))
     results = run_campaigns(specs, workers=args.workers)
     print(render_results(results))
     failures = [r for r in results if not r.ok]
@@ -567,13 +569,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(fn=_cmd_sweep)
 
     from .models import available_models
-    model_names = tuple(available_models())
 
     lit_p = sub.add_parser("litmus", help="memory-model litmus checks")
     lit_p.add_argument("--mechanism", default="all",
                        choices=MECHANISMS + ("all",),
                        help="check one store-path model (default: all)")
-    lit_p.add_argument("--model", default="tso", choices=model_names,
+    lit_p.add_argument("--model", default="tso",
+                       choices=tuple(available_models()),
                        help="base consistency model (default: tso)")
     lit_p.set_defaults(fn=_cmd_litmus)
 
@@ -610,9 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk_p.add_argument("--unsound-auth", action="store_true",
                        help="revert the atomic-group authorization fix "
                             "(expect a wait-graph counterexample)")
-    chk_p.add_argument("--model", default="tso", choices=model_names,
-                       help="base consistency model; gates which "
-                            "invariants apply (default tso)")
     from .modelcheck import POR_MODES
     chk_p.add_argument("--por", default="off", choices=POR_MODES,
                        help="partial-order reduction: sleep sets or "
@@ -672,10 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults_p.add_argument("--manifest", default=None, metavar="PATH",
                           help="write the machine-readable campaign "
                                "manifest here")
-    faults_p.add_argument("--model", default="tso", choices=model_names,
-                          help="base consistency model; gates which "
-                               "invariants and oracle legs apply "
-                               "(default tso)")
     add_machine_args(faults_p)
     faults_p.set_defaults(fn=_cmd_faults)
 

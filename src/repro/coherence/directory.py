@@ -12,10 +12,13 @@ Entries track the owner (a core holding E/M) or the sharer set, plus a
 
 Scaled machines shard the directory into N home nodes
 (:class:`ShardedDirectory`): line addresses are interleaved across homes
-by their low lex-order bits — the same bits that index the sets — so
-every line has exactly one home, all lines of one atomic group still
-map to different sets within (or across) homes, and the lex-conflict
-deadlock-freedom argument carries over shard boundaries unchanged.
+by their low lex-order bits, so every line has exactly one home.  A
+shard's set index is the low lex bits again, the ones that picked its
+home, so those bits are fixed within a shard: each shard reaches only
+1/N of its sets, and two lex-distinct lines that differ only in the
+top log2(N) lex bits share one set.  The monolithic argument above
+therefore does *not* carry over shard boundaries: two lines of one
+atomic group can meet in one sharded set.
 Both classes expose ``shards`` and ``home_of`` so diagnostics, fault
 injection, and the model checker can quantify over every home without
 caring whether the directory is monolithic.
@@ -185,8 +188,10 @@ class ShardedDirectory:
 
     Each shard is a full :class:`Directory` scaled down to its share of
     the sets; ``home_of`` picks the shard from the low lex-order bits of
-    the line address, so the mapping is static, conflict-free, and
-    identical to the bits the DRAM channel map uses (home-affine NUMA).
+    the line address, so the mapping is static and identical to the
+    bits the DRAM channel map uses (home-affine NUMA).  The shard then
+    indexes its sets with those same low bits, so it reaches only
+    ``1/num_shards`` of them (see the module docstring).
     The per-address API (``lookup``/``allocate``/...) delegates to the
     owning shard, which keeps :class:`~repro.coherence.memsys
     .MemorySystem` and the invariants shard-agnostic.

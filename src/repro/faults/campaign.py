@@ -70,22 +70,18 @@ class CampaignSpec:
     lines_per_core: int = 2
     ops_per_core: int = 24
     retry_policy: str = "backoff"
-    # Scaled shared level (defaults keep the original reduced machine).
-    topology: str = "p2p"
-    dir_shards: int = 1
-    dram_channels: int = 1
-    link_latency: int = 1
-    # Base consistency model: gates which invariants and oracle legs
-    # apply (store-order is only guaranteed by TSO-like models).
-    model: str = "tso"
+    # Shared level, as accepted by check_config (None: the original
+    # reduced machine).
+    machine: Optional[dict] = None
 
     def label(self) -> str:
         label = (f"{self.mechanism}/{self.intensity}/seed{self.seed}"
                  f"/c{self.cores}")
-        if self.dir_shards > 1 or self.topology != "p2p":
-            label += f"/{self.topology}-s{self.dir_shards}"
-        if self.model != "tso":
-            label += f"/{self.model}"
+        machine = self.machine or {}
+        topology = machine.get("topology", "p2p")
+        shards = machine.get("dir_shards", 1)
+        if shards > 1 or topology != "p2p":
+            label += f"/{topology}-s{shards}"
         return label
 
     def fault_config(self) -> FaultConfig:
@@ -252,10 +248,7 @@ def cycle_budget(ref_cycles: int, fault_config: FaultConfig,
 def _make_system(spec: CampaignSpec, traces: List[Trace]
                  ) -> Tuple[System, VisibilityObserver]:
     config = check_config(spec.cores, spec.mechanism,
-                          topology=spec.topology,
-                          dir_shards=spec.dir_shards,
-                          dram_channels=spec.dram_channels,
-                          link_latency=spec.link_latency)
+                          **(spec.machine or {}))
     if spec.retry_policy != config.retry.policy:
         import dataclasses
         config = dataclasses.replace(
@@ -278,23 +271,19 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
                             intensity=spec.intensity, outcome="ok")
 
     # Reference (fault-free) run.
-    from ..models import get_model
-    model = get_model(spec.model)
     ref_system, ref_observer = _make_system(spec, traces)
     ref = ref_system.run()
     result.ref_cycles = ref.cycles
     result.ref_committed = ref.committed
-    if model.guarantees_store_order:
-        for cid, trace in enumerate(traces):
-            ref_observer.check_store_store_order(cid, trace)
+    for cid, trace in enumerate(traces):
+        ref_observer.check_store_store_order(cid, trace)
     reference_image = derived_image(ref_observer, traces)
 
     # Faulted run under the invariant-checking controlled loop.
     system, observer = _make_system(spec, traces)
     plan = FaultPlan(spec.seed, fault_config)
     ctx = CheckContext(system=system, traces=traces, observer=observer)
-    invariants = model.filter_invariants(
-        system.cores[0].mechanism.modelcheck_invariants())
+    invariants = system.cores[0].mechanism.modelcheck_invariants()
     scheduler = CheckingScheduler(DefaultScheduler(), ctx, invariants)
     budget = cycle_budget(ref.cycles, fault_config, system.config.retry)
     try:

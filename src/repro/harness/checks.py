@@ -33,15 +33,9 @@ class CheckJob:
     max_cycles: int = 20_000
     fuzz_runs: int = 0          # 0 = exhaustive, >0 = swarm mode
     seed: int = 0
-    # Scaled shared level of the reduced machine (defaults reproduce
-    # the original monolithic point-to-point check exactly).
-    topology: str = "p2p"
-    dir_shards: int = 1
-    dram_channels: int = 1
-    link_latency: int = 1
-    # Base consistency model (repro.models registry); gates which
-    # invariants apply (e.g. store-order is TSO-only).
-    model: str = "tso"
+    # Shared level of the reduced machine, as accepted by
+    # check_config (None: the original monolithic point-to-point one).
+    machine: Optional[dict] = None
     # Partial-order reduction mode ("off" | "sleep" | "persistent").
     por: str = "off"
     # Frontier spool directory; re-running resumes the check.
@@ -49,16 +43,7 @@ class CheckJob:
 
     @property
     def label(self) -> str:
-        base = f"{self.scenario}/{self.mechanism}"
-        if self.model != "tso":
-            base += f"@{self.model}"
-        return base
-
-    @property
-    def machine(self) -> dict:
-        return {"topology": self.topology, "dir_shards": self.dir_shards,
-                "dram_channels": self.dram_channels,
-                "link_latency": self.link_latency}
+        return f"{self.scenario}/{self.mechanism}"
 
 
 def run_check(job: CheckJob) -> CheckReport:
@@ -67,12 +52,12 @@ def run_check(job: CheckJob) -> CheckReport:
         return fuzz(job.scenario, job.mechanism, cores=job.cores,
                     lines=job.lines, runs=job.fuzz_runs, seed=job.seed,
                     unsound=job.unsound, max_cycles=job.max_cycles,
-                    machine=job.machine, model=job.model)
+                    machine=job.machine)
     return explore(job.scenario, job.mechanism, cores=job.cores,
                    lines=job.lines, max_depth=job.max_depth,
                    max_states=job.max_states, max_cycles=job.max_cycles,
                    unsound=job.unsound, machine=job.machine,
-                   model=job.model, por=job.por, spool=job.spool)
+                   por=job.por, spool=job.spool)
 
 
 def run_checks(jobs: List[CheckJob], workers: Optional[int] = None

@@ -56,7 +56,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..common.errors import DeadlockError
 from ..common.stats import NULL_STATS
 from ..cpu.trace import Trace
-from ..models import DEFAULT_MODEL, get_model
 from ..sim.system import System
 from .frontier import DiskFrontier, MemoryFrontier, make_record
 from .invariants import CheckContext, InvariantViolation
@@ -82,7 +81,6 @@ class Violation:
     cores: int
     lines: int
     unsound: bool
-    model: str = DEFAULT_MODEL
     trace: Tuple[str, ...] = ()
     #: The check's ``machine`` overrides (see :func:`explore`).
     machine: Optional[dict] = None
@@ -97,8 +95,6 @@ class Violation:
             f"  {self.message}",
             f"scenario {self.scenario}, mechanism {self.mechanism}, "
             f"{self.cores} cores x {self.lines} lines"
-            + (f", model {self.model}" if self.model != DEFAULT_MODEL
-               else "")
             + (f", machine {overrides}" if overrides else "")
             + (f", max_cycles {self.max_cycles}"
                if self.max_cycles != DEFAULT_MAX_CYCLES else "")
@@ -114,11 +110,9 @@ class Violation:
 
     def as_pytest(self) -> str:
         """A ready-to-paste pytest case replaying this counterexample."""
-        extra_args = ("" if self.model == DEFAULT_MODEL
-                      else f", model={self.model!r}")
         overrides = machine_overrides(self.machine)
-        if overrides:
-            extra_args += f",\n                     machine={overrides!r}"
+        extra_args = (f",\n                     machine={overrides!r}"
+                      if overrides else "")
         if self.max_cycles != DEFAULT_MAX_CYCLES:
             extra_args += f", max_cycles={self.max_cycles}"
         return (
@@ -164,7 +158,6 @@ class CheckReport:
     cores: int
     lines: int
     mode: str                       # "exhaustive" | "fuzz"
-    model: str = DEFAULT_MODEL
     executions: int = 0
     unique_states: int = 0
     terminal_states: int = 0
@@ -197,8 +190,6 @@ class CheckReport:
         status = "PASS" if self.passed else "FAIL"
         extent = ("exhaustive" if self.complete
                   else f"bounded ({self.mode})")
-        if self.model != DEFAULT_MODEL:
-            extent = f"{self.model}, {extent}"
         if self.por != "off":
             extent = f"por={self.por}, {extent}"
         return (f"{status} {self.scenario}/{self.mechanism} "
@@ -223,7 +214,7 @@ class CheckRunner:
     configuration (validated once, with its latency table and topology;
     see :class:`~repro.common.config.SystemConfig`), the scenario's
     traces, their symmetry permutations, the line pairs their store
-    order constrains and the model-filtered invariant names — is built
+    order constrains and the mechanism's invariant names — is built
     once here; each execution builds a fresh :class:`System` from it.
     That system keeps no statistics
     (:data:`~repro.common.stats.NULL_STATS`): no state key, invariant,
@@ -237,8 +228,7 @@ class CheckRunner:
     def __init__(self, scenario_name: str, mechanism: str, *,
                  cores: int = 2, lines: int = 2, unsound: bool = False,
                  max_cycles: int = DEFAULT_MAX_CYCLES,
-                 machine: Optional[dict] = None,
-                 model: str = DEFAULT_MODEL, por: str = "off",
+                 machine: Optional[dict] = None, por: str = "off",
                  mode: str = "exhaustive") -> None:
         scenario = get_scenario(scenario_name)
         cores, lines = _shape(scenario, cores, lines)
@@ -249,10 +239,9 @@ class CheckRunner:
         self.unsound = unsound
         self.max_cycles = max_cycles
         self.machine = machine
-        self.model = model
         self.describe = describe_for(por)
         self.report = CheckReport(scenario.name, mechanism, cores, lines,
-                                  mode=mode, model=model, por=por)
+                                  mode=mode, por=por)
         self.config = check_config(cores, mechanism, unsound=unsound,
                                    **(machine or {}))
         self.traces = [Trace(f"mc-{scenario.name}-c{cid}", program)
@@ -313,13 +302,8 @@ class CheckRunner:
         self.report.executions += 1
         system, observer, ctx = built if built is not None else self.build()
         if self.invariant_names is None:
-            # Invariants that assume orderings the base model does not
-            # guarantee (e.g. store-order under the relaxed model) are
-            # filtered out; under the default model this is the
-            # identity.
-            mechanism = system.cores[0].mechanism
-            self.invariant_names = get_model(self.model).filter_invariants(
-                mechanism.modelcheck_invariants())
+            self.invariant_names = \
+                system.cores[0].mechanism.modelcheck_invariants()
         sched = CheckingScheduler(inner, ctx, self.invariant_names)
         taken = getattr(inner, "taken", [])
         perms = self.perms
@@ -362,7 +346,6 @@ def run_schedule(scenario_name: str, mechanism: str,
                  max_cycles: int = DEFAULT_MAX_CYCLES,
                  pause: bool = False,
                  machine: Optional[dict] = None,
-                 model: str = DEFAULT_MODEL,
                  por: str = "off") -> RunOutcome:
     """Execute one schedule (replaying ``schedule`` at decision points,
     then pausing or continuing with default choices).  With ``por``
@@ -370,7 +353,7 @@ def run_schedule(scenario_name: str, mechanism: str,
     (``outcome.actions``)."""
     runner = CheckRunner(scenario_name, mechanism, cores=cores, lines=lines,
                          unsound=unsound, max_cycles=max_cycles,
-                         machine=machine, model=model, por=por)
+                         machine=machine, por=por)
     return runner(schedule, pause)
 
 
@@ -526,8 +509,7 @@ def finalise_report(report: CheckReport, store, start: float) -> None:
 
 def job_meta(scenario_name: str, mechanism: str, *, cores: int, lines: int,
              max_depth: int, max_states: int, max_cycles: int,
-             unsound: bool, machine: Optional[dict], model: str,
-             por: str) -> dict:
+             unsound: bool, machine: Optional[dict], por: str) -> dict:
     """The job parameters a spool's checkpoint carries: a resume must
     ask for the same check (``machine`` as its non-default entries, so
     an explicit default machine is the same check as none)."""
@@ -535,14 +517,13 @@ def job_meta(scenario_name: str, mechanism: str, *, cores: int, lines: int,
             "cores": cores, "lines": lines, "max_depth": max_depth,
             "max_states": max_states, "max_cycles": max_cycles,
             "unsound": unsound, "machine": machine_overrides(machine),
-            "model": model, "por": por}
+            "por": por}
 
 
 def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
             lines: int = 2, max_depth: int = 64, max_states: int = 100_000,
             max_cycles: int = DEFAULT_MAX_CYCLES, unsound: bool = False,
-            machine: Optional[dict] = None,
-            model: str = DEFAULT_MODEL, por: str = "off",
+            machine: Optional[dict] = None, por: str = "off",
             spool=None, store=None) -> CheckReport:
     """Exhaustive frontier BFS over all interleavings of a scenario.
 
@@ -563,7 +544,7 @@ def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
     start = time.monotonic()
     runner = CheckRunner(scenario_name, mechanism, cores=cores, lines=lines,
                          unsound=unsound, max_cycles=max_cycles,
-                         machine=machine, model=model, por=por)
+                         machine=machine, por=por)
     report = runner.report
     if store is None:
         store = MemoryFrontier() if spool is None else DiskFrontier(spool)
@@ -573,8 +554,7 @@ def explore(scenario_name: str, mechanism: str, *, cores: int = 2,
     store.seed(job_meta(scenario_name, mechanism, cores=runner.cores,
                         lines=runner.lines, max_depth=max_depth,
                         max_states=max_states, max_cycles=max_cycles,
-                        unsound=unsound, machine=machine, model=model,
-                        por=por),
+                        unsound=unsound, machine=machine, por=por),
                make_record(()))
 
     def minimise_violation(outcome: RunOutcome) -> None:
@@ -642,5 +622,5 @@ def _minimise(outcome: RunOutcome, runner: CheckRunner) -> Violation:
                      schedule=best, scenario=runner.scenario.name,
                      mechanism=runner.mechanism, cores=runner.cores,
                      lines=runner.lines, unsound=runner.unsound,
-                     model=runner.model, trace=final.trace,
+                     trace=final.trace,
                      machine=runner.machine, max_cycles=runner.max_cycles)

@@ -14,7 +14,6 @@ import random
 import time
 from typing import Optional
 
-from ..models import DEFAULT_MODEL
 from .explorer import DEFAULT_MAX_CYCLES, CheckReport, CheckRunner, _minimise
 from .scheduler import RandomScheduler
 
@@ -22,13 +21,12 @@ from .scheduler import RandomScheduler
 def fuzz(scenario_name: str, mechanism: str, *, cores: int = 2,
          lines: int = 2, runs: int = 100, seed: int = 0,
          unsound: bool = False, max_cycles: int = DEFAULT_MAX_CYCLES,
-         machine: Optional[dict] = None,
-         model: str = DEFAULT_MODEL) -> CheckReport:
+         machine: Optional[dict] = None) -> CheckReport:
     """Run ``runs`` random schedules; minimise the first violation."""
     start = time.monotonic()
     runner = CheckRunner(scenario_name, mechanism, cores=cores, lines=lines,
                          unsound=unsound, max_cycles=max_cycles,
-                         machine=machine, model=model, mode="fuzz")
+                         machine=machine, mode="fuzz")
     report = runner.report
     outcomes = set()
     for index in range(runs):

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..models import DEFAULT_MODEL
 from .explorer import DEFAULT_MAX_CYCLES, RunOutcome, run_schedule
 
 
 def replay(scenario: str, mechanism: str, schedule: Sequence[int], *,
            cores: int = 2, lines: int = 2, unsound: bool = False,
            max_cycles: int = DEFAULT_MAX_CYCLES,
-           machine: Optional[dict] = None,
-           model: str = DEFAULT_MODEL) -> RunOutcome:
+           machine: Optional[dict] = None) -> RunOutcome:
     """Re-execute ``schedule`` and return the outcome.
 
     The outcome's ``kind`` is ``"violation"`` when the schedule still
@@ -29,4 +27,4 @@ def replay(scenario: str, mechanism: str, schedule: Sequence[int], *,
     """
     return run_schedule(scenario, mechanism, tuple(schedule), cores=cores,
                         lines=lines, unsound=unsound, max_cycles=max_cycles,
-                        pause=False, machine=machine, model=model)
+                        pause=False, machine=machine)

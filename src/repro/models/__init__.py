@@ -21,6 +21,10 @@ verdicts for the classic litmus shapes; ``repro litmus`` and the tests
 cross-validate operational == axiomatic == corpus verdicts for every
 model.
 
+The registry serves this functional layer only: the cycle-level
+simulator implements x86-TSO alone, so ``repro check``, ``repro
+faults`` and the service's check and faults jobs take no model.
+
 Importing this package imports (and so registers) every built-in
 backend.
 """

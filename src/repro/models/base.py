@@ -34,7 +34,7 @@ complete before any lookup.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .program import Outcome, Program
 
@@ -48,9 +48,6 @@ class MemoryModel(abc.ABC):
     description: str = ""
     #: Writes become visible to all other cores at one instant.
     multi_copy_atomic: bool = True
-    #: Same-core stores become visible in program order (modulo atomic
-    #: groups).  Gates the ``store-order`` model-check invariant.
-    guarantees_store_order: bool = True
 
     # -- operational ---------------------------------------------------
     @abc.abstractmethod
@@ -80,18 +77,6 @@ class MemoryModel(abc.ABC):
     @abc.abstractmethod
     def axiom_names(self) -> Tuple[str, ...]:
         """The named acyclicity axioms :meth:`consistent` conjoins."""
-
-    # -- model checking ------------------------------------------------
-    def invariant_applies(self, name: str) -> bool:
-        """Whether a model-check invariant is meaningful under this
-        model.  ``store-order`` asserts Store->Store publication order,
-        which only TSO-like models guarantee."""
-        if name == "store-order":
-            return self.guarantees_store_order
-        return True
-
-    def filter_invariants(self, names: Sequence[str]) -> Tuple[str, ...]:
-        return tuple(n for n in names if self.invariant_applies(n))
 
 
 #: name -> registered model instance (models are stateless).

@@ -248,7 +248,6 @@ class RelaxedModel(MemoryModel):
     description = ("relaxed (ARM-flavoured): load/store reordering, "
                    "non-multi-copy-atomic stores, cumulative dmb")
     multi_copy_atomic = False
-    guarantees_store_order = False
 
     def reference_machine(self, program: Program) -> RelaxedMachine:
         return RelaxedMachine(program)

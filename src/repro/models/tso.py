@@ -179,7 +179,6 @@ class TSOModel(MemoryModel):
     description = ("x86-TSO (Sewell et al.): FIFO store buffer, store "
                    "forwarding, mfence drains; multi-copy atomic")
     multi_copy_atomic = True
-    guarantees_store_order = True
 
     def reference_machine(self, program: Program):
         # The TUS machine without coalescing publishes every store as a

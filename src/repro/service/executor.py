@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 from ..common.errors import DeadlockError
-from .jobs import JOB_KINDS, JobRecord, JobValidationError
+from .jobs import JOB_KINDS, JobRecord, JobValidationError, machine_of
 from .store import ArtifactStore
 
 
@@ -76,18 +76,15 @@ def _run_check(record: JobRecord, store: ArtifactStore,
                    cores=spec["cores"], lines=spec["lines"],
                    max_depth=spec["depth"], max_states=spec["max_states"],
                    max_cycles=spec["max_cycles"], fuzz_runs=spec["fuzz"],
-                   seed=spec["seed"], topology=spec["topology"],
-                   dir_shards=spec["dir_shards"],
-                   dram_channels=spec["dram_channels"],
-                   link_latency=spec["link_latency"],
-                   model=spec["model"], por=spec["por"])
+                   seed=spec["seed"], machine=machine_of(spec),
+                   por=spec["por"])
     report = run_check(job)
     violation = None
     if report.violation is not None:
         violation = {"invariant": report.violation.invariant,
                      "describe": report.violation.describe()}
     return {"scenario": report.scenario, "mechanism": report.mechanism,
-            "model": report.model, "por": report.por,
+            "por": report.por,
             "passed": report.passed, "summary": report.summary(),
             "executions": report.executions,
             "unique_states": report.unique_states,
@@ -112,11 +109,7 @@ def _run_faults(record: JobRecord, store: ArtifactStore,
         seeds=range(spec["seed"], spec["seed"] + spec["seeds"]),
         mechanisms=mechanisms, intensities=intensities,
         cores=spec["cores"], ops_per_core=spec["ops"],
-        retry_policy=spec["retry"], topology=spec["topology"],
-        dir_shards=spec["dir_shards"],
-        dram_channels=spec["dram_channels"],
-        link_latency=spec["link_latency"],
-        model=spec["model"])
+        retry_policy=spec["retry"], machine=machine_of(spec))
     results = run_campaigns(specs, workers=spec["workers"])
     failed = [r for r in results if not r.ok]
     return {"campaigns": [r.to_dict() for r in results],

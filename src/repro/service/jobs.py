@@ -82,13 +82,18 @@ def _machine_fields() -> Dict[str, Field]:
     }
 
 
+def machine_of(spec: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``machine`` mapping of a normalised check or faults spec
+    (its scaled-machine fields, as :func:`~repro.modelcheck.scenarios
+    .check_config` takes them)."""
+    return {name: spec[name] for name in _machine_fields()}
+
+
 def _schemas() -> Dict[str, Dict[str, Field]]:
     """Per-kind schema, built lazily so importing this module stays
     cheap (mechanism/figure tables import the harness)."""
     from ..common.config import MECHANISMS
-    from ..models import available_models
     mechs = tuple(MECHANISMS)
-    models = tuple(available_models())
     schemas: Dict[str, Dict[str, Field]] = {
         "sweep": {
             "figure": Field((str,), required=True),
@@ -113,7 +118,6 @@ def _schemas() -> Dict[str, Dict[str, Field]]:
             "max_cycles": Field((int,), 20_000, minimum=100),
             "fuzz": Field((int,), 0, minimum=0),
             "seed": Field((int,), 0, minimum=0),
-            "model": Field((str,), "tso", choices=models),
             "por": Field((str,), "off",
                          choices=("off", "sleep", "persistent")),
             **_machine_fields(),
@@ -129,7 +133,6 @@ def _schemas() -> Dict[str, Dict[str, Field]]:
             "retry": Field((str,), "backoff",
                            choices=("fixed", "backoff")),
             "workers": Field((int,), 1, minimum=1, maximum=64),
-            "model": Field((str,), "tso", choices=models),
             **_machine_fields(),
         },
         "synthetic": {

@@ -124,6 +124,7 @@ class TestModelCommands:
         out = capsys.readouterr().out
         assert "tso" in out and "relaxed" in out
         assert "default" in out
+        assert "store-order" not in out
 
     def test_litmus_model_choices(self):
         with pytest.raises(SystemExit):
@@ -171,12 +172,12 @@ class TestModelCommands:
         assert [row for row in rows if row.endswith("VIOLATION")] == \
             [row for row in rows if row.startswith("SB ")]
 
-    def test_check_relaxed(self, capsys):
-        assert main(["check", "--scenario", "sb", "--mechanism", "tus",
-                     "--model", "relaxed", "--max-states", "4000",
-                     "--workers", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "relaxed" in out
+    @pytest.mark.parametrize("command", ["check", "faults"])
+    def test_simulator_commands_take_no_model(self, command):
+        # The cycle-level simulator implements x86-TSO only.
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--model", "relaxed"])
+        assert exit_.value.code == 2
 
     def test_check_default_summary_omits_model(self, capsys):
         assert main(["check", "--scenario", "sb", "--mechanism", "tus",

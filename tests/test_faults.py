@@ -221,6 +221,12 @@ class TestCampaign:
         assert len(specs) == 8
         assert len({s.label() for s in specs}) == 8
 
+    def test_label_names_a_scaled_machine(self):
+        assert CampaignSpec(seed=3).label() == "tus/medium/seed3/c2"
+        spec = CampaignSpec(seed=3, machine={"topology": "mesh",
+                                             "dir_shards": 4})
+        assert spec.label() == "tus/medium/seed3/c2/mesh-s4"
+
     def test_run_campaigns_records_worker_errors(self):
         # An invalid intensity raises inside the worker; the sweep must
         # record it and still finish the valid points.

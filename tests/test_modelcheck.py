@@ -184,7 +184,8 @@ class TestMachineCounterexample:
 
     def test_default_machine_is_not_mentioned(self):
         violation = explore("overlap", "tus", unsound=True,
-                            machine=CheckJob("overlap", "tus").machine
+                            machine={"topology": "p2p", "dir_shards": 1,
+                                     "dram_channels": 1, "link_latency": 1}
                             ).violation
         assert "machine" not in violation.describe()
         assert "machine=" not in violation.as_pytest()

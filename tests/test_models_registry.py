@@ -171,15 +171,8 @@ class TestRegistry:
     def test_model_flags(self):
         tso = get_model("tso")
         relaxed = get_model("relaxed")
-        assert tso.multi_copy_atomic and tso.guarantees_store_order
+        assert tso.multi_copy_atomic
         assert not relaxed.multi_copy_atomic
-        assert not relaxed.guarantees_store_order
-
-    def test_invariant_filtering(self):
-        names = ("swmr", "store-order", "wait-graph")
-        assert get_model("tso").filter_invariants(names) == names
-        assert get_model("relaxed").filter_invariants(names) == \
-            ("swmr", "wait-graph")
 
 
 class TestTSOGoldenSet:
@@ -306,9 +299,10 @@ class TestCheckJobModel:
     def test_default_label_unchanged(self):
         assert CheckJob("sb", "tus").label == "sb/tus"
 
-    def test_model_label(self):
-        assert CheckJob("sb", "tus", model="relaxed").label == \
-            "sb/tus@relaxed"
+    def test_scaled_machine_label_unchanged(self):
+        job = CheckJob("sb", "tus", machine={"topology": "mesh",
+                                             "dir_shards": 4})
+        assert job.label == "sb/tus"
 
     def test_report_summary_default_unchanged(self):
         from repro.modelcheck import CheckReport
@@ -316,8 +310,11 @@ class TestCheckJobModel:
                               complete=True).summary()
         assert "model" not in summary and "tso" not in summary
 
-    def test_report_summary_names_nondefault_model(self):
-        from repro.modelcheck import CheckReport
-        summary = CheckReport("sb", "tus", 2, 2, mode="exhaustive",
-                              model="relaxed").summary()
-        assert "relaxed" in summary
+    def test_check_runs_every_invariant(self):
+        # No model filters the mechanism's list: store-order included.
+        from repro.modelcheck.explorer import CheckRunner
+        runner = CheckRunner("sb", "tus")
+        runner((), False)
+        assert "store-order" in runner.invariant_names
+        assert runner.invariant_names == \
+            runner.build()[0].cores[0].mechanism.modelcheck_invariants()

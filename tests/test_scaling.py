@@ -276,8 +276,9 @@ class TestShardedExhaustiveCheck:
         # Acceptance: bounded-depth exhaustive check of the sb litmus on
         # a 3-core mesh with 2 directory homes, shard-aware symmetry on.
         report = run_check(CheckJob("sb", "tus", cores=3, lines=2,
-                                    max_states=600, topology="mesh",
-                                    dir_shards=2))
+                                    max_states=600,
+                                    machine={"topology": "mesh",
+                                             "dir_shards": 2}))
         assert report.passed
         assert report.mode == "exhaustive"
 

@@ -73,31 +73,12 @@ class TestSpecValidation:
         with pytest.raises(JobValidationError):
             validate_spec("synthetic", {"duration_ms": True})
 
-    def test_model_defaults_to_tso(self):
-        check = validate_spec("check", {"scenario": "sb",
-                                        "mechanism": "tus"})
-        assert check["model"] == "tso"
-        faults = validate_spec("faults", {})
-        assert faults["model"] == "tso"
-
-    def test_unknown_model_listed_with_other_problems(self):
-        # One shot must report the bad model name *and* the other
-        # problems, like every other field.
-        with pytest.raises(JobValidationError) as err:
-            validate_spec("check", {"scenario": "sb", "mechanism": "tus",
-                                    "model": "sc", "cores": 99})
-        message = str(err.value)
-        assert "model" in message and "sc" in message
-        assert "relaxed" in message and "tso" in message
-        assert "cores" in message
-
-    def test_model_changes_job_id(self):
-        base = validate_spec("check", {"scenario": "sb",
-                                       "mechanism": "tus"})
-        relaxed = validate_spec("check", {"scenario": "sb",
-                                          "mechanism": "tus",
-                                          "model": "relaxed"})
-        assert job_id("check", base) != job_id("check", relaxed)
+    @pytest.mark.parametrize("kind", ["check", "faults"])
+    def test_model_field_refused(self, kind):
+        # Checks and campaigns run the simulator, which is x86-TSO only.
+        with pytest.raises(JobValidationError,
+                           match="unknown field 'model'"):
+            validate_spec(kind, {"model": "tso"})
 
     def test_job_id_is_spelling_independent(self):
         sparse = validate_spec("sweep", {"figure": "fig9"})

@@ -1,6 +1,6 @@
 """Differential POR comparison: verdict/fingerprint agreement + reduction ratios.
 
-Runs every requested (scenario, model) cell under all three POR modes,
+Runs every requested scenario cell under all three POR modes,
 verifies that verdicts and terminal fingerprints agree with the
 unreduced BFS, and writes a JSON artifact with per-cell reduction
 ratios (the CI ``check-por-smoke`` job uploads it).
@@ -18,14 +18,13 @@ import sys
 from repro.modelcheck import POR_MODES, explore
 
 
-def run_cell(name: str, cores: int, lines: int, model: str) -> dict:
+def run_cell(name: str, cores: int, lines: int) -> dict:
     reports = {por: explore(name, "tus", cores=cores, lines=lines,
-                            por=por, model=model)
+                            por=por)
                for por in POR_MODES}
     base = reports["off"]
     cell = {"scenario": name, "cores": reports["off"].cores,
-            "lines": reports["off"].lines, "model": model,
-            "agree": True, "modes": {}}
+            "lines": reports["off"].lines, "agree": True, "modes": {}}
     for por, report in reports.items():
         agree = (report.complete
                  and (report.violation is None) == (base.violation is None)
@@ -48,7 +47,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("cells", nargs="+",
                         help="scenario[:cores[:lines]] cells to compare")
-    parser.add_argument("--model", default="tso")
     parser.add_argument("--out", default=None,
                         help="write the JSON artifact here")
     args = parser.parse_args(argv)
@@ -61,13 +59,13 @@ def main(argv=None) -> int:
             name, rest = parts[0], parts[1:]
         cores = int(rest[0]) if rest else 2
         lines = int(rest[1]) if len(rest) > 1 else 2
-        cell = run_cell(name, cores, lines, args.model)
+        cell = run_cell(name, cores, lines)
         cells.append(cell)
         best = max(m["reduction_ratio"] for m in cell["modes"].values())
         print(f"{name:16} agree={cell['agree']} best-reduction={best}x "
               + " ".join(f"{por}={m['unique_states']}"
                          for por, m in cell["modes"].items()))
-    payload = {"version": 1, "model": args.model, "cells": cells,
+    payload = {"version": 1, "cells": cells,
                "agree": all(c["agree"] for c in cells)}
     if args.out:
         with open(args.out, "w") as handle:
